@@ -19,6 +19,7 @@ import numpy as np
 from cwblowup.grid import interval_count_for
 from cwblowup.params import InitialData, SimParams
 from cwblowup.simulator import RunHistory, RunOutcome, RunStatus, run
+from cwblowup.stepper import StepError
 
 # Classifier thresholds (see classify_blowup_set): chosen so the classes
 # cannot overlap on one run.
@@ -377,6 +378,11 @@ class ConvergenceReport:
         }
 
 
+def _raise_on_solver_error(outcome: RunOutcome, h: float) -> None:
+    if outcome.status is RunStatus.SOLVER_ERROR:
+        raise StepError(f"run at h={h} ended with SolverError: {outcome.error}")
+
+
 def _solution_at_time(
     params: SimParams,
     t_check: float,
@@ -390,6 +396,7 @@ def _solution_at_time(
     outcome, history = run(
         params, initial, snapshot_every=1, t_stop=t_check, monitor=False
     )
+    _raise_on_solver_error(outcome, params.h)
     if outcome.status is not RunStatus.TIME_LIMIT:
         raise ValueError(
             f"run at h={params.h} ended with {outcome.status.value} before "
@@ -445,7 +452,8 @@ def convergence_study(
     finer than the finest level, and fits the slope of log(error) against
     log(h).  The expected order is 2 for q = 1 (errors compared over
     indices 1..mid-1) and 3-q in the damped case p > 2, q < 2(p-1)/p
-    (indices 1..mid-2).
+    (indices 1..mid-2).  Raises StepError, carrying the run's error, when
+    a run it needs ends with SolverError.
     """
     if len(grid_levels) < 3:
         raise ValueError("need at least 3 grid levels")
@@ -465,6 +473,7 @@ def convergence_study(
 
     if t_check is None:
         coarse, _ = run(dc_replace(params, h=grid_levels[0]), initial, monitor=False)
+        _raise_on_solver_error(coarse, grid_levels[0])
         if coarse.status is not RunStatus.BLEW_UP:
             raise ValueError("coarse run did not blow up; cannot pick t_check")
         t_check = 0.5 * (coarse.t_num_partial + coarse.t_num_tail)

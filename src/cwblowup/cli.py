@@ -40,8 +40,10 @@ from cwblowup.simulator import (
     write_history_csv,
     write_snapshot_csv,
 )
+from cwblowup.stepper import StepError
 
 _FIGURE_LAMBDAS = tuple(10.0 ** (1.0 + 0.5 * i) for i in range(9))  # 10^1 .. 10^5
+_FIGURE_COLUMNS = ("t", "u_m", "u_m_minus_1", "u_m_minus_2", "u_m_plus_1", "u_m_plus_2")
 
 
 def _resolve_setup(args: argparse.Namespace) -> tuple[SimParams, InitialData]:
@@ -139,36 +141,31 @@ def cmd_time_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _figure_series(params: SimParams, out: Path, name: str) -> None:
+def _figure_series(params: SimParams, out: Path, *names: str) -> None:
+    """Run one scenario and write its tracked-node series to each file name."""
     outcome, history = run(params)
     lines = [
         params_header(params) + f" status={outcome.status.value}",
-        "t,u_m,u_m_minus_1,u_m_minus_2,u_m_plus_1,u_m_plus_2",
+        ",".join(_FIGURE_COLUMNS),
     ]
-    cols = [
-        history.rows["t"],
-        history.rows["u_m"],
-        history.rows["u_m_minus_1"],
-        history.rows["u_m_minus_2"],
-        history.rows["u_m_plus_1"],
-        history.rows["u_m_plus_2"],
-    ]
+    cols = [history.rows[name] for name in _FIGURE_COLUMNS]
     lines.extend(",".join(repr(v) for v in row) for row in zip(*cols))
-    (out / name).write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    for name in names:
+        (out / name).write_text(text)
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
     params, initial = _resolve_setup(args)
+    if initial.kind != "sine":
+        raise ConfigError("figures requires the sine initial profile")
     out = _output_dir(args)
     # Scenario pins: the single-point damped case, and the multi-point case
-    # tracked at the first and second neighbours.
+    # tracked at the first and second neighbours (one run, two files).
     _figure_series(replace(params, p=4.0, q=1.3), out, "neighbor_bounded.csv")
     multi = replace(params, p=2.0, q=1.0)
-    _figure_series(multi, out, "neighbor_blowup.csv")
-    _figure_series(multi, out, "second_neighbor_bounded.csv")
+    _figure_series(multi, out, "neighbor_blowup.csv", "second_neighbor_bounded.csv")
 
-    if initial.kind != "sine":
-        raise ConfigError("the amplitude sweep requires the sine initial profile")
     sweep = replace(params, p=3.0)
     lines = [
         params_header(sweep, initial),
@@ -333,6 +330,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, InitialDataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except StepError as exc:  # a run inside a study ended with SolverError
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:  # pragma: no cover

@@ -80,11 +80,11 @@ def compute_h(params: SimParams, sup_norm: float) -> float:
 
 
 def regrid(state: SolutionState, old: GridState, new: GridState) -> SolutionState:
-    """Transfer values onto a finer grid by piecewise-linear interpolation.
+    """Transfer a symmetric state onto a finer grid by linear interpolation.
 
-    Preserves nonnegativity, symmetry, and monotonicity of the profile, and
-    carries the value at the shared node x = 0 exactly.  Refuses to coarsen:
-    the adaptive spacing never grows along a run.
+    Interpolates the left half and mirrors it, preserving nonnegativity,
+    symmetry and monotonicity, and carries the value at the shared node
+    x = 0 exactly.  Refuses to coarsen: the spacing never grows along a run.
 
     Note: near a one-node spike, interpolation mixes the peak value into the
     freshly inserted neighbours.  The run loop therefore defaults to
@@ -95,16 +95,11 @@ def regrid(state: SolutionState, old: GridState, new: GridState) -> SolutionStat
         raise ValueError("regrid refuses to coarsen (new spacing exceeds old)")
     if new.interval_count == old.interval_count:
         return replace(state, u=state.u.copy())
-    if np.array_equal(state.u, state.u[::-1]):
-        # interpolate the left half and mirror so symmetry stays bit-exact
-        left = np.interp(new.nodes[: new.mid + 1], old.nodes, state.u)
-        u = np.concatenate([left, left[-2::-1]])
-    else:
-        u = np.interp(new.nodes, old.nodes, state.u)
-    u[0] = 0.0
-    u[-1] = 0.0
-    u[new.mid] = state.u[old.mid]  # shared node, carried exactly
-    return replace(state, u=u)
+    # interpolate the left half and mirror so symmetry stays bit-exact
+    left = np.interp(new.nodes[: new.mid + 1], old.nodes, state.u)
+    left[0] = 0.0
+    left[-1] = state.u[old.mid]  # shared node, carried exactly
+    return replace(state, u=np.concatenate([left, left[-2::-1]]))
 
 
 def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> SolutionState:

@@ -226,21 +226,23 @@ class InitialData:
         return float(self.table[:, 1].max())
 
     def sample(self, params: SimParams, nodes: np.ndarray, mid: int) -> np.ndarray:
-        """Evaluate the profile on grid nodes; boundary entries forced to 0."""
+        """Evaluate the profile on grid nodes; boundary entries forced to 0.
+
+        Only the left half (x <= 0) is evaluated, then mirrored, so node
+        pairs are bit-identical as the half-range step requires.
+        """
+        left_nodes = nodes[: mid + 1]
         if self.kind == "sine":
-            # Evaluate the left half only and mirror: u0(x) = lam*cos(pi*x/2)
-            # is even, and the mirrored copy keeps node pairs bit-identical.
-            left = params.lam * np.cos(0.5 * np.pi * nodes[: mid + 1])
-            u = np.concatenate([left, left[-2::-1]])
+            # u0(x) = lam*sin(pi/2*(x+1)), evaluated as lam*cos(pi*x/2)
+            left = params.lam * np.cos(0.5 * np.pi * left_nodes)
         else:
             assert self.table is not None
             x, u0 = self.table[:, 0], self.table[:, 1]
             if x[0] > nodes[0] or x[-1] < nodes[-1]:
                 raise InitialDataError("initial data table must cover [-1, 1]")
-            u = np.interp(nodes, x, u0)
-        u[0] = 0.0
-        u[-1] = 0.0
-        return u
+            left = np.interp(left_nodes, x, u0)
+        left[0] = 0.0
+        return np.concatenate([left, left[-2::-1]])
 
 
 def _check_profile(x: np.ndarray, u: np.ndarray, *, context: str) -> None:

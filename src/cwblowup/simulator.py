@@ -106,7 +106,7 @@ class RunHistory:
             "t": state.t,
             "tau_n": state.tau_last,
             "h_n": grid.h,
-            "sup_norm": float(np.max(u)),
+            "sup_norm": state.sup_norm,
             "u_m": float(u[m]),
             "u_m_minus_1": float(u[m - 1]) if m - 1 >= 0 else 0.0,
             "u_m_minus_2": float(u[m - 2]) if m - 2 >= 0 else 0.0,
@@ -134,7 +134,7 @@ class _InvariantMonitor:
 
     def observe(self, state: SolutionState, grid: GridState) -> None:
         u = state.u
-        sup = float(np.max(u))
+        sup = state.sup_norm
         scale = max(sup, 1.0)
         self.steps_observed += 1
         self.max_asymmetry = max(
@@ -218,7 +218,6 @@ def run(
     initial = initial if initial is not None else InitialData.sine()
     grid = build_grid(compute_h(params, initial.sup_estimate(params)))
     state = make_initial(params, grid, initial)
-    symmetric = bool(np.array_equal(state.u, state.u[::-1]))
 
     history = RunHistory()
     mon = _InvariantMonitor() if monitor else None
@@ -230,7 +229,7 @@ def run(
     status: RunStatus
     error: str | None = None
     while True:
-        sup = float(np.max(state.u))
+        sup = state.sup_norm
         if sup >= params.blow_threshold:
             status = RunStatus.BLEW_UP
             break
@@ -251,7 +250,7 @@ def run(
             grid = new_grid
 
         try:
-            result = step(state, grid, params, symmetric=symmetric)
+            result = step(state, grid, params)
         except StepError as exc:
             status = RunStatus.SOLVER_ERROR
             error = f"{type(exc).__name__}: {exc}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,10 @@ class SolutionState:
     n: int
     tau_last: float
 
-    @property
+    @cached_property
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.u)))
+        """Largest node value, which is ||u||_inf as states are nonnegative.
+
+        Computed once per state and shared by every reader of that state.
+        """
+        return float(self.u.max())

@@ -15,6 +15,7 @@ re-frozen (Picard) in the rare case they disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
@@ -60,12 +61,21 @@ class TriDiagSystem:
     def size(self) -> int:
         return self.diag.size
 
-    def dominance_margin(self) -> float:
-        """Smallest row-wise gap |diag| - |sub| - |sup|; positive means dominant."""
+    @cached_property
+    def _off_diagonal_sums(self) -> np.ndarray:
+        """|sub| + |sup| per row, shared by the margin and the norm."""
         off = np.zeros(self.size)
         off[1:] += np.abs(self.sub)
         off[:-1] += np.abs(self.sup)
-        return float(np.min(np.abs(self.diag) - off))
+        return off
+
+    def dominance_margin(self) -> float:
+        """Smallest row-wise gap |diag| - |sub| - |sup|; positive means dominant."""
+        return float((np.abs(self.diag) - self._off_diagonal_sums).min())
+
+    def norm_inf(self) -> float:
+        """Largest row-wise sum |diag| + |sub| + |sup|, the matrix inf-norm."""
+        return float((np.abs(self.diag) + self._off_diagonal_sums).max())
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         r = self.diag * x - self.rhs
@@ -74,14 +84,13 @@ class TriDiagSystem:
         return r
 
 
-def _gradient_coeff(u: np.ndarray, h: float, q: float, tau_n: float) -> np.ndarray:
-    """gamma_j = tau_n (2h)^(-q) |u_{j+1} - u_{j-1}|^(q-1) for interior j.
+def _gradient_coeff(diffs: np.ndarray, h: float, q: float, tau_n: float) -> np.ndarray:
+    """gamma_j = tau_n (2h)^(-q) |u_{j+1} - u_{j-1}|^(q-1) from the differences.
 
     For q = 1 the exponent vanishes and gamma is the constant tau_n/(2h)
     (0**0 evaluates to 1, which is the intended limit).
     """
-    diffs = np.abs(u[2:] - u[:-2])
-    return tau_n * (2.0 * h) ** (-q) * diffs ** (q - 1.0)
+    return tau_n * (2.0 * h) ** (-q) * np.abs(diffs) ** (q - 1.0)
 
 
 def assemble(
@@ -89,66 +98,47 @@ def assemble(
     grid: GridState,
     params: SimParams,
     tau_n: float,
-    signs: np.ndarray,
-    *,
-    fold_symmetric: bool = False,
+    signed_gamma: np.ndarray,
 ) -> TriDiagSystem:
-    """Assemble the linearized step system for the interior unknowns.
+    """Assemble the linearized step system on the half range, rows 1..mid.
 
     Row j encodes (1+2*lam)u_j' - lam(u_{j+1}'+u_{j-1}') + gamma_j*s_j*
     (u_{j+1}'-u_{j-1}') = u_j + tau_n*(u_j)^p with lam = tau_n/h^2 and s_j
-    the frozen sign of (u_{j+1}' - u_{j-1}').  Boundary rows use u_0' =
-    u_{N+1}' = 0.  With ``fold_symmetric`` only indices 1..mid are kept and
-    the reflection u_{mid+1}' = u_{mid-1}' is folded into the last row.
+    the frozen sign of (u_{j+1}' - u_{j-1}'); ``signed_gamma`` holds
+    gamma_j*s_j for rows 1..mid-1.  Row 1 uses u_0' = 0, and the reflection
+    u_{mid+1}' = u_{mid-1}' folds the peak row into
+    (1+2*lam)u_mid' - 2*lam*u_{mid-1}' = rhs (its gradient term cancels).
 
     Raises StiffError if the rows are not strictly diagonally dominant.
     """
-    u = state.u
-    h = grid.h
-    lam = tau_n / (h * h)
-    gamma = _gradient_coeff(u, h, params.q, tau_n)
-    gs = gamma * signs
-
-    inner = u[1:-1]
-    rhs = inner + tau_n * inner**params.p
-    diag_val = 1.0 + 2.0 * lam
-    sub_full = -lam - gs  # coefficient of u_{j-1}', rows j = 2..N
-    sup_full = -lam + gs  # coefficient of u_{j+1}', rows j = 1..N-1
-
-    if fold_symmetric:
-        m = grid.mid
-        diag = np.full(m, diag_val)
-        sub = sub_full[1:m].copy()
-        sup = sup_full[: m - 1].copy()
-        if m >= 2:
-            sub[-1] = -2.0 * lam  # reflection folds both neighbours of the peak
-            sys_rhs = rhs[:m].copy()
-        else:
-            # single unknown: the peak row reduces to (1+2*lam)u_1' = rhs
-            # only when both neighbours vanish; keep the 1x1 system as-is.
-            sys_rhs = rhs[:1].copy()
-        sys = TriDiagSystem(sub=sub, diag=diag, sup=sup, rhs=sys_rhs)
-    else:
-        n = grid.num_interior
-        sys = TriDiagSystem(
-            sub=sub_full[1:n].copy(),
-            diag=np.full(n, diag_val),
-            sup=sup_full[: n - 1].copy(),
-            rhs=rhs.copy(),
-        )
-
-    if sys.dominance_margin() <= 0.0:
+    m = grid.mid
+    lam = tau_n / (grid.h * grid.h)
+    inner = state.u[1 : m + 1]
+    sub = np.full(m - 1, -2.0 * lam)  # coefficient of u_{j-1}', rows 2..mid
+    sub[:-1] = -lam - signed_gamma[1:]
+    sys = TriDiagSystem(
+        sub=sub,
+        diag=np.full(m, 1.0 + 2.0 * lam),
+        sup=-lam + signed_gamma,  # coefficient of u_{j+1}', rows 1..mid-1
+        rhs=inner + tau_n * inner**params.p,
+    )
+    margin = sys.dominance_margin()
+    if margin <= 0.0:
         raise StiffError(
-            f"diagonal dominance lost (margin {sys.dominance_margin():.3e}); "
+            f"diagonal dominance lost (margin {margin:.3e}); "
             "the gradient coefficient exceeds the diffusion weight"
         )
     return sys
 
 
 def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
-    """Solve the tridiagonal system; residual is verified against the rhs scale."""
-    n = sys.size
-    ab = np.zeros((3, n))
+    """Solve the tridiagonal system and verify its normwise backward error.
+
+    The solve is accepted when ||A x - b|| <= rtol * (||A|| ||x|| + ||b||)
+    in the inf-norm, which every backward-stable solve meets whatever the
+    conditioning of A.
+    """
+    ab = np.zeros((3, sys.size))
     ab[0, 1:] = sys.sup
     ab[1, :] = sys.diag
     ab[2, :-1] = sys.sub
@@ -158,10 +148,13 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
         raise SingularError(f"tridiagonal solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularError("tridiagonal solve produced non-finite values")
-    scale = float(np.max(np.abs(sys.rhs))) if n else 0.0
-    resid = float(np.max(np.abs(sys.residual(x)))) if n else 0.0
-    if resid > _RESIDUAL_RTOL * max(scale, 1e-300):
-        raise StepError(f"solver residual {resid:.3e} exceeds {_RESIDUAL_RTOL} * rhs scale")
+    resid = float(np.abs(sys.residual(x)).max())
+    scale = sys.norm_inf() * float(np.abs(x).max()) + float(np.abs(sys.rhs).max())
+    if resid > _RESIDUAL_RTOL * scale:
+        raise StepError(
+            f"solver residual {resid:.3e} exceeds {_RESIDUAL_RTOL} * "
+            "(||A|| ||x|| + ||b||)"
+        )
     return x
 
 
@@ -170,46 +163,32 @@ def _expand_symmetric(x: np.ndarray, grid: GridState) -> np.ndarray:
     u = np.zeros(grid.interval_count + 1)
     m = grid.mid
     u[1 : m + 1] = x
-    if m >= 2:
-        u[m + 1 : 2 * m] = x[m - 2 :: -1]
+    u[m + 1 : 2 * m] = x[-2::-1]
     return u
 
 
-def _expand_full(x: np.ndarray, grid: GridState) -> np.ndarray:
-    u = np.zeros(grid.interval_count + 1)
-    u[1:-1] = x
-    return u
-
-
-def _signs_of(u: np.ndarray) -> np.ndarray:
-    return np.sign(u[2:] - u[:-2])
-
-
-def step(
-    state: SolutionState,
-    grid: GridState,
-    params: SimParams,
-    *,
-    symmetric: bool | None = None,
-) -> "StepResult":
-    """Advance one time level.
+def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResult":
+    """Advance one time level of a mirror-symmetric state.
 
     Freezes the gradient-term signs from the current level, solves the
-    tridiagonal system (on the half range with mirroring when the data is
-    symmetric), verifies the signs a posteriori, and falls back to re-frozen
-    Picard iterations on a mismatch.  Diagonal-dominance loss is retried with
-    a halved time increment up to 20 times.
+    tridiagonal system on the half range with a reflection at the peak,
+    mirrors the result, verifies the signs a posteriori, and falls back to
+    re-frozen Picard iterations on a mismatch.  Diagonal-dominance loss is
+    retried with a halved time increment up to 20 times.
+
+    Raises StepError if the state is non-finite, not bit-exactly symmetric
+    about x = 0, or already at ``blow_threshold``.
     """
     u = state.u
     if not np.all(np.isfinite(u)):
         raise StepError("state contains non-finite values")
-    sup = float(np.max(u))
+    sup = state.sup_norm
     if sup >= params.blow_threshold:
         raise StepError(
             f"sup norm {sup:.3e} already at blow_threshold; the source term is refused"
         )
-    if symmetric is None:
-        symmetric = bool(np.array_equal(u, u[::-1]))
+    if not (u[: grid.mid] == u[: grid.mid : -1]).all():
+        raise StepError("state is not mirror-symmetric about x = 0")
 
     # sup = 0 falls on the clamp branch of the tau rule (min(1, 0^(1-p)) = 1),
     # keeping the all-zero state a fixed point of the step.
@@ -217,7 +196,7 @@ def step(
     last_stiff: StiffError | None = None
     for _ in range(_MAX_TAU_HALVINGS + 1):
         try:
-            u_new, iters, flips = _solve_level(u, grid, params, tau_n, symmetric)
+            x, iters, flips = _solve_level(state, grid, params, tau_n)
             break
         except StiffError as exc:
             last_stiff = exc
@@ -228,55 +207,57 @@ def step(
         )
 
     clamp_tol = params.picard_tol * max(1.0, sup)
-    low = float(np.min(u_new))
+    low = float(x.min())
     if low < -clamp_tol:
         raise NegativeSolutionError(
             f"negative entry {low:.3e} beyond roundoff tolerance {clamp_tol:.3e}"
         )
     if low < 0.0:
-        np.clip(u_new, 0.0, None, out=u_new)
+        np.clip(x, 0.0, None, out=x)
 
     next_state = SolutionState(
-        u=u_new, t=state.t + tau_n, n=state.n + 1, tau_last=tau_n
+        u=_expand_symmetric(x, grid), t=state.t + tau_n, n=state.n + 1, tau_last=tau_n
     )
     return StepResult(next=next_state, picard_iters=iters, sign_flips=flips)
 
 
 def _solve_level(
-    u: np.ndarray,
+    state: SolutionState,
     grid: GridState,
     params: SimParams,
     tau_n: float,
-    symmetric: bool,
 ) -> tuple[np.ndarray, int, int]:
-    """Frozen-sign solve with a posteriori verification and Picard fallback."""
-    gamma = _gradient_coeff(u, grid.h, params.q, tau_n)
+    """Frozen-sign solve with a posteriori verification and Picard fallback.
+
+    Works on rows 1..mid-1, the rows whose gradient term survives the fold,
+    and returns the left half x = u'[1..mid].  Sign flips count both halves.
+    """
+    m = grid.mid
+    diffs = state.u[2 : m + 1] - state.u[: m - 1]  # u_{j+1} - u_{j-1}, rows 1..mid-1
+    gamma = _gradient_coeff(diffs, grid.h, params.q, tau_n)
     active = gamma > 0.0
-    signs = _signs_of(u)
-    expand = _expand_symmetric if symmetric else _expand_full
-    tmp_state = SolutionState(u=u, t=0.0, n=0, tau_last=0.0)
+    signs = np.sign(diffs)
 
     total_flips = 0
     prev: np.ndarray | None = None
     for iteration in range(1, params.picard_max_iters + 1):
-        sys = assemble(tmp_state, grid, params, tau_n, signs, fold_symmetric=symmetric)
-        x = solve_tridiag(sys)
-        u_new = expand(x, grid)
+        x = solve_tridiag(assemble(state, grid, params, tau_n, gamma * signs))
 
-        new_diffs = u_new[2:] - u_new[:-2]
+        new = np.concatenate(([0.0], x))  # u'_0 .. u'_mid
+        new_diffs = new[2:] - new[:-2]
         # A frozen sign is contradicted where the new difference is nonzero
         # and disagrees; an exactly zero difference satisfies either sign.
         mismatch = active & (new_diffs != 0.0) & (np.sign(new_diffs) != signs)
-        flips = int(np.count_nonzero(mismatch))
+        flips = 2 * int(np.count_nonzero(mismatch))
         if flips == 0:
             if prev is None:
-                return u_new, iteration, total_flips
-            gap = float(np.max(np.abs(u_new - prev)))
-            if gap < params.picard_tol * max(1.0, float(np.max(u))):
-                return u_new, iteration, total_flips
+                return x, iteration, total_flips
+            gap = float(np.max(np.abs(x - prev)))
+            if gap < params.picard_tol * max(1.0, state.sup_norm):
+                return x, iteration, total_flips
         total_flips += flips
         signs = np.where(mismatch, np.sign(new_diffs), signs)
-        prev = u_new
+        prev = x
     raise PicardError(
         f"no sign fixed point within {params.picard_max_iters} iterations "
         f"({total_flips} total sign flips)"

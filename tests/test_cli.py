@@ -262,6 +262,42 @@ class TestFiguresVerb:
             lam = float(row[0])
             assert float(row[1]) == pytest.approx(1.0 / (2.0 * lam**2), rel=1e-12)
 
+    def test_each_scenario_runs_once(self, fast_config, tmp_path, monkeypatch):
+        from cwblowup import cli
+
+        calls = []
+        real_run = cli.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args[0])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", counting_run)
+        out = tmp_path / "figs"
+        rc = main(["figures", "--config", str(fast_config), "--output-dir", str(out)])
+        assert rc == 0
+        # p=4 q=1.3, one p=2 q=1 run for both neighbour files, 9 amplitudes
+        assert len(calls) == 11
+        multi = [c for c in calls if (c.p, c.q) == (2.0, 1.0)]
+        assert len(multi) == 1
+        blowup = (out / "neighbor_blowup.csv").read_bytes()
+        assert blowup == (out / "second_neighbor_bounded.csv").read_bytes()
+
+    def test_table_initial_refused_before_any_output(self, tmp_path):
+        import numpy as np
+
+        table = tmp_path / "bump.csv"
+        x = np.linspace(-1, 1, 41)
+        u = 30.0 * np.cos(0.5 * np.pi * x)
+        u[0] = u[-1] = 0.0
+        table.write_text("\n".join(f"{a},{b}" for a, b in zip(x, u)))
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("p=3\nq=1\ninitial=file:bump.csv\n")
+        out = tmp_path / "figs"
+        rc = main(["figures", "--config", str(cfg), "--output-dir", str(out)])
+        assert rc == 2
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestConvergeVerb:
     def test_study(self, tmp_path):
@@ -286,6 +322,46 @@ class TestConvergeVerb:
         assert report["fitted_order"] > 1.5
         assert report["expected_order"] == 2.0
         assert (out / "convergence.csv").exists()
+
+    def test_large_lambda_reference_converges(self, tmp_path):
+        # the h = 0.00125 reference run has lambda_n = 6.4e4; its solves are
+        # backward stable, and the residual check must accept them
+        out = tmp_path / "conv"
+        rc = main(
+            [
+                "converge",
+                "--set",
+                "p=2",
+                "--set",
+                "q=1",
+                "--levels",
+                "0.02,0.01,0.005",
+                "--output-dir",
+                str(out),
+            ]
+        )
+        assert rc == 0
+        report = json.loads((out / "convergence.json").read_text())
+        assert 1.8 <= report["fitted_order"] <= 2.2
+
+    def test_solver_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        from cwblowup import simulator
+        from cwblowup.stepper import StiffError
+
+        def boom(*args, **kwargs):
+            raise StiffError("synthetic failure")
+
+        monkeypatch.setattr(simulator, "step", boom)
+        out = tmp_path / "conv"
+        rc = main(
+            ["converge", "--set", "p=2", "--set", "q=1", "--t-check", "0.01",
+             "--output-dir", str(out)]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "SolverError" in err and "StiffError: synthetic failure" in err
+        assert "t_check" not in err
+        assert not (out / "convergence.json").exists()
 
 
 class TestDiagnosticsVerb:

@@ -140,6 +140,8 @@ class TestInitialData:
         state = make_initial(SimParams(lam=50.0), grid, data)
         assert state.u[grid.mid] == pytest.approx(50.0, rel=1e-12)
         assert state.u[0] == 0.0
+        # sampled on the left half and mirrored: bit-exact symmetry
+        assert np.array_equal(state.u, state.u[::-1])
 
 
 class TestConfig:

@@ -111,9 +111,9 @@ class TestRun:
         with pytest.raises(ValueError, match="regrid_transfer"):
             run(_fast_params(), regrid_transfer="cubic")
 
-    def test_table_initial_uses_full_solve_and_stays_clean(self):
-        # off-grid table sampling is not bit-symmetric, so the run takes the
-        # full-width solve path; asymmetry must stay at roundoff level
+    def test_table_initial_mirrored_and_stays_clean(self):
+        # table data is sampled on the left half and mirrored, so it takes
+        # the half-range step like the sine bump and stays bit-symmetric
         x = np.linspace(-1, 1, 333)
         u = 40.0 * np.cos(0.5 * np.pi * x)
         u[0] = u[-1] = 0.0
@@ -122,7 +122,7 @@ class TestRun:
         outcome, history = run(params, data)
         assert outcome.status is RunStatus.BLEW_UP
         inv = history.invariant_summary
-        assert inv["max_asymmetry"] < 1e-12
+        assert inv["max_asymmetry"] == 0.0
         assert inv["min_entry"] >= 0.0
         assert inv["monotonicity_violations"] == 0
 

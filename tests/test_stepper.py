@@ -15,22 +15,53 @@ def _state(values):
     return SolutionState(u=np.asarray(values, dtype=float), t=0.0, n=0, tau_last=0.0)
 
 
+def _mirrored(left):
+    """Symmetric node vector with zero ends from the values at nodes 1..mid."""
+    left = np.asarray(left, dtype=float)
+    return np.concatenate([[0.0], left, left[-2::-1], [0.0]])
+
+
+# A rough symmetric profile whose frozen signs flip on the first solve.
+_ROUGH = _mirrored([4.0033, 1.9838, 0.7254, 0.5909, 4.973, 5.5202])
+
+
 class TestAssemble:
     def test_zero_state_is_pure_diffusion(self):
         grid = build_grid_by_count(6)
         params = SimParams(p=3.0, q=1.2)
-        sys = assemble(_state(np.zeros(7)), grid, params, 0.01, np.zeros(5))
+        sys = assemble(_state(np.zeros(7)), grid, params, 0.01, np.zeros(2))
         lam = 0.01 / grid.h**2
+        assert sys.size == grid.mid
         assert np.allclose(sys.rhs, 0.0)
         assert np.allclose(sys.diag, 1 + 2 * lam)
-        assert np.allclose(sys.sub, -lam) and np.allclose(sys.sup, -lam)
+        assert np.allclose(sys.sup, -lam) and np.allclose(sys.sub[:-1], -lam)
+        # the reflection u_{mid+1}' = u_{mid-1}' folds both neighbours of the peak
+        assert sys.sub[-1] == -2 * lam
+
+    def test_folded_system_matches_full_width(self, rng):
+        # the half-range system with the reflection has the same solution as
+        # the full-width system of a symmetric state (dense oracle)
+        state, grid, params = random_symmetric_monotone_state(rng)
+        u, m = state.u, grid.mid
+        tau_n = compute_tau(params, float(np.max(u)))
+        lam = tau_n / grid.h**2
+        diffs = u[2:] - u[:-2]
+        gs = _gradient_coeff(diffs, grid.h, params.q, tau_n) * np.sign(diffs)
+        half = solve_tridiag(assemble(state, grid, params, tau_n, gs[: m - 1]))
+        n = grid.num_interior
+        full = dense_solve(
+            tridiag_dense(-lam - gs[1:], np.full(n, 1 + 2 * lam), -lam + gs[:-1]),
+            u[1:-1] + tau_n * u[1:-1] ** params.p,
+        )
+        scale = max(1.0, float(np.max(u)))
+        assert np.max(np.abs(half - full[:m])) <= 1e-11 * scale
 
     def test_single_interior_node(self):
         grid = build_grid_by_count(2)  # nodes -1, 0, 1
         params = SimParams(p=2.0, q=1.2)
         u1 = 3.0
         tau_n = 0.05
-        sys = assemble(_state([0.0, u1, 0.0]), grid, params, tau_n, np.zeros(1))
+        sys = assemble(_state([0.0, u1, 0.0]), grid, params, tau_n, np.zeros(0))
         assert sys.size == 1
         lam = tau_n / grid.h**2
         assert sys.diag[0] == pytest.approx(1 + 2 * lam)
@@ -43,7 +74,7 @@ class TestAssemble:
         grid = build_grid_by_count(8)
         rng = np.random.default_rng(3)
         u = np.concatenate([[0.0], rng.uniform(1, 5, 7), [0.0]])
-        gamma = _gradient_coeff(u, grid.h, 1.0, 0.02)
+        gamma = _gradient_coeff(u[2:] - u[:-2], grid.h, 1.0, 0.02)
         assert np.allclose(gamma, 0.02 / (2 * grid.h))
 
     def test_dominance_violation_raises(self):
@@ -52,9 +83,10 @@ class TestAssemble:
         grid = build_grid_by_count(4)
         params = SimParams(p=3.0, q=1.5, h=0.5)
         u = np.array([0.0, 1e6, 2e6, 1e6, 0.0])
-        signs = np.sign(u[2:] - u[:-2])
-        with pytest.raises(StiffError):
-            assemble(_state(u), grid, params, 0.01, signs)
+        diffs = u[2:3] - u[0:1]  # row 1, the only row left of the peak
+        gs = _gradient_coeff(diffs, grid.h, params.q, 0.01) * np.sign(diffs)
+        with pytest.raises(StiffError, match="dominance"):
+            assemble(_state(u), grid, params, 0.01, gs)
 
 
 class TestSolveTridiag:
@@ -94,6 +126,39 @@ class TestSolveTridiag:
             x = solve_tridiag(sys)
             x_ref = dense_solve(tridiag_dense(sub, diag, sup), rhs)
             assert np.max(np.abs(x - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
+
+    def test_perturbed_solution_rejected(self, monkeypatch):
+        # the residual check is independent of the solver: a solution off by
+        # far more than roundoff must fail it
+        from cwblowup import TriDiagSystem, stepper
+
+        real = stepper.solve_banded
+        monkeypatch.setattr(
+            stepper, "solve_banded", lambda *a, **k: real(*a, **k) * (1.0 + 1e-6)
+        )
+        sys = TriDiagSystem(
+            sub=np.array([-1.0, -1.0]),
+            diag=np.array([4.0, 4.0, 4.0]),
+            sup=np.array([-1.0, -1.0]),
+            rhs=np.array([1.0, 2.0, 1.0]),
+        )
+        with pytest.raises(StepError, match="residual"):
+            solve_tridiag(sys)
+
+    def test_large_lambda_solve_accepted(self):
+        # lambda_n = 6.4e4: the residual scales with ||A|| ||x||, not with
+        # ||b||, so a backward-stable solve must pass
+        from cwblowup import TriDiagSystem
+
+        lam, n = 6.4e4, 400
+        sub = np.full(n - 1, -lam)
+        sub[-1] = -2.0 * lam
+        diag = np.full(n, 1 + 2 * lam)
+        sup = np.full(n - 1, -lam)
+        x_true = 10.0 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / n)
+        rhs = tridiag_dense(sub, diag, sup) @ x_true
+        x = solve_tridiag(TriDiagSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
+        assert np.max(np.abs(x - x_true)) <= 1e-6 * np.max(x_true)
 
 
 class TestStep:
@@ -150,13 +215,16 @@ class TestStep:
         floor = state.u[grid.mid] / (1 + 2 * lam)
         assert result.next.u[grid.mid] >= floor * (1 - 1e-10)
 
-    def test_full_and_mirrored_paths_agree(self, rng):
+    def test_refuses_asymmetric_state(self, rng):
+        # the step solves the half range only, so a state that is not
+        # bit-exactly mirrored is refused rather than silently symmetrised
         state, grid, params = random_symmetric_monotone_state(rng)
-        full = step(state, grid, params, symmetric=False)
-        half = step(state, grid, params, symmetric=True)
-        scale = max(1.0, float(np.max(state.u)))
-        assert np.max(np.abs(full.next.u - half.next.u)) <= 1e-11 * scale
-        assert np.array_equal(half.next.u, half.next.u[::-1])
+        u = state.u.copy()
+        u[1] = np.nextafter(u[1], np.inf)
+        with pytest.raises(StepError, match="symmetric"):
+            step(_state(u), grid, params)
+        result = step(state, grid, params)
+        assert np.array_equal(result.next.u, result.next.u[::-1])
 
     def test_positivity_on_random_states(self, rng):
         for _ in range(20):
@@ -194,14 +262,11 @@ class TestStep:
             step(_state(u), grid, SimParams())
 
     def test_picard_fallback_converges_to_fixed_point(self):
-        # a rough asymmetric profile flips frozen signs; the re-frozen
+        # a rough symmetric profile flips frozen signs; the re-frozen
         # iteration must land on the same nonlinear fixed point
         grid = build_grid_by_count(12)
         params = SimParams(p=3.214, q=1.0, tau=1.963, h=grid.h, blow_threshold=1e15)
-        u = np.array(
-            [0.0, 5.2475, 3.478, 2.1484, 2.8248, 0.6558, 1.1836, 4.1884,
-             4.0595, 3.8846, 2.6102, 5.9847, 0.0]
-        )
+        u = _ROUGH
         result = step(_state(u), grid, params)
         assert result.sign_flips > 0
         assert result.picard_iters > 1
@@ -216,12 +281,8 @@ class TestStep:
             p=3.214, q=1.0, tau=1.963, h=grid.h, blow_threshold=1e15,
             picard_max_iters=1,
         )
-        u = np.array(
-            [0.0, 5.2475, 3.478, 2.1484, 2.8248, 0.6558, 1.1836, 4.1884,
-             4.0595, 3.8846, 2.6102, 5.9847, 0.0]
-        )
         with pytest.raises(PicardError):
-            step(_state(u), grid, params)
+            step(_state(_ROUGH), grid, params)
 
     def test_singular_system_raises(self):
         from cwblowup import SingularError, TriDiagSystem
