@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -19,20 +20,28 @@ from cwblowup.state import SolutionState
 
 @dataclass(frozen=True)
 class GridState:
-    """Uniform grid: nodes x_0 = -1 < ... < x_{N+1} = 1 with spacing h.
+    """Uniform grid x_j = -1 + j*h, j = 0..K, for an even interval count K.
 
-    ``num_interior`` (odd) counts the interior nodes and ``mid`` is the
-    index of the node at x = 0, mid = (num_interior + 1) / 2.
+    The spacing h = 2/K and the index mid = K/2 of the node at x = 0 follow
+    from K; the node coordinates are built only when first read (sampling,
+    the interpolating transfer and snapshots).
     """
 
-    h: float
-    num_interior: int
-    mid: int
-    nodes: np.ndarray
+    interval_count: int
 
     @property
-    def interval_count(self) -> int:
-        return self.num_interior + 1
+    def h(self) -> float:
+        return 2.0 / self.interval_count
+
+    @property
+    def mid(self) -> int:
+        return self.interval_count // 2
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        k = self.interval_count
+        # (2j - k)/k makes x_0 = -1, x_mid = 0 and x_k = 1 exact floats.
+        return (2.0 * np.arange(k + 1) - k) / k
 
 
 def interval_count_for(h_target: float) -> int:
@@ -49,9 +58,7 @@ def build_grid_by_count(k: int) -> GridState:
     """Build the uniform grid with k intervals (k even)."""
     if k < 2 or k % 2:
         raise ValueError(f"interval count must be even and >= 2, got {k}")
-    # (2j - k)/k makes x_0 = -1, x_mid = 0 and x_k = 1 exact floats.
-    nodes = (2.0 * np.arange(k + 1) - k) / k
-    return GridState(h=2.0 / k, num_interior=k - 1, mid=k // 2, nodes=nodes)
+    return GridState(interval_count=k)
 
 
 def build_grid(h_target: float) -> GridState:
@@ -80,11 +87,11 @@ def compute_h(params: SimParams, sup_norm: float) -> float:
 
 
 def regrid(state: SolutionState, old: GridState, new: GridState) -> SolutionState:
-    """Transfer a symmetric state onto a finer grid by linear interpolation.
+    """Transfer a left-half state onto a finer grid by linear interpolation.
 
-    Interpolates the left half and mirrors it, preserving nonnegativity,
-    symmetry and monotonicity, and carries the value at the shared node
-    x = 0 exactly.  Refuses to coarsen: the spacing never grows along a run.
+    Interpolates u_0..u_mid on x <= 0, preserving nonnegativity and
+    monotonicity, and carries the value at the shared node x = 0 exactly.
+    Refuses to coarsen: the spacing never grows along a run.
 
     Note: near a one-node spike, interpolation mixes the peak value into the
     freshly inserted neighbours.  The run loop therefore defaults to
@@ -93,20 +100,17 @@ def regrid(state: SolutionState, old: GridState, new: GridState) -> SolutionStat
     """
     if new.h > old.h * (1.0 + 1e-12):
         raise ValueError("regrid refuses to coarsen (new spacing exceeds old)")
-    if new.interval_count == old.interval_count:
-        return replace(state, u=state.u.copy())
-    # interpolate the left half and mirror so symmetry stays bit-exact
-    left = np.interp(new.nodes[: new.mid + 1], old.nodes, state.u)
+    left = np.interp(new.nodes[: new.mid + 1], old.nodes[: old.mid + 1], state.u)
     left[0] = 0.0
-    left[-1] = state.u[old.mid]  # shared node, carried exactly
-    return replace(state, u=np.concatenate([left, left[-2::-1]]))
+    left[-1] = state.u[-1]  # shared node, carried exactly
+    return replace(state, u=left)
 
 
 def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> SolutionState:
-    """Transfer values onto a finer grid by carrying them per offset from 0.
+    """Transfer a left-half state onto a finer grid by carrying values per offset.
 
-    The node at offset k from the centre keeps the old offset-k value; new
-    outer nodes (beyond the old index range) get 0, matching the boundary.
+    The node at offset k from the centre keeps the old offset-k value; the
+    left half is padded on the left with zeros, matching the boundary.
     Equivalently this is interpolation in the stretched coordinate x/h, under
     which the scheme's step recursions continue seamlessly.  Plain linear
     interpolation would smear the one-node spike that develops near blow-up
@@ -115,9 +119,6 @@ def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> Solut
     """
     if new.h > old.h * (1.0 + 1e-12):
         raise ValueError("carry_to_grid refuses to coarsen (new spacing exceeds old)")
-    if new.interval_count == old.interval_count:
-        return replace(state, u=state.u.copy())
-    u = np.zeros(new.interval_count + 1)
-    lo = new.mid - old.mid
-    u[lo : lo + old.interval_count + 1] = state.u
+    u = np.zeros(new.mid + 1)
+    u[new.mid - old.mid :] = state.u
     return replace(state, u=u)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from cwblowup.state import SolutionState
+from cwblowup.state import SolutionState, mirrored
 
 if TYPE_CHECKING:  # pragma: no cover
     from cwblowup.grid import GridState
@@ -176,7 +176,7 @@ class InitialData:
     """Initial profile: the built-in sine bump or a tabulated curve.
 
     The sine bump is lam * sin(pi/2 * (x + 1)), evaluated as lam * cos(pi*x/2)
-    and mirrored about x = 0 so that symmetry is bit-exact on symmetric grids.
+    on the left half of the grid; the right half is its mirror image.
     """
 
     kind: str = "sine"  # "sine" | "table"
@@ -226,10 +226,9 @@ class InitialData:
         return float(self.table[:, 1].max())
 
     def sample(self, params: SimParams, nodes: np.ndarray, mid: int) -> np.ndarray:
-        """Evaluate the profile on grid nodes; boundary entries forced to 0.
+        """Evaluate the profile on the left half, returning u_0..u_mid with u_0 = 0.
 
-        Only the left half (x <= 0) is evaluated, then mirrored, so node
-        pairs are bit-identical as the half-range step requires.
+        ``nodes`` spans the whole grid, so a table is checked to cover [-1, 1].
         """
         left_nodes = nodes[: mid + 1]
         if self.kind == "sine":
@@ -242,7 +241,7 @@ class InitialData:
                 raise InitialDataError("initial data table must cover [-1, 1]")
             left = np.interp(left_nodes, x, u0)
         left[0] = 0.0
-        return np.concatenate([left, left[-2::-1]])
+        return left
 
 
 def _check_profile(x: np.ndarray, u: np.ndarray, *, context: str) -> None:
@@ -287,7 +286,7 @@ def make_initial(
     """Sample the initial profile on a grid and wrap it as the t = 0 state."""
     initial = initial if initial is not None else InitialData.sine()
     u = initial.sample(params, grid.nodes, grid.mid)
-    _check_profile(grid.nodes, u, context=initial.kind)
+    _check_profile(grid.nodes, mirrored(u), context=initial.kind)
     return SolutionState(u=u, t=0.0, n=0, tau_last=0.0)
 
 

@@ -34,7 +34,7 @@ from cwblowup.params import (
     params_header,
     validate,
 )
-from cwblowup.state import SolutionState
+from cwblowup.state import SolutionState, mirrored
 from cwblowup.stepper import StepError, step
 
 logger = logging.getLogger(__name__)
@@ -84,7 +84,8 @@ class RunHistory:
     row k are the increments used by the step that produced it (0 and the
     initial spacing in row 0).  Tracked values follow the middle index of the
     current grid, so after a regrid they continue to describe the peak and
-    its offset neighbours.
+    its offset neighbours.  The ``u_m_plus_k`` columns repeat ``u_m_minus_k``,
+    their mirror images.  Snapshots hold all K+1 nodes.
     """
 
     rows: dict[str, list[float]] = field(
@@ -100,7 +101,9 @@ class RunHistory:
         return len(self.rows["n"])
 
     def record(self, state: SolutionState, grid: GridState) -> None:
-        u, m, last = state.u, grid.mid, grid.interval_count
+        u, m = state.u, grid.mid
+        # with mid = 1 there is no second neighbour; u[m - 2] would wrap to the peak
+        second = float(u[m - 2]) if m - 2 >= 0 else 0.0
         values = {
             "n": float(state.n),
             "t": state.t,
@@ -108,23 +111,22 @@ class RunHistory:
             "h_n": grid.h,
             "sup_norm": state.sup_norm,
             "u_m": float(u[m]),
-            "u_m_minus_1": float(u[m - 1]) if m - 1 >= 0 else 0.0,
-            "u_m_minus_2": float(u[m - 2]) if m - 2 >= 0 else 0.0,
-            "u_m_plus_1": float(u[m + 1]) if m + 1 <= last else 0.0,
-            "u_m_plus_2": float(u[m + 2]) if m + 2 <= last else 0.0,
+            "u_m_minus_1": float(u[m - 1]),
+            "u_m_minus_2": second,
+            "u_m_plus_1": float(u[m - 1]),
+            "u_m_plus_2": second,
         }
         for name in HISTORY_COLUMNS:
             self.rows[name].append(values[name])
 
     def add_snapshot(self, state: SolutionState, grid: GridState) -> None:
-        self.snapshots.append((state.n, state.t, grid.nodes.copy(), state.u.copy()))
+        self.snapshots.append((state.n, state.t, grid.nodes.copy(), mirrored(state.u)))
 
 
 class _InvariantMonitor:
     """Observes each accepted state; recording never touches the run."""
 
     def __init__(self) -> None:
-        self.max_asymmetry = 0.0
         self.min_entry = math.inf
         self.monotonicity_violations = 0
         self.worst_monotonicity_defect = 0.0
@@ -132,29 +134,25 @@ class _InvariantMonitor:
         self.sup_at_mid = True
         self.steps_observed = 0
 
-    def observe(self, state: SolutionState, grid: GridState) -> None:
-        u = state.u
+    def observe(self, state: SolutionState) -> None:
+        u = state.u  # left half: boundary at u[0], peak node at u[-1]
         sup = state.sup_norm
         scale = max(sup, 1.0)
         self.steps_observed += 1
-        self.max_asymmetry = max(
-            self.max_asymmetry, float(np.max(np.abs(u - u[::-1]))) / scale
-        )
         self.min_entry = min(self.min_entry, float(np.min(u)))
-        if u[0] != 0.0 or u[-1] != 0.0:
+        if u[0] != 0.0:
             self.boundary_ok = False
-        left = u[: grid.mid + 1]
-        defect = float(np.min(np.diff(left))) if left.size > 1 else 0.0
+        defect = float(np.min(np.diff(u)))
         if defect < -1e-12 * scale:
             self.monotonicity_violations += 1
             self.worst_monotonicity_defect = min(self.worst_monotonicity_defect, defect)
-        if u[grid.mid] < sup:
+        if u[-1] < sup:
             self.sup_at_mid = False
 
     def summary(self) -> dict:
         return {
             "steps_observed": self.steps_observed,
-            "max_asymmetry": self.max_asymmetry,
+            "max_asymmetry": 0.0,  # a left-half state is symmetric by construction
             "min_entry": self.min_entry if self.steps_observed else 0.0,
             "monotonicity_violations": self.monotonicity_violations,
             "worst_monotonicity_defect": self.worst_monotonicity_defect,
@@ -261,7 +259,7 @@ def run(
         state = replace(result.next, t=acc.total)
         history.record(state, grid)
         if mon is not None:
-            mon.observe(state, grid)
+            mon.observe(state)
         if snapshot_every > 0 and state.n % snapshot_every == 0:
             history.add_snapshot(state, grid)
 

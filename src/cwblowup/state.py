@@ -8,11 +8,17 @@ from functools import cached_property
 import numpy as np
 
 
+def mirrored(left: np.ndarray) -> np.ndarray:
+    """Full node vector u_0..u_K from the left half u_0..u_mid, u_{mid+k} = u_{mid-k}."""
+    return np.concatenate([left, left[-2::-1]])
+
+
 @dataclass(frozen=True)
 class SolutionState:
-    """Values on the current grid at one time level.
+    """Values of a mirror-symmetric solution at one time level.
 
-    ``u`` spans all nodes including the boundaries (u[0] = u[-1] = 0),
+    ``u`` holds the left half u_0..u_mid only, from the boundary (u[0] = 0)
+    to the node at x = 0 (u[-1]); :func:`mirrored` builds all K+1 nodes.
     ``t`` is the accumulated time, ``n`` the step count, and ``tau_last``
     the time increment that produced this state (0 for the initial one).
     """

@@ -113,7 +113,7 @@ def assemble(
     """
     m = grid.mid
     lam = tau_n / (grid.h * grid.h)
-    inner = state.u[1 : m + 1]
+    inner = state.u[1:]
     sub = np.full(m - 1, -2.0 * lam)  # coefficient of u_{j-1}', rows 2..mid
     sub[:-1] = -lam - signed_gamma[1:]
     sys = TriDiagSystem(
@@ -158,28 +158,22 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
     return x
 
 
-def _expand_symmetric(x: np.ndarray, grid: GridState) -> np.ndarray:
-    """Mirror the solved left half (indices 1..mid) into a full node vector."""
-    u = np.zeros(grid.interval_count + 1)
-    m = grid.mid
-    u[1 : m + 1] = x
-    u[m + 1 : 2 * m] = x[-2::-1]
-    return u
-
-
 def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResult":
-    """Advance one time level of a mirror-symmetric state.
+    """Advance one time level of a left-half state u_0..u_mid.
 
     Freezes the gradient-term signs from the current level, solves the
     tridiagonal system on the half range with a reflection at the peak,
-    mirrors the result, verifies the signs a posteriori, and falls back to
-    re-frozen Picard iterations on a mismatch.  Diagonal-dominance loss is
-    retried with a halved time increment up to 20 times.
+    verifies the signs a posteriori, and falls back to re-frozen Picard
+    iterations on a mismatch.  Diagonal-dominance loss is retried with a
+    halved time increment up to 20 times.  The next state is the left half
+    [0, u_1', ..., u_mid'] on the same grid.
 
-    Raises StepError if the state is non-finite, not bit-exactly symmetric
-    about x = 0, or already at ``blow_threshold``.
+    Raises StepError if the state does not hold grid.mid + 1 values, is
+    non-finite, or is already at ``blow_threshold``.
     """
     u = state.u
+    if u.size != grid.mid + 1:
+        raise StepError(f"state holds {u.size} values, not the left half's {grid.mid + 1}")
     if not np.all(np.isfinite(u)):
         raise StepError("state contains non-finite values")
     sup = state.sup_norm
@@ -187,8 +181,6 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         raise StepError(
             f"sup norm {sup:.3e} already at blow_threshold; the source term is refused"
         )
-    if not (u[: grid.mid] == u[: grid.mid : -1]).all():
-        raise StepError("state is not mirror-symmetric about x = 0")
 
     # sup = 0 falls on the clamp branch of the tau rule (min(1, 0^(1-p)) = 1),
     # keeping the all-zero state a fixed point of the step.
@@ -196,7 +188,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     last_stiff: StiffError | None = None
     for _ in range(_MAX_TAU_HALVINGS + 1):
         try:
-            x, iters, flips = _solve_level(state, grid, params, tau_n)
+            new, iters, flips = _solve_level(state, grid, params, tau_n)
             break
         except StiffError as exc:
             last_stiff = exc
@@ -207,17 +199,15 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         )
 
     clamp_tol = params.picard_tol * max(1.0, sup)
-    low = float(x.min())
+    low = float(new.min())
     if low < -clamp_tol:
         raise NegativeSolutionError(
             f"negative entry {low:.3e} beyond roundoff tolerance {clamp_tol:.3e}"
         )
     if low < 0.0:
-        np.clip(x, 0.0, None, out=x)
+        np.clip(new, 0.0, None, out=new)
 
-    next_state = SolutionState(
-        u=_expand_symmetric(x, grid), t=state.t + tau_n, n=state.n + 1, tau_last=tau_n
-    )
+    next_state = SolutionState(u=new, t=state.t + tau_n, n=state.n + 1, tau_last=tau_n)
     return StepResult(next=next_state, picard_iters=iters, sign_flips=flips)
 
 
@@ -230,10 +220,9 @@ def _solve_level(
     """Frozen-sign solve with a posteriori verification and Picard fallback.
 
     Works on rows 1..mid-1, the rows whose gradient term survives the fold,
-    and returns the left half x = u'[1..mid].  Sign flips count both halves.
+    and returns the new left half u'_0..u'_mid.  Sign flips count both halves.
     """
-    m = grid.mid
-    diffs = state.u[2 : m + 1] - state.u[: m - 1]  # u_{j+1} - u_{j-1}, rows 1..mid-1
+    diffs = state.u[2:] - state.u[:-2]  # u_{j+1} - u_{j-1}, rows 1..mid-1
     gamma = _gradient_coeff(diffs, grid.h, params.q, tau_n)
     active = gamma > 0.0
     signs = np.sign(diffs)
@@ -242,7 +231,6 @@ def _solve_level(
     prev: np.ndarray | None = None
     for iteration in range(1, params.picard_max_iters + 1):
         x = solve_tridiag(assemble(state, grid, params, tau_n, gamma * signs))
-
         new = np.concatenate(([0.0], x))  # u'_0 .. u'_mid
         new_diffs = new[2:] - new[:-2]
         # A frozen sign is contradicted where the new difference is nonzero
@@ -251,13 +239,13 @@ def _solve_level(
         flips = 2 * int(np.count_nonzero(mismatch))
         if flips == 0:
             if prev is None:
-                return x, iteration, total_flips
-            gap = float(np.max(np.abs(x - prev)))
+                return new, iteration, total_flips
+            gap = float(np.max(np.abs(new - prev)))
             if gap < params.picard_tol * max(1.0, state.sup_norm):
-                return x, iteration, total_flips
+                return new, iteration, total_flips
         total_flips += flips
         signs = np.where(mismatch, np.sign(new_diffs), signs)
-        prev = x
+        prev = new
     raise PicardError(
         f"no sign fixed point within {params.picard_max_iters} iterations "
         f"({total_flips} total sign flips)"

@@ -83,7 +83,7 @@ def random_symmetric_monotone_state(
     *,
     max_intervals: int = 32,
 ) -> tuple[SolutionState, GridState, SimParams]:
-    """Random valid state: symmetric, strictly monotone halves, zero ends.
+    """Random valid left-half state: strictly monotone u_0..u_mid, u_0 = 0.
 
     The amplitude is capped so the grid spacing respects the adaptive rule
     (the gradient coefficient then never exceeds the diffusion weight), and
@@ -108,11 +108,10 @@ def random_symmetric_monotone_state(
     increments = rng.uniform(0.05, 1.0, size=m)
     left = np.concatenate([[0.0], np.cumsum(increments)])
     left *= sup / left[-1]
-    u = np.concatenate([left, left[-2::-1]])
 
     tau_base = float(rng.uniform(0.02, 0.5))
     params = SimParams(p=p, q=q, tau=tau_base, h=grid.h, lam=sup, blow_threshold=1e15)
-    state = SolutionState(u=u, t=0.0, n=0, tau_last=0.0)
+    state = SolutionState(u=left, t=0.0, n=0, tau_last=0.0)
     return state, grid, params
 
 

@@ -179,6 +179,24 @@ class TestTimeTableVerb:
             assert float(row[2]) >= float(row[1])  # T_num at least g
             assert row[6] == "BlewUp"
 
+    def test_sweep_shared_with_figures(self, fast_config, tmp_path, monkeypatch):
+        # both verbs run each amplitude once, in order and unmonitored
+        from cwblowup import cli
+
+        calls = []
+        real_run = cli.run
+
+        def recording_run(params, initial=None, **kwargs):
+            calls.append((params.lam, kwargs.get("monitor", True)))
+            return real_run(params, initial, **kwargs)
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        for verb in ("time-table", "figures"):
+            calls.clear()
+            argv = [verb, "--config", str(fast_config), "--lambdas", "100,10"]
+            assert main(argv + ["--output-dir", str(tmp_path / verb)]) == 0
+            assert calls[-2:] == [(100.0, False), (10.0, False)]
+
     def test_requires_sine_initial(self, tmp_path):
         import numpy as np
 

@@ -45,33 +45,32 @@ def test_h_rule_monotone_above_one(q, h, a, b):
 @given(h_target=st.floats(1e-3, 2.0))
 def test_grid_invariants(h_target):
     g = build_grid(h_target)
-    assert g.num_interior % 2 == 1
-    assert g.mid == (g.num_interior + 1) // 2
+    assert g.interval_count % 2 == 0
+    assert g.mid == g.interval_count // 2
     assert g.nodes[0] == -1.0 and g.nodes[-1] == 1.0 and g.nodes[g.mid] == 0.0
-    assert (g.num_interior + 1) * g.h == pytest.approx(2.0, rel=1e-12)
+    assert g.interval_count * g.h == pytest.approx(2.0, rel=1e-12)
     assert np.max(np.abs(np.diff(g.nodes) - g.h)) < 1e-14
 
 
 @st.composite
-def _symmetric_profile(draw):
+def _left_half_profile(draw):
     k_half = draw(st.integers(2, 12))
     increments = draw(
         st.lists(st.floats(0.05, 3.0), min_size=k_half, max_size=k_half)
     )
-    left = np.concatenate([[0.0], np.cumsum(increments)])
-    return np.concatenate([left, left[-2::-1]])
+    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
-@given(u=_symmetric_profile(), k_extra=st.integers(1, 6))
+@given(u=_left_half_profile(), k_extra=st.integers(1, 6))
 def test_regrid_preserves_structure(u, k_extra):
-    old = build_grid_by_count(u.size - 1)
-    new = build_grid_by_count(u.size - 1 + 2 * k_extra)
+    old = build_grid_by_count(2 * (u.size - 1))
+    new = build_grid_by_count(2 * (u.size - 1 + k_extra))
     state = SolutionState(u=u, t=0.0, n=0, tau_last=0.0)
     for transfer in (regrid, carry_to_grid):
         out = transfer(state, old, new)
-        assert out.u[0] == 0.0 and out.u[-1] == 0.0
-        assert np.array_equal(out.u, out.u[::-1])
-        assert np.all(np.diff(out.u[: new.mid + 1]) >= -1e-12 * np.max(u))
+        assert out.u.size == new.mid + 1
+        assert out.u[0] == 0.0
+        assert np.all(np.diff(out.u) >= -1e-12 * np.max(u))
         assert np.max(out.u) == np.max(u)
         assert out.u[new.mid] == u[old.mid]
 
@@ -108,8 +107,8 @@ def test_step_invariants_on_random_states(seed):
     lam = tau_n / grid.h**2
     m = grid.mid
     assert np.min(u) >= 0.0
-    assert np.array_equal(u, u[::-1])
-    assert u[0] == 0.0 and u[-1] == 0.0
+    assert u.size == m + 1
+    assert u[0] == 0.0
     # peak row identity, rearranged tridiagonal row at the middle node
     lhs = (1 + 2 * lam) * u[m] - 2 * lam * u[m - 1]
     rhs = (1 + tau_n * state.u[m] ** (params.p - 1)) * state.u[m]

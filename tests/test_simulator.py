@@ -126,6 +126,59 @@ class TestRun:
         assert inv["min_entry"] >= 0.0
         assert inv["monotonicity_violations"] == 0
 
+    @pytest.mark.parametrize("transfer", ["rescale", "interpolate"])
+    def test_every_state_is_a_left_half(self, monkeypatch, transfer):
+        # make_initial, both transfers and step hand on u_0..u_mid only, and
+        # the history's plus columns are the mirrors of the minus columns
+        from cwblowup import simulator
+
+        real_step = simulator.step
+        seen = []
+
+        def checked_step(state, grid, params):
+            seen.append(state.u.size == grid.mid + 1)
+            return real_step(state, grid, params)
+
+        monkeypatch.setattr(simulator, "step", checked_step)
+        params = _fast_params(q=1.2, blow_threshold=1e9)
+        outcome, history = run(params, regrid_transfer=transfer)
+        assert outcome.status is RunStatus.BLEW_UP
+        assert history.column("h_n")[-1] < history.column("h_n")[0]  # it regridded
+        assert seen and all(seen)
+        assert outcome.final_state.u.size == outcome.final_grid.mid + 1
+        for k in (1, 2):
+            plus = history.column(f"u_m_plus_{k}")
+            assert np.array_equal(plus, history.column(f"u_m_minus_{k}"))
+            assert np.all(plus > 0.0)
+
+    def test_offset_carry_builds_no_nodes(self):
+        # only sampling the initial grid reads node coordinates
+        outcome, history = run(_fast_params(q=1.2, blow_threshold=1e9))
+        assert history.column("h_n")[-1] < history.column("h_n")[0]
+        assert "nodes" not in vars(outcome.final_grid)
+
+    def test_coarsest_grid_has_no_second_neighbour(self):
+        # K = 2 (mid = 1): the left half is [u_0, peak], so a second
+        # neighbour read from it must be 0, not a wrap-around to the peak
+        outcome, history = run(_fast_params(p=2.0, h=2.0, blow_threshold=1e6))
+        assert outcome.status is RunStatus.BLEW_UP
+        assert np.all(history.column("h_n") == 1.0)  # 2 intervals of length 1
+        assert np.all(history.column("u_m") > 0.0)
+        for name in ("u_m_minus_1", "u_m_plus_1", "u_m_minus_2", "u_m_plus_2"):
+            assert np.all(history.column(name) == 0.0), name
+
+    def test_snapshots_list_every_node(self):
+        params = _fast_params(q=1.2, blow_threshold=1e5)
+        outcome, history = run(params, snapshot_every=5)
+        for _, _, x, u in history.snapshots:
+            assert x.size == u.size and x[0] == -1.0 and x[-1] == 1.0
+            assert np.array_equal(u, u[::-1])
+            assert u[0] == 0.0 and u[-1] == 0.0
+        n, t, x, u = history.snapshots[-1]
+        assert n == outcome.n_final
+        assert u.size == outcome.final_grid.interval_count + 1
+        assert np.array_equal(u[: outcome.final_grid.mid + 1], outcome.final_state.u)
+
     def test_invariant_summary_attached(self):
         _, history = run(_fast_params())
         inv = history.invariant_summary
@@ -137,7 +190,7 @@ class TestRun:
 
 class TestTailEstimate:
     def _outcome(self, tau_last):
-        state = SolutionState(u=np.zeros(3), t=1.0, n=5, tau_last=tau_last)
+        state = SolutionState(u=np.zeros(2), t=1.0, n=5, tau_last=tau_last)
         from cwblowup.grid import build_grid_by_count
 
         return RunOutcome(
