@@ -39,9 +39,16 @@ class GridState:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        k = self.interval_count
-        # (2j - k)/k makes x_0 = -1, x_mid = 0 and x_k = 1 exact floats.
-        return (2.0 * np.arange(k + 1) - k) / k
+        return _node_coords(self.interval_count, 0, self.interval_count + 1)
+
+
+def _node_coords(k: int, start: int, stop: int) -> np.ndarray:
+    """Coordinates x_start..x_{stop-1} of the grid with k intervals.
+
+    (2j - k)/k makes x_0 = -1, x_mid = 0 and x_k = 1 exact floats, and any
+    range of nodes is bit-equal to the same slice of the whole grid.
+    """
+    return (2.0 * np.arange(start, stop) - k) / k
 
 
 def interval_count_for(h_target: float) -> int:
@@ -87,11 +94,14 @@ def compute_h(params: SimParams, sup_norm: float) -> float:
 
 
 def regrid(state: SolutionState, old: GridState, new: GridState) -> SolutionState:
-    """Transfer a left-half state onto a finer grid by linear interpolation.
+    """Transfer a window state onto a finer grid by linear interpolation.
 
-    Interpolates u_0..u_mid on x <= 0, preserving nonnegativity and
+    Interpolates the window on x <= 0, preserving nonnegativity and
     monotonicity, and carries the value at the shared node x = 0 exactly.
-    Refuses to coarsen: the spacing never grows along a run.
+    Only the window's nodes are built: the new window starts at node
+    j = offset*K_new//K_old, which lies at or left of the old window's first
+    (zero) node, so every new node left of it interpolates to 0 on the whole
+    half as well.  Refuses to coarsen: the spacing never grows along a run.
 
     Note: near a one-node spike, interpolation mixes the peak value into the
     freshly inserted neighbours.  The run loop therefore defaults to
@@ -100,17 +110,24 @@ def regrid(state: SolutionState, old: GridState, new: GridState) -> SolutionStat
     """
     if new.h > old.h * (1.0 + 1e-12):
         raise ValueError("regrid refuses to coarsen (new spacing exceeds old)")
-    left = np.interp(new.nodes[: new.mid + 1], old.nodes[: old.mid + 1], state.u)
-    left[0] = 0.0
-    left[-1] = state.u[-1]  # shared node, carried exactly
-    return replace(state, u=left)
+    start = state.offset * new.interval_count // old.interval_count
+    u = np.interp(
+        _node_coords(new.interval_count, start, new.mid + 1),
+        _node_coords(old.interval_count, state.offset, old.mid + 1),
+        state.u,
+    )
+    u[0] = 0.0
+    u[-1] = state.u[-1]  # shared node, carried exactly
+    return replace(state, u=u, offset=start)
 
 
 def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> SolutionState:
-    """Transfer a left-half state onto a finer grid by carrying values per offset.
+    """Transfer a window state onto a finer grid by carrying values per offset.
 
-    The node at offset k from the centre keeps the old offset-k value; the
-    left half is padded on the left with zeros, matching the boundary.
+    The node at offset k from the centre keeps the old offset-k value, and
+    the nodes the finer grid adds on the left are zeros, matching the
+    boundary.  So the window moves right by new.mid - old.mid and ``u`` is
+    shared, not copied: a carry allocates nothing and costs O(1).
     Equivalently this is interpolation in the stretched coordinate x/h, under
     which the scheme's step recursions continue seamlessly.  Plain linear
     interpolation would smear the one-node spike that develops near blow-up
@@ -119,6 +136,4 @@ def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> Solut
     """
     if new.h > old.h * (1.0 + 1e-12):
         raise ValueError("carry_to_grid refuses to coarsen (new spacing exceeds old)")
-    u = np.zeros(new.mid + 1)
-    u[new.mid - old.mid :] = state.u
-    return replace(state, u=u)
+    return replace(state, offset=state.offset + new.mid - old.mid)

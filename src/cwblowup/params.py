@@ -285,9 +285,11 @@ def make_initial(
 ) -> SolutionState:
     """Sample the initial profile on a grid and wrap it as the t = 0 state."""
     initial = initial if initial is not None else InitialData.sine()
-    u = initial.sample(params, grid.nodes, grid.mid)
-    _check_profile(grid.nodes, mirrored(u), context=initial.kind)
-    return SolutionState(u=u, t=0.0, n=0, tau_last=0.0)
+    state = SolutionState(
+        u=initial.sample(params, grid.nodes, grid.mid), t=0.0, n=0, tau_last=0.0
+    )
+    _check_profile(grid.nodes, mirrored(state), context=initial.kind)
+    return state
 
 
 def load_config(path: str | Path) -> dict[str, str]:

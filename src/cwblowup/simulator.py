@@ -101,26 +101,26 @@ class RunHistory:
         return len(self.rows["n"])
 
     def record(self, state: SolutionState, grid: GridState) -> None:
-        u, m = state.u, grid.mid
-        # with mid = 1 there is no second neighbour; u[m - 2] would wrap to the peak
-        second = float(u[m - 2]) if m - 2 >= 0 else 0.0
+        u = state.u  # the window ends at the peak node and holds mid-2..mid
+        # with mid = 1 there is no second neighbour; u[-3] would wrap to the peak
+        second = float(u[-3]) if grid.mid >= 2 else 0.0
         values = {
             "n": float(state.n),
             "t": state.t,
             "tau_n": state.tau_last,
             "h_n": grid.h,
             "sup_norm": state.sup_norm,
-            "u_m": float(u[m]),
-            "u_m_minus_1": float(u[m - 1]),
+            "u_m": float(u[-1]),
+            "u_m_minus_1": float(u[-2]),
             "u_m_minus_2": second,
-            "u_m_plus_1": float(u[m - 1]),
+            "u_m_plus_1": float(u[-2]),
             "u_m_plus_2": second,
         }
         for name in HISTORY_COLUMNS:
             self.rows[name].append(values[name])
 
     def add_snapshot(self, state: SolutionState, grid: GridState) -> None:
-        self.snapshots.append((state.n, state.t, grid.nodes.copy(), mirrored(state.u)))
+        self.snapshots.append((state.n, state.t, grid.nodes.copy(), mirrored(state)))
 
 
 class _InvariantMonitor:
@@ -135,12 +135,13 @@ class _InvariantMonitor:
         self.steps_observed = 0
 
     def observe(self, state: SolutionState) -> None:
-        u = state.u  # left half: boundary at u[0], peak node at u[-1]
+        u = state.u  # window of the left half: zero node at u[0], peak node at u[-1]
         sup = state.sup_norm
         scale = max(sup, 1.0)
         self.steps_observed += 1
         self.min_entry = min(self.min_entry, float(np.min(u)))
-        if u[0] != 0.0:
+        # left of offset 0 every node, the boundary too, is 0 by construction
+        if state.offset == 0 and u[0] != 0.0:
             self.boundary_ok = False
         defect = float(np.min(np.diff(u)))
         if defect < -1e-12 * scale:

@@ -115,6 +115,21 @@ def random_symmetric_monotone_state(
     return state, grid, params
 
 
+def padded_half(state: SolutionState) -> np.ndarray:
+    """u_0..u_mid of a window state: ``offset`` zeros, then the window."""
+    return np.concatenate((np.zeros(state.offset), state.u))
+
+
+def window_ok(state: SolutionState, grid: GridState) -> bool:
+    """The window invariants: it ends at the peak node, starts at a zero node,
+    and holds the nodes mid-2..mid (all nodes when mid < 2)."""
+    return (
+        state.u.size == grid.mid + 1 - state.offset
+        and state.u[0] == 0.0
+        and 0 <= state.offset <= max(0, grid.mid - 2)
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

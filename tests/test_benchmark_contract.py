@@ -5,7 +5,8 @@ names its callers look up.  A refactor that renames or stops calling one of
 them would leave the per-layer benchmark table silently empty, so this test
 installs the tracer on a real run and checks what it recorded.  It runs in a
 subprocess because ``Tracer.install`` patches module globals for the whole
-process.
+process.  A second traced run checks that solves stay the size of the active
+window near the peak, not of the grid.
 """
 
 import json
@@ -35,18 +36,22 @@ for _, sites in WRAPPED:
         if not hasattr(getattr(owner, attr), "__wrapped__"):
             unpatched.append(site)
 with tracer.root():
-    outcome, _ = cwblowup.simulator.run(cwblowup.SimParams(p=3.0, q=1.2, lam=10.0))
+    outcome, _ = cwblowup.simulator.run(cwblowup.SimParams(**json.loads(sys.argv[2])))
 print(json.dumps({"unpatched": unpatched, "status": outcome.status.value,
                   "steps": outcome.n_final, "layers": tracer.layer_metrics()}))
 """
 
 
-def test_tracer_sees_every_layer():
+def _traced_run(**params) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(ROOT)],
+        [sys.executable, "-c", _SCRIPT, str(ROOT), json.dumps(params)],
         capture_output=True, text=True, timeout=120, check=True,
     )
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_tracer_sees_every_layer():
+    result = _traced_run(p=3.0, q=1.2, lam=10.0)
     layers, steps = result["layers"], result["steps"]
     assert result["unpatched"] == []
     assert result["status"] == "BlewUp" and steps > 0
@@ -55,3 +60,14 @@ def test_tracer_sees_every_layer():
     assert layers["stepper.solve_tridiag.n"] >= steps
     assert layers["grid.carry_to_grid.n"] > 1
     assert abs(layers["trace.self_sum_ratio"] - 1.0) <= 0.05
+
+
+def test_solves_follow_the_active_window():
+    # K grows to 3.7e6 while ~100 nodes near the peak are non-zero: a solve
+    # the size of the grid (about 133k unknowns per solve on average) means
+    # the window was lost
+    result = _traced_run(p=3.0, q=1.36, lam=10.0)
+    layers = result["layers"]
+    assert result["unpatched"] == [] and result["status"] == "BlewUp"
+    assert layers["grid.peak_K"] > 3 * 10**6
+    assert layers["stepper.unknowns.n"] / layers["stepper.solve_tridiag.n"] < 1000

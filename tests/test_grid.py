@@ -1,6 +1,6 @@
 """Adaptive increments, grid construction, and regridding."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ import pytest
 from cwblowup import SimParams, build_grid, carry_to_grid, compute_h, compute_tau, regrid
 from cwblowup.grid import build_grid_by_count, interval_count_for
 from cwblowup.state import SolutionState, mirrored
+
+from conftest import padded_half, window_ok
 
 
 class TestComputeTau:
@@ -127,24 +129,54 @@ class TestRegrid:
         assert np.all(out.u >= 0.0)
         assert out.u[0] == 0.0
 
+    def test_window_matches_whole_half(self):
+        # interpolating only the window gives, after padding, the bits of
+        # interpolating the whole zero-padded half
+        old = build_grid_by_count(40)
+        u = np.concatenate([[0.0], np.cumsum(np.linspace(0.5, 3.0, 6))])
+        window = replace(_state(u), offset=old.mid - 6)
+        whole = _state(padded_half(window))
+        for k in (42, 58, 122, 400):
+            new = build_grid_by_count(k)
+            out = regrid(window, old, new)
+            assert "nodes" not in vars(old) and "nodes" not in vars(new)
+            assert window_ok(out, new)
+            assert out.offset == window.offset * k // old.interval_count
+            assert np.array_equal(padded_half(out), regrid(whole, old, new).u)
+
 
 class TestCarryToGrid:
     def test_offsets_preserved_and_outer_zeros(self):
+        # the window moves right by new.mid - old.mid; the nodes left of it,
+        # the ones the finer grid adds, are zeros
         old = build_grid_by_count(4)
         new = build_grid_by_count(8)
         out = carry_to_grid(_state([0.0, 1.0, 4.0]), old, new)
-        assert np.array_equal(out.u, [0, 0, 0.0, 1.0, 4.0])
-        assert out.u[new.mid] == 4.0
+        assert out.offset == 2
+        assert np.array_equal(out.u, [0.0, 1.0, 4.0])
+        assert np.array_equal(padded_half(out), [0, 0, 0.0, 1.0, 4.0])
+        assert window_ok(out, new)
 
     def test_sup_and_symmetry_preserved(self):
-        # the left half is padded on the left; its mirror is the full profile
+        # the padded window's mirror is the full profile
         old = build_grid_by_count(6)
         new = build_grid_by_count(10)
         out = carry_to_grid(_state([0.0, 2.0, 5.0, 9.0]), old, new)
         assert out.sup_norm == 9.0
         assert np.array_equal(
-            mirrored(out.u), [0, 0, 0.0, 2.0, 5.0, 9.0, 5.0, 2.0, 0.0, 0, 0]
+            mirrored(out), [0, 0, 0.0, 2.0, 5.0, 9.0, 5.0, 2.0, 0.0, 0, 0]
         )
+
+    def test_shares_the_window(self):
+        # a carry copies nothing: the same array, the offset moved
+        old = build_grid_by_count(40)
+        new = build_grid_by_count(1000)
+        state = replace(_state([0.0, 0.0, 3.0, 7.0]), offset=17)
+        out = carry_to_grid(state, old, new)
+        assert out.u is state.u
+        assert out.offset == 17 + new.mid - old.mid
+        assert (out.t, out.n, out.tau_last) == (state.t, state.n, state.tau_last)
+        assert window_ok(out, new)
 
     def test_refuses_coarsening(self):
         fine = build_grid_by_count(8)

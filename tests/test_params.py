@@ -71,7 +71,7 @@ class TestInitialData:
         grid = build_grid(0.05)
         state = make_initial(SimParams(lam=10.0), grid)
         assert state.u[0] == 0.0
-        assert mirrored(state.u)[-1] == 0.0
+        assert mirrored(state)[-1] == 0.0
 
     def test_sine_direct_value(self):
         # u0(-0.5) = 10 sin(pi/4)
@@ -84,7 +84,7 @@ class TestInitialData:
         grid = build_grid(0.3)
         state = make_initial(SimParams(lam=25.0), grid)
         assert state.u.size == grid.mid + 1
-        full = mirrored(state.u)
+        full = mirrored(state)
         assert np.array_equal(full, full[::-1])
         assert np.allclose(full, 25.0 * np.cos(0.5 * np.pi * grid.nodes), atol=1e-13)
 

@@ -1,6 +1,7 @@
 """Run loop behaviour: stopping, accumulation, history, output files."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from cwblowup import (
     run,
     tail_estimate,
 )
-from cwblowup.simulator import RunOutcome, write_history_csv
-from cwblowup.state import SolutionState
+from cwblowup.grid import build_grid_by_count
+from cwblowup.simulator import HISTORY_COLUMNS, RunHistory, RunOutcome, write_history_csv
+from cwblowup.state import SolutionState, mirrored
+
+from conftest import padded_half, window_ok
 
 
 def _fast_params(**kwargs):
@@ -128,15 +132,22 @@ class TestRun:
 
     @pytest.mark.parametrize("transfer", ["rescale", "interpolate"])
     def test_every_state_is_a_left_half(self, monkeypatch, transfer):
-        # make_initial, both transfers and step hand on u_0..u_mid only, and
-        # the history's plus columns are the mirrors of the minus columns
+        # make_initial, both transfers and step hand on window states that
+        # pad to the whole left half, and the history's plus columns are the
+        # mirrors of the minus columns
         from cwblowup import simulator
 
         real_step = simulator.step
-        seen = []
+        seen, offsets = [], []
 
         def checked_step(state, grid, params):
-            seen.append(state.u.size == grid.mid + 1)
+            full = mirrored(state)
+            seen.append(
+                window_ok(state, grid)
+                and full.size == grid.interval_count + 1
+                and np.array_equal(full, full[::-1])
+            )
+            offsets.append(state.offset)
             return real_step(state, grid, params)
 
         monkeypatch.setattr(simulator, "step", checked_step)
@@ -145,7 +156,9 @@ class TestRun:
         assert outcome.status is RunStatus.BLEW_UP
         assert history.column("h_n")[-1] < history.column("h_n")[0]  # it regridded
         assert seen and all(seen)
-        assert outcome.final_state.u.size == outcome.final_grid.mid + 1
+        assert window_ok(outcome.final_state, outcome.final_grid)
+        if transfer == "rescale":
+            assert max(offsets) > 0  # the carried runs step on a window
         for k in (1, 2):
             plus = history.column(f"u_m_plus_{k}")
             assert np.array_equal(plus, history.column(f"u_m_minus_{k}"))
@@ -177,7 +190,21 @@ class TestRun:
         n, t, x, u = history.snapshots[-1]
         assert n == outcome.n_final
         assert u.size == outcome.final_grid.interval_count + 1
-        assert np.array_equal(u[: outcome.final_grid.mid + 1], outcome.final_state.u)
+        assert np.array_equal(u[: outcome.final_grid.mid + 1], padded_half(outcome.final_state))
+
+    def test_window_snapshots_list_every_node(self):
+        # on a carried run the state is a window far from the boundary, yet
+        # every snapshot still lists all K+1 nodes
+        outcome, history = run(_fast_params(q=1.36, blow_threshold=1e5), snapshot_every=10)
+        grid, state = outcome.final_grid, outcome.final_state
+        assert state.offset > 0
+        n, _, x, u = history.snapshots[-1]
+        assert n == outcome.n_final
+        assert x.size == u.size == grid.interval_count + 1
+        assert np.array_equal(x, grid.nodes)
+        assert np.array_equal(u, u[::-1])
+        assert np.all(u[: state.offset + 1] == 0.0)
+        assert np.array_equal(u[state.offset : grid.mid + 1], state.u)
 
     def test_invariant_summary_attached(self):
         _, history = run(_fast_params())
@@ -188,11 +215,32 @@ class TestRun:
         assert inv["boundary_zero"] and inv["sup_norm_at_middle"]
 
 
+class TestRecord:
+    def test_one_node_spike_window(self):
+        # a window far from the boundary: the peak and its neighbours are the
+        # window's last three values, whatever the grid size
+        grid = build_grid_by_count(2 * 10**9)
+        state = SolutionState(
+            u=np.array([0.0, 0.0, 0.0, 5.0]), t=0.5, n=7, tau_last=1e-3,
+            offset=grid.mid - 3,
+        )
+        history = RunHistory()
+        history.record(state, grid)
+        row = {name: history.rows[name][0] for name in HISTORY_COLUMNS}
+        assert row["u_m"] == row["sup_norm"] == 5.0
+        for name in ("u_m_minus_1", "u_m_minus_2", "u_m_plus_1", "u_m_plus_2"):
+            assert row[name] == 0.0, name
+        assert (row["n"], row["t"], row["tau_n"], row["h_n"]) == (7.0, 0.5, 1e-3, grid.h)
+
+        history.record(replace(state, u=np.array([0.0, 1.0, 2.0, 5.0])), grid)
+        assert [history.rows[name][1] for name in HISTORY_COLUMNS[5:]] == [
+            5.0, 2.0, 1.0, 2.0, 1.0
+        ]
+
+
 class TestTailEstimate:
     def _outcome(self, tau_last):
         state = SolutionState(u=np.zeros(2), t=1.0, n=5, tau_last=tau_last)
-        from cwblowup.grid import build_grid_by_count
-
         return RunOutcome(
             status=RunStatus.BLEW_UP,
             t_num_partial=1.0,

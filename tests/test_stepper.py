@@ -1,5 +1,7 @@
 """Step assembly, the tridiagonal solve, and the frozen-sign step."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,14 @@ from cwblowup.grid import build_grid_by_count, compute_tau
 from cwblowup.state import SolutionState, mirrored
 from cwblowup.stepper import StepError, StiffError, _gradient_coeff
 
-from conftest import dense_solve, nonlinear_step_oracle, random_symmetric_monotone_state, tridiag_dense
+from conftest import (
+    dense_solve,
+    nonlinear_step_oracle,
+    padded_half,
+    random_symmetric_monotone_state,
+    tridiag_dense,
+    window_ok,
+)
 
 
 def _state(values):
@@ -24,7 +33,7 @@ class TestAssemble:
     def test_zero_state_is_pure_diffusion(self):
         grid = build_grid_by_count(6)
         params = SimParams(p=3.0, q=1.2)
-        sys = assemble(_state(np.zeros(4)), grid, params, 0.01, np.zeros(2))
+        sys = assemble(np.zeros(4), grid.h, params, 0.01, np.zeros(2))
         lam = 0.01 / grid.h**2
         assert sys.size == grid.mid
         assert np.allclose(sys.rhs, 0.0)
@@ -37,12 +46,12 @@ class TestAssemble:
         # the half-range system with the reflection has the same solution as
         # the full-width system of a symmetric state (dense oracle)
         state, grid, params = random_symmetric_monotone_state(rng)
-        u, m = mirrored(state.u), grid.mid
+        u, m = mirrored(state), grid.mid
         tau_n = compute_tau(params, float(np.max(u)))
         lam = tau_n / grid.h**2
         diffs = u[2:] - u[:-2]
         gs = _gradient_coeff(diffs, grid.h, params.q, tau_n) * np.sign(diffs)
-        half = solve_tridiag(assemble(state, grid, params, tau_n, gs[: m - 1]))
+        half = solve_tridiag(assemble(state.u, grid.h, params, tau_n, gs[: m - 1]))
         n = grid.interval_count - 1
         full = dense_solve(
             tridiag_dense(-lam - gs[1:], np.full(n, 1 + 2 * lam), -lam + gs[:-1]),
@@ -56,7 +65,7 @@ class TestAssemble:
         params = SimParams(p=2.0, q=1.2)
         u1 = 3.0
         tau_n = 0.05
-        sys = assemble(_state([0.0, u1]), grid, params, tau_n, np.zeros(0))
+        sys = assemble(np.array([0.0, u1]), grid.h, params, tau_n, np.zeros(0))
         assert sys.size == 1
         lam = tau_n / grid.h**2
         assert sys.diag[0] == pytest.approx(1 + 2 * lam)
@@ -81,7 +90,7 @@ class TestAssemble:
         diffs = u[2:3] - u[0:1]  # row 1, the only row left of the peak
         gs = _gradient_coeff(diffs, grid.h, params.q, 0.01) * np.sign(diffs)
         with pytest.raises(StiffError, match="dominance"):
-            assemble(_state(u), grid, params, 0.01, gs)
+            assemble(u, grid.h, params, 0.01, gs)
 
 
 class TestSolveTridiag:
@@ -127,10 +136,13 @@ class TestSolveTridiag:
         # far more than roundoff must fail it
         from cwblowup import TriDiagSystem, stepper
 
-        real = stepper.solve_banded
-        monkeypatch.setattr(
-            stepper, "solve_banded", lambda *a, **k: real(*a, **k) * (1.0 + 1e-6)
-        )
+        real = stepper.dgtsv
+
+        def perturbed(*args):
+            du2, d, du, x, info = real(*args)
+            return du2, d, du, x * (1.0 + 1e-6), info
+
+        monkeypatch.setattr(stepper, "dgtsv", perturbed)
         sys = TriDiagSystem(
             sub=np.array([-1.0, -1.0]),
             diag=np.array([4.0, 4.0, 4.0]),
@@ -161,7 +173,10 @@ class TestStep:
         grid = build_grid_by_count(8)
         params = SimParams(p=3.0, q=1.2, tau=0.05)
         result = step(_state(np.zeros(5)), grid, params)
-        assert np.array_equal(result.next.u, np.zeros(5))
+        # the padded half stays all zeros; the window keeps only mid-2..mid
+        assert window_ok(result.next, grid)
+        assert np.array_equal(padded_half(result.next), np.zeros(5))
+        assert result.next.offset == grid.mid - 2
         assert result.next.tau_last == params.tau
 
     def test_sine_bump_stays_symmetric_monotone(self):
@@ -177,9 +192,9 @@ class TestStep:
         assert np.argmax(u) == grid.mid
         # against the brute-force nonlinear fixed point, absolute values kept
         oracle = nonlinear_step_oracle(
-            mirrored(state.u), grid.h, params.p, params.q, result.next.tau_last
+            mirrored(state), grid.h, params.p, params.q, result.next.tau_last
         )
-        assert np.max(np.abs(mirrored(u) - oracle)) <= 1e-10 * max(1.0, np.max(u))
+        assert np.max(np.abs(mirrored(result.next) - oracle)) <= 1e-10 * max(1.0, np.max(u))
 
     def test_small_tau_closed_form_at_peak(self):
         # with lam_n -> 0 the peak update approaches u*(1 + tau_n*u^(p-1))
@@ -211,14 +226,17 @@ class TestStep:
         assert result.next.u[grid.mid] >= floor * (1 - 1e-10)
 
     def test_refuses_wrong_length_state(self, rng):
-        # a state holds the left half u_0..u_mid; the full node vector or a
-        # half of another grid is refused rather than misread
+        # a state holds its window u_offset..u_mid of the left half; the full
+        # node vector, a half of another grid or a window whose offset does
+        # not match its length is refused rather than misread
         state, grid, params = random_symmetric_monotone_state(rng)
-        for wrong in (mirrored(state.u), state.u[:-1]):
+        for wrong in (mirrored(state), state.u[:-1]):
             with pytest.raises(StepError, match="left half"):
                 step(_state(wrong), grid, params)
+        with pytest.raises(StepError, match="left half"):
+            step(replace(state, offset=1), grid, params)
         result = step(state, grid, params)
-        assert result.next.u.size == grid.mid + 1
+        assert window_ok(result.next, grid)
 
     def test_positivity_on_random_states(self, rng):
         for _ in range(20):
@@ -238,9 +256,9 @@ class TestStep:
         result = step(state, grid, params)
         assert result.next.tau_last < compute_tau(params, float(np.max(u)))
         oracle = nonlinear_step_oracle(
-            mirrored(u), grid.h, params.p, params.q, result.next.tau_last
+            mirrored(state), grid.h, params.p, params.q, result.next.tau_last
         )
-        gap = np.max(np.abs(mirrored(result.next.u) - oracle))
+        gap = np.max(np.abs(mirrored(result.next) - oracle))
         assert gap <= 1e-10 * max(1.0, np.max(u))
 
     def test_refuses_state_beyond_threshold(self):
@@ -266,9 +284,9 @@ class TestStep:
         assert result.sign_flips > 0
         assert result.picard_iters > 1
         oracle = nonlinear_step_oracle(
-            mirrored(u), grid.h, params.p, params.q, result.next.tau_last
+            mirrored(_state(u)), grid.h, params.p, params.q, result.next.tau_last
         )
-        gap = np.max(np.abs(mirrored(result.next.u) - oracle))
+        gap = np.max(np.abs(mirrored(result.next) - oracle))
         assert gap <= 1e-10 * max(1.0, np.max(u))
 
     def test_picard_iteration_cap(self):
@@ -293,3 +311,70 @@ class TestStep:
         )
         with pytest.raises(SingularError):
             solve_tridiag(sys)
+
+
+class TestWindow:
+    """A windowed step is the step of the whole zero-padded half, bit for bit."""
+
+    @staticmethod
+    def _assert_same_as_whole_half(state, grid, params):
+        windowed = step(state, grid, params)
+        whole = step(_state(padded_half(state)), grid, params)
+        assert window_ok(windowed.next, grid)
+        assert np.array_equal(padded_half(windowed.next), padded_half(whole.next))
+        assert windowed.next.offset == whole.next.offset
+        assert windowed.next.tau_last == whole.next.tau_last
+        assert (windowed.picard_iters, windowed.sign_flips) == (
+            whole.picard_iters, whole.sign_flips
+        )
+        return windowed
+
+    def test_states_carried_out_of_a_run(self, monkeypatch):
+        from cwblowup import simulator
+
+        real_step = simulator.step
+        seen = []
+
+        def keep(state, grid, params):
+            if state.offset > 0:
+                seen.append((state, grid))
+            return real_step(state, grid, params)
+
+        monkeypatch.setattr(simulator, "step", keep)
+        params = SimParams(p=3.0, q=1.36, tau=0.1, h=0.05, lam=10.0)
+        simulator.run(params)
+        assert len(seen) > 200
+        for i in np.linspace(0, len(seen) - 1, 8).astype(int):
+            state, grid = seen[i]
+            self._assert_same_as_whole_half(state, grid, params)
+        assert seen[-1][1].interval_count > 10**6  # ends far beyond the window
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-6])
+    def test_spike_margin_doubles(self, monkeypatch, tau):
+        # a one-node spike with lambda_n = 1 (tau = 1e-4) or 0.01 (1e-6):
+        # the solution does not underflow within 32 nodes of the window, so
+        # the margin must double until the zero edge holds
+        from cwblowup import stepper
+
+        grid = build_grid_by_count(2000)
+        params = SimParams(p=3.0, q=1.36, tau=tau, h=grid.h, blow_threshold=1e15)
+        state = SolutionState(
+            u=np.array([0.0, 0.0, 10.0]), t=0.0, n=0, tau_last=0.0, offset=grid.mid - 2
+        )
+        assert compute_tau(params, 10.0) / grid.h**2 == pytest.approx(tau * 1e4)
+        sizes = []
+        real = stepper.solve_tridiag
+
+        def spy(sys):
+            sizes.append(sys.size)
+            return real(sys)
+
+        monkeypatch.setattr(stepper, "solve_tridiag", spy)
+        step(state, grid, params)
+        monkeypatch.undo()
+        assert sizes[:2] == [34, 66]
+        # lambda_n = 1 widens the solve to the whole half, 0.01 stops on the way
+        assert (sizes[-1] == grid.mid) == (tau == 1e-4)
+        result = self._assert_same_as_whole_half(state, grid, params)
+        # the trimmed window starts one zero before the spread support
+        assert result.next.u[1] > 0.0 and result.next.offset < state.offset
