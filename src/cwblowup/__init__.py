@@ -23,7 +23,6 @@ from cwblowup.grid import (
     carry_to_grid,
     compute_h,
     compute_tau,
-    regrid,
 )
 from cwblowup.state import SolutionState
 from cwblowup.stepper import (
@@ -97,7 +96,6 @@ __all__ = [
     "load_config",
     "make_initial",
     "peak_ratio_diagnostics",
-    "regrid",
     "run",
     "solve_tridiag",
     "step",

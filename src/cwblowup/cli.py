@@ -81,12 +81,7 @@ def _outcome_payload(outcome) -> dict:
 def cmd_run(args: argparse.Namespace) -> int:
     params, initial = _resolve_setup(args)
     out = _output_dir(args)
-    outcome, history = run(
-        params,
-        initial,
-        snapshot_every=args.snapshot_every,
-        regrid_transfer=args.regrid_transfer,
-    )
+    outcome, history = run(params, initial, snapshot_every=args.snapshot_every)
     write_history_csv(history, out / "history.csv", params, initial)
     for snap in history.snapshots:
         write_snapshot_csv(snap, out / f"snapshot_{snap[0]:06d}.csv", params, initial)
@@ -98,7 +93,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     params, initial = _resolve_setup(args)
     out = _output_dir(args)
-    outcome, history = run(params, initial, regrid_transfer=args.regrid_transfer)
+    outcome, history = run(params, initial)
     write_history_csv(history, out / "history.csv", params, initial)
     _write_json(out / "outcome.json", _outcome_payload(outcome))
     if outcome.status is not RunStatus.BLEW_UP:
@@ -216,7 +211,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 def cmd_diagnostics(args: argparse.Namespace) -> int:
     params, initial = _resolve_setup(args)
     out = _output_dir(args)
-    outcome, history = run(params, initial, regrid_transfer=args.regrid_transfer)
+    outcome, history = run(params, initial)
     diag = peak_ratio_diagnostics(history, params)
     inv = history.invariant_summary or {}
     payload = {
@@ -279,23 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="output directory (env CW_OUTPUT_DIR overrides)",
         )
 
-    def transfer_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--regrid-transfer",
-            choices=("rescale", "interpolate"),
-            default="rescale",
-            help="how values move to strictly finer grids",
-        )
-
     p_run = sub.add_parser("run", help="simulate and write history/outcome")
     common(p_run)
-    transfer_opt(p_run)
     p_run.add_argument("--snapshot-every", type=int, default=0, metavar="S")
     p_run.set_defaults(func=cmd_run)
 
     p_cls = sub.add_parser("classify", help="run and classify the blow-up set")
     common(p_cls)
-    transfer_opt(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
     p_tt = sub.add_parser("time-table", help="blow-up time vs bounds per amplitude")
@@ -322,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diagnostics", help="limit checks; exit 4 on failure")
     common(p_diag)
-    transfer_opt(p_diag)
     p_diag.set_defaults(func=cmd_diagnostics)
 
     return parser

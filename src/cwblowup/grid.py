@@ -23,8 +23,8 @@ class GridState:
     """Uniform grid x_j = -1 + j*h, j = 0..K, for an even interval count K.
 
     The spacing h = 2/K and the index mid = K/2 of the node at x = 0 follow
-    from K; the node coordinates are built only when first read (sampling,
-    the interpolating transfer and snapshots).
+    from K; the node coordinates are built only when first read (sampling
+    and snapshots).
     """
 
     interval_count: int
@@ -39,16 +39,9 @@ class GridState:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return _node_coords(self.interval_count, 0, self.interval_count + 1)
-
-
-def _node_coords(k: int, start: int, stop: int) -> np.ndarray:
-    """Coordinates x_start..x_{stop-1} of the grid with k intervals.
-
-    (2j - k)/k makes x_0 = -1, x_mid = 0 and x_k = 1 exact floats, and any
-    range of nodes is bit-equal to the same slice of the whole grid.
-    """
-    return (2.0 * np.arange(start, stop) - k) / k
+        # (2j - K)/K makes x_0 = -1, x_mid = 0 and x_K = 1 exact floats
+        k = self.interval_count
+        return (2.0 * np.arange(k + 1) - k) / k
 
 
 def interval_count_for(h_target: float) -> int:
@@ -91,34 +84,6 @@ def compute_h(params: SimParams, sup_norm: float) -> float:
         raise ValueError(f"q must be < 2 for the adaptive spacing rule, got {params.q}")
     shrink = (2.0 * sup_norm ** (1.0 - params.q)) ** (1.0 / (2.0 - params.q))
     return min(params.h, shrink)
-
-
-def regrid(state: SolutionState, old: GridState, new: GridState) -> SolutionState:
-    """Transfer a window state onto a finer grid by linear interpolation.
-
-    Interpolates the window on x <= 0, preserving nonnegativity and
-    monotonicity, and carries the value at the shared node x = 0 exactly.
-    Only the window's nodes are built: the new window starts at node
-    j = offset*K_new//K_old, which lies at or left of the old window's first
-    (zero) node, so every new node left of it interpolates to 0 on the whole
-    half as well.  Refuses to coarsen: the spacing never grows along a run.
-
-    Note: near a one-node spike, interpolation mixes the peak value into the
-    freshly inserted neighbours.  The run loop therefore defaults to
-    :func:`carry_to_grid`, which preserves the peaked profile structure; this
-    function remains available as the physical-space transfer.
-    """
-    if new.h > old.h * (1.0 + 1e-12):
-        raise ValueError("regrid refuses to coarsen (new spacing exceeds old)")
-    start = state.offset * new.interval_count // old.interval_count
-    u = np.interp(
-        _node_coords(new.interval_count, start, new.mid + 1),
-        _node_coords(old.interval_count, state.offset, old.mid + 1),
-        state.u,
-    )
-    u[0] = 0.0
-    u[-1] = state.u[-1]  # shared node, carried exactly
-    return replace(state, u=u, offset=start)
 
 
 def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> SolutionState:

@@ -24,7 +24,6 @@ from cwblowup.grid import (
     carry_to_grid,
     compute_h,
     interval_count_for,
-    regrid,
 )
 from cwblowup.params import (
     ConfigError,
@@ -51,6 +50,18 @@ HISTORY_COLUMNS = (
     "u_m_plus_1",
     "u_m_plus_2",
 )
+
+# A snapshot holds all K+1 coordinates and values: about 67 MB at this K.
+_SNAPSHOT_MAX_INTERVALS = 2**22
+
+
+def _refuse_snapshot_grid(k: int) -> None:
+    if k > _SNAPSHOT_MAX_INTERVALS:
+        raise ConfigError(
+            f"snapshots list all K+1 nodes, but the grid reaches K = {k} "
+            f"intervals, above the limit of {_SNAPSHOT_MAX_INTERVALS}; "
+            "run without snapshots"
+        )
 
 
 class RunStatus(Enum):
@@ -193,29 +204,28 @@ def run(
     *,
     snapshot_every: int = 0,
     t_stop: float | None = None,
-    regrid_transfer: str = "rescale",
     monitor: bool = True,
 ) -> tuple[RunOutcome, RunHistory]:
     """Drive a full simulation.
 
     Before each step the adaptive spacing is recomputed and the solution is
-    transferred to the finer grid whenever the snapped interval count
-    changed.  ``regrid_transfer`` selects the transfer: ``"rescale"``
-    (default) carries values per offset from the centre, ``"interpolate"``
-    uses piecewise-linear interpolation in physical space.
+    carried per offset from the centre (:func:`carry_to_grid`) to the finer
+    grid whenever the snapped interval count changed.
 
     Returns the outcome together with the per-step history.  Step failures
-    are reported through the outcome status, not raised.
+    are reported through the outcome status, not raised.  With
+    ``snapshot_every > 0`` a grid of more than ``_SNAPSHOT_MAX_INTERVALS``
+    intervals raises :class:`ConfigError` when it is reached, since each
+    snapshot lists all K+1 nodes.
     """
     report = validate(params)
     if not report.ok:
         raise ConfigError("invalid parameters: " + "; ".join(report.failures()))
-    if regrid_transfer not in ("rescale", "interpolate"):
-        raise ValueError(f"unknown regrid_transfer {regrid_transfer!r}")
-    transfer = carry_to_grid if regrid_transfer == "rescale" else regrid
 
     initial = initial if initial is not None else InitialData.sine()
     grid = build_grid(compute_h(params, initial.sup_estimate(params)))
+    if snapshot_every > 0:
+        _refuse_snapshot_grid(grid.interval_count)
     state = make_initial(params, grid, initial)
 
     history = RunHistory()
@@ -241,11 +251,13 @@ def run(
 
         k_new = interval_count_for(compute_h(params, sup))
         if k_new != grid.interval_count:
+            if snapshot_every > 0:
+                _refuse_snapshot_grid(k_new)
             new_grid = build_grid_by_count(k_new)
             logger.debug(
                 "regrid at step %d: %d -> %d intervals", state.n, grid.interval_count, k_new
             )
-            state = transfer(state, grid, new_grid)
+            state = carry_to_grid(state, grid, new_grid)
             grid = new_grid
 
         try:

@@ -51,6 +51,17 @@ class TestRunVerb:
         first = snaps[0].read_text().splitlines()
         assert first[1] == "x,u"
 
+    def test_snapshots_beyond_grid_limit_exit_2(self, tmp_path, capsys):
+        # q = 1.45 refines to K = 3.7e9 at the default threshold; snapshots
+        # of that grid cannot fit in memory, so the run is refused
+        out = tmp_path / "huge"
+        rc = main(
+            ["run", "--set", "q=1.45", "--snapshot-every", "100", "--output-dir", str(out)]
+        )
+        assert rc == 2
+        assert "run without snapshots" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert rc == 2
@@ -393,21 +404,24 @@ class TestDiagnosticsVerb:
         assert payload["failures"] == []
         assert payload["ratio_diagnostics"]["applicable"]
 
-    def test_interpolation_transfer_fails_limit_checks(self, tmp_path):
+    def test_failed_limit_check_exits_4(self, tmp_path, monkeypatch):
+        # no known carried run fails the limit checks, so the report of a
+        # clean run is altered to one whose peak growth is far from 1+tau
+        from dataclasses import replace
+
+        from cwblowup import cli
+
+        real = cli.peak_ratio_diagnostics
+        monkeypatch.setattr(
+            cli,
+            "peak_ratio_diagnostics",
+            lambda history, params: replace(real(history, params), growth_deviation=0.5),
+        )
         cfg = tmp_path / "d.cfg"
         cfg.write_text("p=3\nq=1.2\ntau=0.1\nh=0.05\nlambda=10\nblow_threshold=1e9\n")
         out = tmp_path / "diag_bad"
-        rc = main(
-            [
-                "diagnostics",
-                "--config",
-                str(cfg),
-                "--regrid-transfer",
-                "interpolate",
-                "--output-dir",
-                str(out),
-            ]
-        )
+        rc = main(["diagnostics", "--config", str(cfg), "--output-dir", str(out)])
         assert rc == 4
         payload = json.loads((out / "diagnostics.json").read_text())
-        assert payload["failures"]
+        assert payload["ratio_diagnostics"]["applicable"]
+        assert payload["failures"] == ["peak growth deviates 50.000% from 1+tau"]

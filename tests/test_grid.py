@@ -1,11 +1,11 @@
-"""Adaptive increments, grid construction, and regridding."""
+"""Adaptive increments, grid construction, and the carry to finer grids."""
 
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from cwblowup import SimParams, build_grid, carry_to_grid, compute_h, compute_tau, regrid
+from cwblowup import SimParams, build_grid, carry_to_grid, compute_h, compute_tau
 from cwblowup.grid import build_grid_by_count, interval_count_for
 from cwblowup.state import SolutionState, mirrored
 
@@ -89,60 +89,6 @@ class TestBuildGrid:
 
 def _state(values):
     return SolutionState(u=np.asarray(values, dtype=float), t=0.0, n=3, tau_last=0.01)
-
-
-class TestRegrid:
-    def test_linear_interpolation(self):
-        old = build_grid_by_count(2)
-        new = build_grid_by_count(4)
-        out = regrid(_state([0.0, 4.0]), old, new)
-        assert np.allclose(out.u, [0.0, 2.0, 4.0])
-
-    def test_identity(self):
-        g = build_grid_by_count(4)
-        st = _state([0.0, 1.0, 4.0])
-        out = regrid(st, g, g)
-        assert np.array_equal(out.u, st.u)
-
-    def test_midpoint_average(self):
-        old = build_grid_by_count(4)
-        new = build_grid_by_count(8)
-        out = regrid(_state([0.0, 1.0, 4.0]), old, new)
-        assert out.u[1] == pytest.approx(0.5)  # x = -0.75
-        assert out.u[new.mid] == 4.0
-
-    def test_refuses_coarsening(self):
-        fine = build_grid_by_count(8)
-        coarse = build_grid_by_count(4)
-        with pytest.raises(ValueError, match="coarsen"):
-            regrid(_state(np.zeros(5)), fine, coarse)
-
-    def test_preserves_profile_structure(self):
-        old = build_grid_by_count(8)
-        rng = np.random.default_rng(7)
-        u = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 2.0, 4))])
-        new = build_grid_by_count(14)
-        out = regrid(_state(u), old, new)
-        assert out.u.size == new.mid + 1
-        assert out.u[-1] == u[-1]  # peak is a shared node
-        assert np.all(np.diff(out.u) >= 0.0)
-        assert np.all(out.u >= 0.0)
-        assert out.u[0] == 0.0
-
-    def test_window_matches_whole_half(self):
-        # interpolating only the window gives, after padding, the bits of
-        # interpolating the whole zero-padded half
-        old = build_grid_by_count(40)
-        u = np.concatenate([[0.0], np.cumsum(np.linspace(0.5, 3.0, 6))])
-        window = replace(_state(u), offset=old.mid - 6)
-        whole = _state(padded_half(window))
-        for k in (42, 58, 122, 400):
-            new = build_grid_by_count(k)
-            out = regrid(window, old, new)
-            assert "nodes" not in vars(old) and "nodes" not in vars(new)
-            assert window_ok(out, new)
-            assert out.offset == window.offset * k // old.interval_count
-            assert np.array_equal(padded_half(out), regrid(whole, old, new).u)
 
 
 class TestCarryToGrid:

@@ -10,7 +10,9 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from cwblowup import SimParams, run
+from cwblowup import SimParams, compute_h, run
+from cwblowup.grid import interval_count_for
+from cwblowup.simulator import _SNAPSHOT_MAX_INTERVALS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,18 +37,41 @@ _LIMITED_RUN = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 sys.path.insert(0, sys.argv[1])
-from cwblowup import SimParams, run
-outcome, _ = run(SimParams(p=3.0, q=1.45))
-print(outcome.status.value, outcome.final_grid.interval_count)
+from cwblowup import ConfigError, SimParams, run
+try:
+    outcome, _ = run(SimParams(p=3.0, q=1.45), snapshot_every=int(sys.argv[2]))
+except ConfigError as exc:
+    print("ConfigError", exc)
+else:
+    print(outcome.status.value, outcome.final_grid.interval_count)
 """
 
 
-def test_huge_grid_runs_in_limited_address_space():
+def _limited_run(snapshot_every: int) -> list[str]:
     proc = subprocess.run(
-        [sys.executable, "-c", _LIMITED_RUN, str(ROOT / "src")],
+        [sys.executable, "-c", _LIMITED_RUN, str(ROOT / "src"), str(snapshot_every)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    status, k = proc.stdout.split()
+    return proc.stdout.split()
+
+
+def test_huge_grid_runs_in_limited_address_space():
+    status, k = _limited_run(0)
     assert status == "BlewUp"
     assert int(k) > 3 * 10**9
+
+
+def test_huge_grid_snapshots_refused_in_limited_address_space():
+    # each snapshot lists all K+1 nodes (59 GB at K = 3.7e9), so the run is
+    # refused at the first regrid beyond the limit, not ended by MemoryError
+    words = _limited_run(100)
+    assert words[0] == "ConfigError", words
+    assert f"{_SNAPSHOT_MAX_INTERVALS};" in words
+
+
+def test_snapshot_limit_admits_the_largest_refining_run():
+    # p=3 q=1.36 reaches K = 3.7e6 at the default threshold, and its
+    # snapshot runs must keep working
+    k = interval_count_for(compute_h(SimParams(p=3.0, q=1.36), 1e12))
+    assert _SNAPSHOT_MAX_INTERVALS >= k

@@ -111,10 +111,6 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(SimParams(p=0.5))
 
-    def test_unknown_transfer_rejected(self):
-        with pytest.raises(ValueError, match="regrid_transfer"):
-            run(_fast_params(), regrid_transfer="cubic")
-
     def test_table_initial_mirrored_and_stays_clean(self):
         # table data is sampled on the left half and mirrored, so it takes
         # the half-range step like the sine bump and stays bit-symmetric
@@ -130,9 +126,8 @@ class TestRun:
         assert inv["min_entry"] >= 0.0
         assert inv["monotonicity_violations"] == 0
 
-    @pytest.mark.parametrize("transfer", ["rescale", "interpolate"])
-    def test_every_state_is_a_left_half(self, monkeypatch, transfer):
-        # make_initial, both transfers and step hand on window states that
+    def test_every_state_is_a_left_half(self, monkeypatch):
+        # make_initial, carry_to_grid and step hand on window states that
         # pad to the whole left half, and the history's plus columns are the
         # mirrors of the minus columns
         from cwblowup import simulator
@@ -152,13 +147,12 @@ class TestRun:
 
         monkeypatch.setattr(simulator, "step", checked_step)
         params = _fast_params(q=1.2, blow_threshold=1e9)
-        outcome, history = run(params, regrid_transfer=transfer)
+        outcome, history = run(params)
         assert outcome.status is RunStatus.BLEW_UP
         assert history.column("h_n")[-1] < history.column("h_n")[0]  # it regridded
         assert seen and all(seen)
         assert window_ok(outcome.final_state, outcome.final_grid)
-        if transfer == "rescale":
-            assert max(offsets) > 0  # the carried runs step on a window
+        assert max(offsets) > 0  # the carried run steps on a window
         for k in (1, 2):
             plus = history.column(f"u_m_plus_{k}")
             assert np.array_equal(plus, history.column(f"u_m_minus_{k}"))
@@ -191,6 +185,18 @@ class TestRun:
         assert n == outcome.n_final
         assert u.size == outcome.final_grid.interval_count + 1
         assert np.array_equal(u[: outcome.final_grid.mid + 1], padded_half(outcome.final_state))
+
+    def test_snapshots_of_a_huge_initial_grid_refused(self, monkeypatch):
+        # lambda = 1e9 at q = 1.45 starts on K = 1.3e7, above the snapshot
+        # limit, so the run is refused before the initial state is sampled
+        from cwblowup import ConfigError, simulator
+
+        def unreachable(*args):
+            raise AssertionError("the initial state was sampled")
+
+        monkeypatch.setattr(simulator, "make_initial", unreachable)
+        with pytest.raises(ConfigError, match="K = 13102046 intervals"):
+            run(SimParams(p=3.0, q=1.45, lam=1e9), snapshot_every=10)
 
     def test_window_snapshots_list_every_node(self):
         # on a carried run the state is a window far from the boundary, yet
