@@ -38,6 +38,7 @@ from cwblowup.params import (
 from cwblowup.simulator import (
     RunOutcome,
     RunStatus,
+    history_csv_rows,
     run,
     write_history_csv,
     write_snapshot_csv,
@@ -152,8 +153,7 @@ def _figure_series(params: SimParams, out: Path, *names: str) -> None:
         params_header(params) + f" status={outcome.status.value}",
         ",".join(_FIGURE_COLUMNS),
     ]
-    cols = [history.rows[name] for name in _FIGURE_COLUMNS]
-    lines.extend(",".join(repr(v) for v in row) for row in zip(*cols))
+    lines.extend(history_csv_rows(history, _FIGURE_COLUMNS))
     text = "\n".join(lines) + "\n"
     for name in names:
         (out / name).write_text(text)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from cwblowup.params import SimParams
-from cwblowup.state import SolutionState
+from cwblowup.state import SolutionState, with_sup_norm
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,9 @@ def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> Solut
 
     The node at offset k from the centre keeps the old offset-k value, and
     the nodes the finer grid adds on the left are zeros, matching the
-    boundary.  So the window moves right by new.mid - old.mid and ``u`` is
-    shared, not copied: a carry allocates nothing and costs O(1).
+    boundary.  So the window moves right by new.mid - old.mid, and ``u`` and
+    the sup norm are shared, not recomputed: a carry allocates no node
+    values and costs O(1).
     Equivalently this is interpolation in the stretched coordinate x/h, under
     which the scheme's step recursions continue seamlessly.  Plain linear
     interpolation would smear the one-node spike that develops near blow-up
@@ -101,4 +102,5 @@ def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> Solut
     """
     if new.h > old.h * (1.0 + 1e-12):
         raise ValueError("carry_to_grid refuses to coarsen (new spacing exceeds old)")
-    return replace(state, offset=state.offset + new.mid - old.mid)
+    carried = replace(state, offset=state.offset + new.mid - old.mid)
+    return with_sup_norm(carried, state.sup_norm)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -50,9 +50,13 @@ HISTORY_COLUMNS = (
     "u_m_plus_1",
     "u_m_plus_2",
 )
+_COLUMN_INDEX = {name: j for j, name in enumerate(HISTORY_COLUMNS)}
 
 # A snapshot holds all K+1 coordinates and values: about 67 MB at this K.
 _SNAPSHOT_MAX_INTERVALS = 2**22
+# The initial profile is sampled on all K+1 nodes of the first grid: at this
+# K the left half alone holds 8.4M values.
+_INITIAL_MAX_INTERVALS = 2**24
 
 
 def _refuse_snapshot_grid(k: int) -> None:
@@ -71,23 +75,6 @@ class RunStatus(Enum):
     TIME_LIMIT = "TimeLimit"
 
 
-class _Kahan:
-    """Compensated accumulator for the sum of time increments."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        s = self.total + y
-        self._c = (s - self.total) - y
-        self.total = s
-
-
-@dataclass
 class RunHistory:
     """Per-step records plus optional full snapshots.
 
@@ -97,38 +84,49 @@ class RunHistory:
     current grid, so after a regrid they continue to describe the peak and
     its offset neighbours.  The ``u_m_plus_k`` columns repeat ``u_m_minus_k``,
     their mirror images.  Snapshots hold all K+1 nodes.
+
+    The rows live in one float64 block with a row per record, whose capacity
+    doubles when it fills; :meth:`column` and ``rows`` are views of the
+    filled rows.
     """
 
-    rows: dict[str, list[float]] = field(
-        default_factory=lambda: {name: [] for name in HISTORY_COLUMNS}
-    )
-    snapshots: list[tuple[int, float, np.ndarray, np.ndarray]] = field(default_factory=list)
-    invariant_summary: dict | None = None
+    def __init__(self) -> None:
+        self._block = np.empty((256, len(HISTORY_COLUMNS)))
+        self._filled = 0
+        self.snapshots: list[tuple[int, float, np.ndarray, np.ndarray]] = []
+        self.invariant_summary: dict | None = None
 
     def column(self, name: str) -> np.ndarray:
-        return np.asarray(self.rows[name], dtype=float)
+        """The named column over the filled rows, as a view of the block."""
+        return self._block[: self._filled, _COLUMN_INDEX[name]]
+
+    @property
+    def rows(self) -> dict[str, np.ndarray]:
+        """Every column by name, as views of the filled rows."""
+        return {name: self.column(name) for name in HISTORY_COLUMNS}
 
     def __len__(self) -> int:
-        return len(self.rows["n"])
+        return self._filled
+
+    def append_row(self, values: tuple[float, ...]) -> None:
+        """Append one row of values in ``HISTORY_COLUMNS`` order."""
+        k = self._filled
+        if k == self._block.shape[0]:
+            grown = np.empty((2 * k, len(HISTORY_COLUMNS)))
+            grown[:k] = self._block
+            self._block = grown
+        self._block[k] = values
+        self._filled = k + 1
 
     def record(self, state: SolutionState, grid: GridState) -> None:
         u = state.u  # the window ends at the peak node and holds mid-2..mid
         # with mid = 1 there is no second neighbour; u[-3] would wrap to the peak
-        second = float(u[-3]) if grid.mid >= 2 else 0.0
-        values = {
-            "n": float(state.n),
-            "t": state.t,
-            "tau_n": state.tau_last,
-            "h_n": grid.h,
-            "sup_norm": state.sup_norm,
-            "u_m": float(u[-1]),
-            "u_m_minus_1": float(u[-2]),
-            "u_m_minus_2": second,
-            "u_m_plus_1": float(u[-2]),
-            "u_m_plus_2": second,
-        }
-        for name in HISTORY_COLUMNS:
-            self.rows[name].append(values[name])
+        second = u[-3] if grid.mid >= 2 else 0.0
+        first = u[-2]
+        self.append_row((
+            state.n, state.t, state.tau_last, grid.h, state.sup_norm,
+            u[-1], first, second, first, second,
+        ))
 
     def add_snapshot(self, state: SolutionState, grid: GridState) -> None:
         self.snapshots.append((state.n, state.t, grid.nodes.copy(), mirrored(state)))
@@ -150,11 +148,14 @@ class _InvariantMonitor:
         sup = state.sup_norm
         scale = max(sup, 1.0)
         self.steps_observed += 1
-        self.min_entry = min(self.min_entry, float(np.min(u)))
+        defect = float(np.minimum.reduce(u[1:] - u[:-1]))
+        # a strictly increasing window takes its minimum at u[0] alone; any
+        # other is searched, since a tie of 0.0 and -0.0 makes u[0] differ
+        # from the minimum in its sign
+        self.min_entry = min(self.min_entry, float(u[0] if defect > 0.0 else u.min()))
         # left of offset 0 every node, the boundary too, is 0 by construction
         if state.offset == 0 and u[0] != 0.0:
             self.boundary_ok = False
-        defect = float(np.min(np.diff(u)))
         if defect < -1e-12 * scale:
             self.monotonicity_violations += 1
             self.worst_monotonicity_defect = min(self.worst_monotonicity_defect, defect)
@@ -213,7 +214,9 @@ def run(
     grid whenever the snapped interval count changed.
 
     Returns the outcome together with the per-step history.  Step failures
-    are reported through the outcome status, not raised.  With
+    are reported through the outcome status, not raised.  An initial grid of
+    more than ``_INITIAL_MAX_INTERVALS`` intervals raises :class:`ConfigError`
+    before the profile is sampled on it.  With
     ``snapshot_every > 0`` a grid of more than ``_SNAPSHOT_MAX_INTERVALS``
     intervals raises :class:`ConfigError` when it is reached, since each
     snapshot lists all K+1 nodes.
@@ -224,13 +227,18 @@ def run(
 
     initial = initial if initial is not None else InitialData.sine()
     grid = build_grid(compute_h(params, initial.sup_estimate(params)))
+    if grid.interval_count > _INITIAL_MAX_INTERVALS:
+        raise ConfigError(
+            f"the initial grid needs K = {grid.interval_count} intervals, above the "
+            f"limit of {_INITIAL_MAX_INTERVALS} for sampling the initial profile; "
+            "choose a smaller lambda or q"
+        )
     if snapshot_every > 0:
         _refuse_snapshot_grid(grid.interval_count)
     state = make_initial(params, grid, initial)
 
     history = RunHistory()
     mon = _InvariantMonitor() if monitor else None
-    acc = _Kahan()
     history.record(state, grid)
     if snapshot_every > 0:
         history.add_snapshot(state, grid)
@@ -261,15 +269,13 @@ def run(
             grid = new_grid
 
         try:
-            result = step(state, grid, params)
+            state = step(state, grid, params).next
         except StepError as exc:
             status = RunStatus.SOLVER_ERROR
             error = f"{type(exc).__name__}: {exc}"
             logger.warning("step %d failed: %s", state.n, error)
             break
 
-        acc.add(result.next.tau_last)
-        state = replace(result.next, t=acc.total)
         history.record(state, grid)
         if mon is not None:
             mon.observe(state)
@@ -285,7 +291,7 @@ def run(
 
     outcome = RunOutcome(
         status=status,
-        t_num_partial=acc.total,
+        t_num_partial=state.t,
         t_num_tail=0.0,
         n_final=state.n,
         final_state=state,
@@ -308,10 +314,22 @@ def write_history_csv(
 ) -> None:
     """Write the per-step history as CSV with a resolved-parameter comment."""
     lines = [params_header(params, initial), ",".join(HISTORY_COLUMNS)]
-    columns = [history.rows[name] for name in HISTORY_COLUMNS]
-    for row in zip(*columns):
-        lines.append(str(int(row[0])) + "," + ",".join(repr(v) for v in row[1:]))
+    lines.extend(history_csv_rows(history, HISTORY_COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def history_csv_rows(history: RunHistory, names: tuple[str, ...]) -> list[str]:
+    """One CSV line per recorded row of the named columns.
+
+    Values are read back as Python floats (``tolist``), so each prints as
+    its shortest round-trip ``repr``; the step count ``n`` prints as an
+    integer.
+    """
+    columns = [history.column(name).tolist() for name in names]
+    if "n" in names:
+        k = names.index("n")
+        columns[k] = [int(v) for v in columns[k]]
+    return [",".join(map(repr, row)) for row in zip(*columns)]
 
 
 def write_snapshot_csv(

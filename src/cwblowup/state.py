@@ -18,7 +18,9 @@ class SolutionState:
     (all nodes when mid < 2), and an offset-0 state is the whole left half
     u_0..u_mid.  :func:`mirrored` builds all K+1 nodes.  ``t`` is the
     accumulated time, ``n`` the step count, and ``tau_last`` the time
-    increment that produced this state (0 for the initial one).
+    increment that produced this state (0 for the initial one).  ``t_comp``
+    is the compensation term of the compensated (Kahan) sum that gives
+    ``t``, so a long run of tiny increments keeps ``t`` accurate.
     """
 
     u: np.ndarray
@@ -26,6 +28,7 @@ class SolutionState:
     n: int
     tau_last: float
     offset: int = 0
+    t_comp: float = 0.0
 
     @cached_property
     def sup_norm(self) -> float:
@@ -34,6 +37,17 @@ class SolutionState:
         Computed once per state and shared by every reader of that state.
         """
         return float(self.u.max())
+
+
+def with_sup_norm(state: SolutionState, sup: float) -> SolutionState:
+    """Return ``state`` with its sup norm set to ``sup``, which equals ``state.u.max()``.
+
+    A caller that already holds the maximum of ``state.u`` fills the
+    ``sup_norm`` cache (kept in the instance dict), so it is not computed
+    again.
+    """
+    state.__dict__["sup_norm"] = sup
+    return state
 
 
 def mirrored(state: SolutionState) -> np.ndarray:

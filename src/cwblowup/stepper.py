@@ -14,15 +14,15 @@ re-frozen (Picard) in the rare case they disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from cwblowup.grid import GridState, compute_tau
 from cwblowup.params import SimParams
-from cwblowup.state import SolutionState
+from cwblowup.state import SolutionState, with_sup_norm
 
 _MAX_TAU_HALVINGS = 20
 _RESIDUAL_RTOL = 1e-12
@@ -53,20 +53,25 @@ class NegativeSolutionError(StepError):
     """The solve produced a negative entry beyond roundoff size."""
 
 
-@dataclass(frozen=True)
-class TriDiagSystem:
-    """Tridiagonal system rows: sub[j-1]*x[j-1] + diag[j]*x[j] + sup[j]*x[j+1] = rhs[j]."""
+class TriDiagSystem(NamedTuple):
+    """Tridiagonal system rows: sub[j-1]*x[j-1] + diag[j]*x[j] + sup[j]*x[j+1] = rhs[j].
+
+    ``norm`` and ``rhs_norm`` are ||A||_inf and ||b||_inf when the code that
+    forms the system already knows them (:func:`assemble` does);
+    :func:`solve_tridiag` computes any that is None row by row.
+    """
 
     sub: np.ndarray   # length n-1
     diag: np.ndarray  # length n
     sup: np.ndarray   # length n-1
     rhs: np.ndarray   # length n
+    norm: float | None = None
+    rhs_norm: float | None = None
 
     @property
     def size(self) -> int:
         return self.diag.size
 
-    @cached_property
     def _off_diagonal_sums(self) -> np.ndarray:
         """|sub| + |sup| per row, shared by the margin and the norm."""
         off = np.zeros(self.size)
@@ -76,17 +81,11 @@ class TriDiagSystem:
 
     def dominance_margin(self) -> float:
         """Smallest row-wise gap |diag| - |sub| - |sup|; positive means dominant."""
-        return float((np.abs(self.diag) - self._off_diagonal_sums).min())
+        return float((np.abs(self.diag) - self._off_diagonal_sums()).min())
 
     def norm_inf(self) -> float:
         """Largest row-wise sum |diag| + |sub| + |sup|, the matrix inf-norm."""
-        return float((np.abs(self.diag) + self._off_diagonal_sums).max())
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        r = self.diag * x - self.rhs
-        r[1:] += self.sub * x[:-1]
-        r[:-1] += self.sup * x[1:]
-        return r
+        return float((np.abs(self.diag) + self._off_diagonal_sums()).max())
 
 
 def _gradient_coeff(diffs: np.ndarray, h: float, q: float, tau_n: float) -> np.ndarray:
@@ -98,10 +97,21 @@ def _gradient_coeff(diffs: np.ndarray, h: float, q: float, tau_n: float) -> np.n
     return tau_n * (2.0 * h) ** (-q) * np.abs(diffs) ** (q - 1.0)
 
 
+def source_rhs(u: np.ndarray, tau_n: float, p: float) -> tuple[np.ndarray, float]:
+    """Right-hand side u_j + tau_n*(u_j)^p of rows lo+1..mid, with its inf-norm.
+
+    Depends on the level and tau_n only, so it is formed once per tau_n and
+    shared by every Picard iteration.
+    """
+    inner = u[1:]
+    rhs = inner + tau_n * inner**p
+    return rhs, float(np.maximum.reduce(np.abs(rhs)))
+
+
 def assemble(
-    u: np.ndarray,
+    rhs: np.ndarray,
+    rhs_norm: float,
     h: float,
-    params: SimParams,
     tau_n: float,
     signed_gamma: np.ndarray,
 ) -> TriDiagSystem:
@@ -109,32 +119,42 @@ def assemble(
 
     Row j encodes (1+2*lam)u_j' - lam(u_{j+1}'+u_{j-1}') + gamma_j*s_j*
     (u_{j+1}'-u_{j-1}') = u_j + tau_n*(u_j)^p with lam = tau_n/h^2 and s_j
-    the frozen sign of (u_{j+1}' - u_{j-1}'); ``signed_gamma`` holds
-    gamma_j*s_j for rows lo+1..mid-1.  Row lo+1 uses u_lo' = 0 (the boundary
-    when lo = 0), and the reflection u_{mid+1}' = u_{mid-1}' folds the peak
-    row into (1+2*lam)u_mid' - 2*lam*u_{mid-1}' = rhs (its gradient term
-    cancels).
+    the frozen sign of (u_{j+1}' - u_{j-1}'); ``rhs`` and ``rhs_norm`` come
+    from :func:`source_rhs`, and ``signed_gamma`` holds gamma_j*s_j for rows
+    lo+1..mid-1.  Row lo+1 uses u_lo' = 0 (the boundary when lo = 0), and the
+    reflection u_{mid+1}' = u_{mid-1}' folds the peak row into
+    (1+2*lam)u_mid' - 2*lam*u_{mid-1}' = rhs (its gradient term cancels).
+
+    Every row has the diagonal d = 1 + 2*lam > 0, so with the largest
+    off-diagonal row sum o the dominance margin is d - o and ||A||_inf is
+    d + o; rounding is monotone, so both equal the row-wise minimum and
+    maximum bit for bit.
 
     Raises StiffError if the rows are not strictly diagonally dominant.
     """
-    m = u.size - 1
+    m = rhs.size
     lam = tau_n / (h * h)
-    inner = u[1:]
-    sub = np.full(m - 1, -2.0 * lam)  # coefficient of u_{j-1}', rows lo+2..mid
-    sub[:-1] = -lam - signed_gamma[1:]
-    sys = TriDiagSystem(
-        sub=sub,
-        diag=np.full(m, 1.0 + 2.0 * lam),
-        sup=-lam + signed_gamma,  # coefficient of u_{j+1}', rows lo+1..mid-1
-        rhs=inner + tau_n * inner**params.p,
-    )
-    margin = sys.dominance_margin()
+    d = 1.0 + 2.0 * lam
+    # band = [0, sub..., sup..., 0]: row r's off-diagonal coefficients are
+    # band[r] (of u_{r-1}', 0 in the first row) and band[m + r] (of u_{r+1}',
+    # 0 in the last row).  The folded peak row's -2*lam lands on band[m - 1],
+    # which is the padding band[0] when m = 1, so the padding is written last.
+    band = np.empty(2 * m)
+    band[m - 1] = -2.0 * lam
+    band[0] = band[-1] = 0.0
+    np.subtract(-lam, signed_gamma[1:], band[1 : m - 1])  # rows lo+2..mid-1
+    np.add(-lam, signed_gamma, band[m:-1])  # rows lo+1..mid-1
+    abs_band = np.abs(band)
+    off = float(np.maximum.reduce(abs_band[:m] + abs_band[m:]))
+    margin = d - off
     if margin <= 0.0:
         raise StiffError(
             f"diagonal dominance lost (margin {margin:.3e}); "
             "the gradient coefficient exceeds the diffusion weight"
         )
-    return sys
+    diag = np.empty(m)
+    diag.fill(d)
+    return TriDiagSystem(band[1:m], diag, band[m:-1], rhs, d + off, rhs_norm)
 
 
 def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
@@ -142,19 +162,30 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
 
     A 1x1 system is x = rhs/diag.  The solve is accepted when
     ||A x - b|| <= rtol * (||A|| ||x|| + ||b||) in the inf-norm, which every
-    backward-stable solve meets whatever the conditioning of A.
+    backward-stable solve meets whatever the conditioning of A.  The
+    returned x is a view of a buffer led by one zero, ``x.base`` = [0, x],
+    which is the new window u'_lo..u'_mid of a step.
     """
+    buf = np.zeros(sys.size + 1)
+    x = buf[1:]
     if sys.size == 1:
-        x = sys.rhs / sys.diag
+        np.divide(sys.rhs, sys.diag, x)
     else:
-        _, _, _, x, info = dgtsv(sys.sub, sys.diag, sys.sup, sys.rhs)
+        x[...] = sys.rhs
+        _, _, _, x, info = dgtsv(sys.sub, sys.diag, sys.sup, x, overwrite_b=1)
         if info != 0:
             raise SingularError(f"tridiagonal solve failed: gtsv info {info}")
-    if not np.all(np.isfinite(x)):
+    x_norm = float(np.maximum.reduce(np.abs(x)))
+    if not math.isfinite(x_norm):  # NaN and +-inf propagate through the max
         raise SingularError("tridiagonal solve produced non-finite values")
-    resid = float(np.abs(sys.residual(x)).max())
-    scale = sys.norm_inf() * float(np.abs(x).max()) + float(np.abs(sys.rhs).max())
-    if resid > _RESIDUAL_RTOL * scale:
+    r = sys.diag * x
+    r -= sys.rhs
+    r[1:] += sys.sub * x[:-1]
+    r[:-1] += sys.sup * x[1:]
+    resid = float(np.maximum.reduce(np.abs(r, r)))
+    norm = sys.norm_inf() if sys.norm is None else sys.norm
+    rhs_norm = float(np.abs(sys.rhs).max()) if sys.rhs_norm is None else sys.rhs_norm
+    if resid > _RESIDUAL_RTOL * (norm * x_norm + rhs_norm):
         raise StepError(
             f"solver residual {resid:.3e} exceeds {_RESIDUAL_RTOL} * "
             "(||A|| ||x|| + ||b||)"
@@ -176,7 +207,8 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     zero-padded solution solves the whole half with the window's residual,
     and the window's all-zero rows carry the dominance margin of those rows.
     The next state is trimmed to one zero node before its first non-zero node
-    (keeping nodes mid-2..mid) on the same grid.
+    (keeping nodes mid-2..mid) on the same grid.  Its time is state.t + tau_n,
+    summed with compensation (``t_comp``), and it carries its sup norm.
 
     Raises StepError if the state does not hold grid.mid + 1 - offset values,
     is non-finite, or is already at ``blow_threshold``.
@@ -187,7 +219,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
             f"state holds {u.size} values, not the {grid.mid + 1 - state.offset} "
             "of its window on the left half"
         )
-    if not np.all(np.isfinite(u)):
+    if not np.logical_and.reduce(np.isfinite(u)):
         raise StepError("state contains non-finite values")
     sup = state.sup_norm
     if sup >= params.blow_threshold:
@@ -201,7 +233,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     last_stiff: StiffError | None = None
     for _ in range(_MAX_TAU_HALVINGS + 1):
         try:
-            lo, new, iters, flips = _solve_window(state, grid.h, params, tau_n)
+            lo, new, iters, flips = _solve_window(state, grid.h, params, tau_n, sup)
             break
         except StiffError as exc:
             last_stiff = exc
@@ -212,7 +244,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         )
 
     clamp_tol = params.picard_tol * max(1.0, sup)
-    low = float(new.min())
+    low = float(np.minimum.reduce(new))
     if low < -clamp_tol:
         raise NegativeSolutionError(
             f"negative entry {low:.3e} beyond roundoff tolerance {clamp_tol:.3e}"
@@ -226,10 +258,14 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         cut = max(0, min(first - 1, new.size - 3))
         new, lo = new[cut:], lo + cut
 
+    # t is a compensated (Kahan) sum of the increments
+    y = tau_n - state.t_comp
+    t = state.t + y
     next_state = SolutionState(
-        u=new, t=state.t + tau_n, n=state.n + 1, tau_last=tau_n, offset=lo
+        u=new, t=t, n=state.n + 1, tau_last=tau_n, offset=lo, t_comp=(t - state.t) - y
     )
-    return StepResult(next=next_state, picard_iters=iters, sign_flips=flips)
+    with_sup_norm(next_state, float(np.maximum.reduce(new)))
+    return StepResult(next_state, iters, flips)
 
 
 def _solve_window(
@@ -237,6 +273,7 @@ def _solve_window(
     h: float,
     params: SimParams,
     tau_n: float,
+    sup: float,
 ) -> tuple[int, np.ndarray, int, int]:
     """Solve the level on u_lo..u_mid, widening the zero margin left of the window.
 
@@ -247,7 +284,7 @@ def _solve_window(
     while True:
         lo = max(0, offset - margin)
         u = np.concatenate((np.zeros(offset - lo), state.u)) if offset else state.u
-        new, iters, flips = _solve_level(u, h, params, tau_n, state.sup_norm)
+        new, iters, flips = _solve_level(u, h, params, tau_n, sup)
         if lo == 0 or not new[1 : _ZERO_EDGE + 1].any():
             return lo, new, iters, flips
         margin *= 2
@@ -266,29 +303,31 @@ def _solve_level(
     gradient term survives the fold, and returns the new values
     u'_lo..u'_mid with u'_lo = 0.  Sign flips count both halves.
     """
+    rhs, rhs_norm = source_rhs(u, tau_n, params.p)
     diffs = u[2:] - u[:-2]  # u_{j+1} - u_{j-1}, rows lo+1..mid-1
     gamma = _gradient_coeff(diffs, h, params.q, tau_n)
-    active = gamma > 0.0
     signs = np.sign(diffs)
 
     total_flips = 0
     prev: np.ndarray | None = None
     for iteration in range(1, params.picard_max_iters + 1):
-        x = solve_tridiag(assemble(u, h, params, tau_n, gamma * signs))
-        new = np.concatenate(([0.0], x))  # u'_lo .. u'_mid
-        new_diffs = new[2:] - new[:-2]
-        # A frozen sign is contradicted where the new difference is nonzero
-        # and disagrees; an exactly zero difference satisfies either sign.
-        mismatch = active & (new_diffs != 0.0) & (np.sign(new_diffs) != signs)
-        flips = 2 * int(np.count_nonzero(mismatch))
+        x = solve_tridiag(assemble(rhs, rhs_norm, h, tau_n, gamma * signs))
+        new = x.base  # u'_lo .. u'_mid, the solve's buffer led by u'_lo = 0
+        new_signs = np.sign(new[2:] - new[:-2])
+        # A frozen sign is contradicted where the row is active (gamma > 0)
+        # and the new difference is nonzero and disagrees; an exactly zero
+        # difference satisfies either sign.  With gamma >= 0 and signs in
+        # {-1, 0, 1}, that is where gamma * s' * (s' - s) is nonzero.
+        contradiction = gamma * new_signs * (new_signs - signs)
+        flips = 2 * np.count_nonzero(contradiction)
         if flips == 0:
             if prev is None:
                 return new, iteration, total_flips
-            gap = float(np.max(np.abs(new - prev)))
+            gap = float(np.abs(new - prev).max())
             if gap < params.picard_tol * max(1.0, sup):
                 return new, iteration, total_flips
         total_flips += flips
-        signs = np.where(mismatch, np.sign(new_diffs), signs)
+        signs = np.where(contradiction != 0.0, new_signs, signs)
         prev = new
     raise PicardError(
         f"no sign fixed point within {params.picard_max_iters} iterations "
@@ -296,8 +335,7 @@ def _solve_level(
     )
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """Outcome of one accepted step."""
 
     next: SolutionState

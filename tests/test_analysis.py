@@ -15,7 +15,7 @@ from cwblowup import (
     run,
 )
 from cwblowup.analysis import compare_to_reference
-from cwblowup.simulator import RunHistory, RunStatus
+from cwblowup.simulator import HISTORY_COLUMNS, RunHistory, RunStatus
 
 
 def _synthetic_history(n_steps=400, threshold=1e12):
@@ -42,8 +42,7 @@ def _synthetic_history(n_steps=400, threshold=1e12):
             "u_m_minus_2": u_2,
             "u_m_plus_2": u_2,
         }
-        for key, value in row.items():
-            hist.rows[key].append(value)
+        hist.append_row(tuple(row[name] for name in HISTORY_COLUMNS))
     return hist
 
 
@@ -75,7 +74,7 @@ class TestClassify:
     def test_refuses_asymmetric_history(self):
         params = SimParams(p=2.0, q=1.0, tau=0.1, h=0.5, blow_threshold=1e12)
         hist = _synthetic_history()
-        hist.rows["u_m_plus_1"] = [v * 1.5 for v in hist.rows["u_m_plus_1"]]
+        hist.column("u_m_plus_1")[:] *= 1.5  # a view: the history itself changes
         with pytest.raises(ValueError, match="symmetric"):
             classify_blowup_set(hist, params)
 

@@ -62,6 +62,15 @@ class TestRunVerb:
         assert "run without snapshots" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_huge_initial_grid_exits_2(self, tmp_path, capsys):
+        # lambda = 1e11 at q = 1.45 starts on K = 5.7e8, too large to sample
+        # the initial profile on, so the run is refused before any output
+        out = tmp_path / "huge"
+        rc = main(["run", "--set", "q=1.45", "--set", "lambda=1e11", "--output-dir", str(out)])
+        assert rc == 2
+        assert "choose a smaller lambda or q" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert rc == 2

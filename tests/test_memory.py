@@ -12,7 +12,7 @@ from pathlib import Path
 
 from cwblowup import SimParams, compute_h, run
 from cwblowup.grid import interval_count_for
-from cwblowup.simulator import _SNAPSHOT_MAX_INTERVALS
+from cwblowup.simulator import _INITIAL_MAX_INTERVALS, _SNAPSHOT_MAX_INTERVALS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,7 +39,9 @@ resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 sys.path.insert(0, sys.argv[1])
 from cwblowup import ConfigError, SimParams, run
 try:
-    outcome, _ = run(SimParams(p=3.0, q=1.45), snapshot_every=int(sys.argv[2]))
+    outcome, _ = run(
+        SimParams(p=3.0, q=1.45, lam=float(sys.argv[3])), snapshot_every=int(sys.argv[2])
+    )
 except ConfigError as exc:
     print("ConfigError", exc)
 else:
@@ -47,9 +49,12 @@ else:
 """
 
 
-def _limited_run(snapshot_every: int) -> list[str]:
+def _limited_run(snapshot_every: int, lam: float = 10.0) -> list[str]:
     proc = subprocess.run(
-        [sys.executable, "-c", _LIMITED_RUN, str(ROOT / "src"), str(snapshot_every)],
+        [
+            sys.executable, "-c", _LIMITED_RUN, str(ROOT / "src"), str(snapshot_every),
+            repr(lam),
+        ],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -68,6 +73,16 @@ def test_huge_grid_snapshots_refused_in_limited_address_space():
     words = _limited_run(100)
     assert words[0] == "ConfigError", words
     assert f"{_SNAPSHOT_MAX_INTERVALS};" in words
+
+
+def test_huge_initial_grid_refused_in_limited_address_space():
+    # lambda = 1e11 starts on K = 5.7e8, whose K+1 sampled nodes (4.2 GiB)
+    # cannot be built, so the run is refused before sampling, with or without
+    # snapshots
+    words = _limited_run(0, lam=1e11)
+    assert words[0] == "ConfigError", words
+    assert "K = 567156262" in " ".join(words)
+    assert f"{_INITIAL_MAX_INTERVALS}" in " ".join(words)
 
 
 def test_snapshot_limit_admits_the_largest_refining_run():

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwblowup import SimParams, build_grid, carry_to_grid, compute_h, compute_tau, step, validate
 from cwblowup.analysis import amplitude_lower_bound
 from cwblowup.grid import build_grid_by_count
+from cwblowup.simulator import _InvariantMonitor
 from cwblowup.state import SolutionState
+from cwblowup.stepper import StiffError, TriDiagSystem, assemble
 
 from conftest import padded_half, random_symmetric_monotone_state, window_ok
 
@@ -115,3 +117,94 @@ def test_step_invariants_on_random_states(seed):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
     # peak never drops faster than the diffusion floor
     assert u[m] >= state.u[m] / (1 + 2 * lam) * (1 - 1e-10)
+
+
+def _row_oracle_system(rhs, lam, signed_gamma):
+    """The step system built array by array, with the row-wise margin and norm."""
+    m = rhs.size
+    sub = np.full(m - 1, -2.0 * lam)
+    sub[:-1] = -lam - signed_gamma[1:]
+    return TriDiagSystem(
+        sub=sub, diag=np.full(m, 1.0 + 2.0 * lam), sup=-lam + signed_gamma, rhs=rhs
+    )
+
+
+@st.composite
+def _dominance_case(draw):
+    """lam, a signed gamma for m = 1..64 rows, and the seed of a right-hand side."""
+    lam = draw(st.floats(1e-3, 1e8))
+    # gamma ranges past lam; at |gamma| = lam + 1/2 an interior row's margin
+    # 1 + 2 lam - 2 |gamma| is 0
+    edge = lam + 0.5
+    gamma = st.one_of(
+        st.floats(-3.0, 3.0).map(lambda r: r * lam),
+        st.sampled_from([0.0, lam, -lam, edge, -edge]),
+    )
+    signed_gamma = np.array(draw(st.lists(gamma, max_size=63)), dtype=float)
+    return lam, signed_gamma, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_dominance_case())
+def test_fused_dominance_matches_row_oracle(case):
+    lam, signed_gamma, seed = case
+    m = signed_gamma.size + 1
+    rhs = np.random.default_rng(seed).uniform(0.0, 1e6, m)
+    rhs_norm = float(np.abs(rhs).max())
+    oracle = _row_oracle_system(rhs, lam, signed_gamma)
+    margin = oracle.dominance_margin()
+    # h = 1 makes tau_n / h^2 = lam exactly
+    if margin <= 0.0:
+        with pytest.raises(StiffError) as exc:
+            assemble(rhs, rhs_norm, 1.0, lam, signed_gamma)
+        assert f"(margin {margin:.3e})" in str(exc.value)
+        return
+    sys = assemble(rhs, rhs_norm, 1.0, lam, signed_gamma)
+    for name in ("sub", "diag", "sup", "rhs"):
+        assert getattr(sys, name).tobytes() == getattr(oracle, name).tobytes(), name
+    assert sys.norm == oracle.norm_inf()
+    assert sys.rhs_norm == rhs_norm
+    assert sys.dominance_margin() == margin
+
+
+class _PassMonitor(_InvariantMonitor):
+    """The monitor with one numpy pass per fact: min, then the differences."""
+
+    def observe(self, state):
+        u = state.u
+        sup = state.sup_norm
+        scale = max(sup, 1.0)
+        self.steps_observed += 1
+        self.min_entry = min(self.min_entry, float(np.min(u)))
+        if state.offset == 0 and u[0] != 0.0:
+            self.boundary_ok = False
+        defect = float(np.min(np.diff(u)))
+        if defect < -1e-12 * scale:
+            self.monotonicity_violations += 1
+            self.worst_monotonicity_defect = min(self.worst_monotonicity_defect, defect)
+        if u[-1] < sup:
+            self.sup_at_mid = False
+
+
+_window = st.lists(
+    st.one_of(st.floats(-1.0, 50.0), st.sampled_from([0.0, -0.0, 1e-13, -1e-13])),
+    min_size=2,
+    max_size=24,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    windows=st.lists(
+        st.tuples(_window, st.integers(0, 3), st.booleans()), min_size=1, max_size=8
+    )
+)
+@example(windows=[([0.0, -0.0], 0, False)])  # a tie of signed zeros: min is not u[0]
+def test_fused_observe_matches_passes(windows):
+    fused, passes = _InvariantMonitor(), _PassMonitor()
+    for values, offset, monotone in windows:
+        u = np.sort(values) if monotone else np.array(values)
+        state = SolutionState(u=u, t=0.0, n=0, tau_last=0.0, offset=offset)
+        fused.observe(state)
+        passes.observe(state)
+    assert repr(fused.summary()) == repr(passes.summary())

@@ -15,6 +15,7 @@ from cwblowup import (
     tail_estimate,
 )
 from cwblowup.grid import build_grid_by_count
+from cwblowup.params import params_header
 from cwblowup.simulator import HISTORY_COLUMNS, RunHistory, RunOutcome, write_history_csv
 from cwblowup.state import SolutionState, mirrored
 
@@ -287,3 +288,57 @@ class TestHistoryCsv:
         )
         assert len(lines) == 2 + len(history)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_bytes_match_python_float_format(self, tmp_path):
+        # the history is held as float64 columns; the file must still hold
+        # int(n) and then repr of Python floats, never numpy scalar reprs
+        params = _fast_params(blow_threshold=1e4)
+        _, history = run(params)
+        path = tmp_path / "h.csv"
+        write_history_csv(history, path, params)
+        columns = [[float(v) for v in history.column(name)] for name in HISTORY_COLUMNS]
+        lines = [params_header(params), ",".join(HISTORY_COLUMNS)]
+        for row in zip(*columns):
+            lines.append(str(int(row[0])) + "," + ",".join(repr(v) for v in row[1:]))
+        expected = "\n".join(lines) + "\n"
+        assert path.read_text() == expected
+        assert "np.float64(" not in expected
+
+    def test_figure_series_bytes(self, tmp_path):
+        from cwblowup.cli import _FIGURE_COLUMNS, _figure_series
+
+        params = _fast_params(blow_threshold=1e4)
+        _figure_series(params, tmp_path, "a.csv", "b.csv")
+        outcome, history = run(params)
+        columns = [[float(v) for v in history.column(name)] for name in _FIGURE_COLUMNS]
+        lines = [
+            params_header(params) + f" status={outcome.status.value}",
+            ",".join(_FIGURE_COLUMNS),
+        ]
+        lines.extend(",".join(repr(v) for v in row) for row in zip(*columns))
+        expected = "\n".join(lines) + "\n"
+        assert (tmp_path / "a.csv").read_text() == expected
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+        assert "np.float64(" not in expected
+
+
+class TestRunHistoryBlock:
+    def test_rows_survive_growth(self):
+        # the block doubles its capacity when full; rows written before a
+        # growth must read back unchanged, and views cover the filled rows only
+        history = RunHistory()
+        n_rows = 1000
+        for k in range(n_rows):
+            history.append_row(tuple(float(k * 10 + j) for j in range(len(HISTORY_COLUMNS))))
+        assert len(history) == n_rows
+        for j, name in enumerate(HISTORY_COLUMNS):
+            col = history.column(name)
+            assert col.dtype == np.float64 and col.shape == (n_rows,)
+            assert np.array_equal(col, np.arange(n_rows) * 10.0 + j)
+            assert np.array_equal(history.rows[name], col)
+
+    def test_empty_history_columns(self):
+        history = RunHistory()
+        assert len(history) == 0
+        assert history.column("t").size == 0
+        assert set(history.rows) == set(HISTORY_COLUMNS)

@@ -8,7 +8,7 @@ import pytest
 from cwblowup import SimParams, assemble, build_grid, solve_tridiag, step
 from cwblowup.grid import build_grid_by_count, compute_tau
 from cwblowup.state import SolutionState, mirrored
-from cwblowup.stepper import StepError, StiffError, _gradient_coeff
+from cwblowup.stepper import StepError, StiffError, _gradient_coeff, source_rhs
 
 from conftest import (
     dense_solve,
@@ -33,7 +33,7 @@ class TestAssemble:
     def test_zero_state_is_pure_diffusion(self):
         grid = build_grid_by_count(6)
         params = SimParams(p=3.0, q=1.2)
-        sys = assemble(np.zeros(4), grid.h, params, 0.01, np.zeros(2))
+        sys = assemble(*source_rhs(np.zeros(4), 0.01, params.p), grid.h, 0.01, np.zeros(2))
         lam = 0.01 / grid.h**2
         assert sys.size == grid.mid
         assert np.allclose(sys.rhs, 0.0)
@@ -51,7 +51,9 @@ class TestAssemble:
         lam = tau_n / grid.h**2
         diffs = u[2:] - u[:-2]
         gs = _gradient_coeff(diffs, grid.h, params.q, tau_n) * np.sign(diffs)
-        half = solve_tridiag(assemble(state.u, grid.h, params, tau_n, gs[: m - 1]))
+        half = solve_tridiag(assemble(
+            *source_rhs(state.u, tau_n, params.p), grid.h, tau_n, gs[: m - 1]
+        ))
         n = grid.interval_count - 1
         full = dense_solve(
             tridiag_dense(-lam - gs[1:], np.full(n, 1 + 2 * lam), -lam + gs[:-1]),
@@ -65,7 +67,9 @@ class TestAssemble:
         params = SimParams(p=2.0, q=1.2)
         u1 = 3.0
         tau_n = 0.05
-        sys = assemble(np.array([0.0, u1]), grid.h, params, tau_n, np.zeros(0))
+        sys = assemble(
+            *source_rhs(np.array([0.0, u1]), tau_n, params.p), grid.h, tau_n, np.zeros(0)
+        )
         assert sys.size == 1
         lam = tau_n / grid.h**2
         assert sys.diag[0] == pytest.approx(1 + 2 * lam)
@@ -90,7 +94,7 @@ class TestAssemble:
         diffs = u[2:3] - u[0:1]  # row 1, the only row left of the peak
         gs = _gradient_coeff(diffs, grid.h, params.q, 0.01) * np.sign(diffs)
         with pytest.raises(StiffError, match="dominance"):
-            assemble(u, grid.h, params, 0.01, gs)
+            assemble(*source_rhs(u, 0.01, params.p), grid.h, 0.01, gs)
 
 
 class TestSolveTridiag:
@@ -138,8 +142,8 @@ class TestSolveTridiag:
 
         real = stepper.dgtsv
 
-        def perturbed(*args):
-            du2, d, du, x, info = real(*args)
+        def perturbed(*args, **kwargs):
+            du2, d, du, x, info = real(*args, **kwargs)
             return du2, d, du, x * (1.0 + 1e-6), info
 
         monkeypatch.setattr(stepper, "dgtsv", perturbed)
@@ -166,6 +170,70 @@ class TestSolveTridiag:
         rhs = tridiag_dense(sub, diag, sup) @ x_true
         x = solve_tridiag(TriDiagSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
         assert np.max(np.abs(x - x_true)) <= 1e-6 * np.max(x_true)
+
+
+class TestInPlaceSolve:
+    """solve_tridiag solves in place into a zero-led buffer; the bits must not move."""
+
+    @staticmethod
+    def _assert_same_as_gtsv(sys):
+        from scipy.linalg.lapack import dgtsv
+
+        x = solve_tridiag(sys)
+        ref = dgtsv(sys.sub, sys.diag, sys.sup, sys.rhs)[3]
+        assert x.tobytes() == ref.tobytes()
+        assert x.base[0] == 0.0 and np.shares_memory(x.base[1:], x)
+        return x
+
+    def test_random_dominant_systems(self):
+        from cwblowup import TriDiagSystem
+
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            sub = rng.uniform(-1, 1, n - 1)
+            sup = rng.uniform(-1, 1, n - 1)
+            diag = np.zeros(n)
+            diag[1:] += np.abs(sub)
+            diag[:-1] += np.abs(sup)
+            diag += rng.uniform(1e-3, 2.0, n)
+            rhs = rng.uniform(-5, 5, n)
+            self._assert_same_as_gtsv(TriDiagSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
+
+    def test_pivoting_system(self):
+        from scipy.linalg.lapack import dgtsv
+
+        from cwblowup import TriDiagSystem
+
+        # |sub| > |diag| in the first column: gtsv interchanges rows 1 and 2,
+        # which leaves fill-in on the second superdiagonal
+        sys = TriDiagSystem(
+            sub=np.array([3.0, 0.5, 0.25]),
+            diag=np.array([1.0, 2.0, 4.0, 3.0]),
+            sup=np.array([0.5, 1.0, 0.5]),
+            rhs=np.array([1.0, -2.0, 3.0, 0.5]),
+        )
+        assert dgtsv(sys.sub, sys.diag, sys.sup, sys.rhs)[0][0] != 0.0
+        self._assert_same_as_gtsv(sys)
+
+    def test_every_solve_of_a_run(self, monkeypatch):
+        # p=2 q=1 interchanges the last two rows (the folded peak row) on 11
+        # of its 279 solves
+        from cwblowup import run, stepper
+
+        real = stepper.solve_tridiag
+        systems = []
+
+        def keep(sys):
+            systems.append(sys)
+            return real(sys)
+
+        monkeypatch.setattr(stepper, "solve_tridiag", keep)
+        run(SimParams(p=2.0, q=1.0))
+        monkeypatch.undo()
+        assert len(systems) == 279
+        for sys in systems:
+            self._assert_same_as_gtsv(sys)
 
 
 class TestStep:
@@ -311,6 +379,36 @@ class TestStep:
         )
         with pytest.raises(SingularError):
             solve_tridiag(sys)
+
+
+class TestFrozenSignCheck:
+    """The a posteriori sign check of the Picard loop, on a prescribed solve."""
+
+    @staticmethod
+    def _level(monkeypatch, u, q, new):
+        from cwblowup import stepper
+
+        def fixed(sys):
+            buf = np.array(new, dtype=float)  # u'_lo = 0 leads the buffer
+            return buf[1:]
+
+        monkeypatch.setattr(stepper, "solve_tridiag", fixed)
+        params = SimParams(p=2.0, q=q, tau=0.01, h=0.5, blow_threshold=1e15)
+        _, iters, flips = stepper._solve_level(np.asarray(u, float), 0.5, params, 0.01, 3.0)
+        return iters, flips
+
+    def test_zero_new_difference_keeps_the_sign(self, monkeypatch):
+        # frozen signs (+, +); the new differences are (+, 0): no contradiction
+        assert self._level(monkeypatch, [0.0, 1.0, 2.0, 3.0], 1.0, [0, 1, 1, 1]) == (1, 0)
+
+    def test_opposite_sign_flips_once(self, monkeypatch):
+        # frozen (+, +); new (-, 0): row lo+1 flips (counted for both halves),
+        # and the re-frozen signs (-, +) hold on the second iteration
+        assert self._level(monkeypatch, [0.0, 1.0, 2.0, 3.0], 1.0, [0, 1, -1, 1]) == (2, 2)
+
+    def test_inactive_rows_never_flip(self, monkeypatch):
+        # q > 1 and zero differences give gamma = 0: no gradient term to sign
+        assert self._level(monkeypatch, [0.0, 1.0, 0.0, 1.0], 1.5, [0, 1, -1, 2]) == (1, 0)
 
 
 class TestWindow:
