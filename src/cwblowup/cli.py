@@ -59,10 +59,12 @@ def _resolve_setup(args: argparse.Namespace) -> tuple[SimParams, InitialData]:
     return build_params(mapping, base_dir=base)
 
 def _output_dir(args: argparse.Namespace) -> Path:
-    out = os.environ.get("CW_OUTPUT_DIR") or args.output_dir
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory, not yet created.
+
+    Each verb creates it only when its first file is ready to write, so a
+    run refused by validation or a failed study leaves no directory behind.
+    """
+    return Path(os.environ.get("CW_OUTPUT_DIR") or args.output_dir)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -83,6 +85,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     params, initial = _resolve_setup(args)
     out = _output_dir(args)
     outcome, history = run(params, initial, snapshot_every=args.snapshot_every)
+    out.mkdir(parents=True, exist_ok=True)
     write_history_csv(history, out / "history.csv", params, initial)
     for snap in history.snapshots:
         write_snapshot_csv(snap, out / f"snapshot_{snap[0]:06d}.csv", params, initial)
@@ -95,6 +98,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     params, initial = _resolve_setup(args)
     out = _output_dir(args)
     outcome, history = run(params, initial)
+    out.mkdir(parents=True, exist_ok=True)
     write_history_csv(history, out / "history.csv", params, initial)
     _write_json(out / "outcome.json", _outcome_payload(outcome))
     if outcome.status is not RunStatus.BLEW_UP:
@@ -140,6 +144,7 @@ def cmd_time_table(args: argparse.Namespace) -> int:
         else:
             g = amplitude_lower_bound(row_params.p, lam)
             lines.append(f"{lam!r},{g!r},,,,false,{outcome.status.value}")
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "time_table.csv"
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path} ({len(lambdas)} rows)")
@@ -155,6 +160,7 @@ def _figure_series(params: SimParams, out: Path, *names: str) -> None:
     ]
     lines.extend(history_csv_rows(history, _FIGURE_COLUMNS))
     text = "\n".join(lines) + "\n"
+    out.mkdir(parents=True, exist_ok=True)
     for name in names:
         (out / name).write_text(text)
 
@@ -197,6 +203,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
         reference_h=args.ref_h,
         initial=initial,
     )
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "convergence.json", report.to_dict())
     lines = [params_header(params, initial), "h,error"]
     lines.extend(f"{h!r},{e!r}" for h, e in zip(report.levels, report.errors))
@@ -239,6 +246,7 @@ def cmd_diagnostics(args: argparse.Namespace) -> int:
         if not diag.strictly_decreasing_tail:
             failures.append("neighbour-to-peak ratio not strictly decreasing in the tail")
     payload["failures"] = failures
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "diagnostics.json", payload)
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)

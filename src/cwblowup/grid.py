@@ -9,7 +9,7 @@ at x = 0 (the peak of symmetric data).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -102,5 +102,13 @@ def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> Solut
     """
     if new.h > old.h * (1.0 + 1e-12):
         raise ValueError("carry_to_grid refuses to coarsen (new spacing exceeds old)")
-    carried = replace(state, offset=state.offset + new.mid - old.mid)
+    # built field by field: dataclasses.replace walks the fields on every call
+    carried = SolutionState(
+        u=state.u,
+        t=state.t,
+        n=state.n,
+        tau_last=state.tau_last,
+        offset=state.offset + new.mid - old.mid,
+        t_comp=state.t_comp,
+    )
     return with_sup_norm(carried, state.sup_norm)

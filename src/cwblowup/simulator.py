@@ -148,7 +148,8 @@ class _InvariantMonitor:
         sup = state.sup_norm
         scale = max(sup, 1.0)
         self.steps_observed += 1
-        defect = float(np.minimum.reduce(u[1:] - u[:-1]))
+        diffs = u[1:] - u[:-1]
+        defect = float(diffs[diffs.argmin()])
         # a strictly increasing window takes its minimum at u[0] alone; any
         # other is searched, since a tie of 0.0 and -0.0 makes u[0] differ
         # from the minimum in its sign
@@ -338,8 +339,12 @@ def write_snapshot_csv(
     params: SimParams,
     initial: InitialData | None = None,
 ) -> None:
-    """Write one (x, u) snapshot as CSV."""
+    """Write one (x, u) snapshot as CSV.
+
+    Values are read back as Python floats (``tolist``), so each prints as
+    its shortest round-trip ``repr``.
+    """
     n, t, x, u = snapshot
     lines = [params_header(params, initial) + f" n={n} t={t!r}", "x,u"]
-    lines.extend(f"{xi!r},{ui!r}" for xi, ui in zip(x, u))
+    lines.extend(f"{xi!r},{ui!r}" for xi, ui in zip(x.tolist(), u.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -31,6 +31,10 @@ _RESIDUAL_RTOL = 1e-12
 # otherwise the margin doubles.
 _WINDOW_MARGIN = 32
 _ZERO_EDGE = 8
+# Maxima and minima on the step path are read by index, a[a.argmax()]: on
+# ~20 entries that costs a third of a ufunc reduce and gives the same value,
+# NaN included (argmax and argmin stop at the first NaN); only the sign of a
+# zero result may differ.
 
 
 class StepError(RuntimeError):
@@ -105,7 +109,8 @@ def source_rhs(u: np.ndarray, tau_n: float, p: float) -> tuple[np.ndarray, float
     """
     inner = u[1:]
     rhs = inner + tau_n * inner**p
-    return rhs, float(np.maximum.reduce(np.abs(rhs)))
+    mag = np.abs(rhs)
+    return rhs, float(mag[mag.argmax()])
 
 
 def assemble(
@@ -145,7 +150,8 @@ def assemble(
     np.subtract(-lam, signed_gamma[1:], band[1 : m - 1])  # rows lo+2..mid-1
     np.add(-lam, signed_gamma, band[m:-1])  # rows lo+1..mid-1
     abs_band = np.abs(band)
-    off = float(np.maximum.reduce(abs_band[:m] + abs_band[m:]))
+    row_off = abs_band[:m] + abs_band[m:]
+    off = float(row_off[row_off.argmax()])
     margin = d - off
     if margin <= 0.0:
         raise StiffError(
@@ -175,14 +181,16 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
         _, _, _, x, info = dgtsv(sys.sub, sys.diag, sys.sup, x, overwrite_b=1)
         if info != 0:
             raise SingularError(f"tridiagonal solve failed: gtsv info {info}")
-    x_norm = float(np.maximum.reduce(np.abs(x)))
-    if not math.isfinite(x_norm):  # NaN and +-inf propagate through the max
+    mag = np.abs(x)
+    x_norm = float(mag[mag.argmax()])
+    if not math.isfinite(x_norm):  # argmax finds the first NaN, and |+-inf| is the max
         raise SingularError("tridiagonal solve produced non-finite values")
     r = sys.diag * x
     r -= sys.rhs
     r[1:] += sys.sub * x[:-1]
     r[:-1] += sys.sup * x[1:]
-    resid = float(np.maximum.reduce(np.abs(r, r)))
+    np.abs(r, r)
+    resid = float(r[r.argmax()])
     norm = sys.norm_inf() if sys.norm is None else sys.norm
     rhs_norm = float(np.abs(sys.rhs).max()) if sys.rhs_norm is None else sys.rhs_norm
     if resid > _RESIDUAL_RTOL * (norm * x_norm + rhs_norm):
@@ -219,9 +227,12 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
             f"state holds {u.size} values, not the {grid.mid + 1 - state.offset} "
             "of its window on the left half"
         )
-    if not np.logical_and.reduce(np.isfinite(u)):
-        raise StepError("state contains non-finite values")
+    # Every state a run hands over came out of a checked step, so the carried
+    # sup norm (NaN or +inf) and the minimum (-inf) suffice to refuse a
+    # non-finite one, before any arithmetic on it.
     sup = state.sup_norm
+    if not (sup < math.inf and u[u.argmin()] > -math.inf):
+        raise StepError("state contains non-finite values")
     if sup >= params.blow_threshold:
         raise StepError(
             f"sup norm {sup:.3e} already at blow_threshold; the source term is refused"
@@ -244,7 +255,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         )
 
     clamp_tol = params.picard_tol * max(1.0, sup)
-    low = float(np.minimum.reduce(new))
+    low = float(new[new.argmin()])
     if low < -clamp_tol:
         raise NegativeSolutionError(
             f"negative entry {low:.3e} beyond roundoff tolerance {clamp_tol:.3e}"
@@ -264,7 +275,12 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     next_state = SolutionState(
         u=new, t=t, n=state.n + 1, tau_last=tau_n, offset=lo, t_comp=(t - state.t) - y
     )
-    with_sup_norm(next_state, float(np.maximum.reduce(new)))
+    new_sup = float(new[new.argmax()])
+    if new_sup == 0.0:
+        # an all-zero window keeps np.maximum.reduce's sign of zero, which
+        # the sup_norm history column records
+        new_sup = float(np.maximum.reduce(new))
+    with_sup_norm(next_state, new_sup)
     return StepResult(next_state, iters, flips)
 
 
@@ -285,7 +301,7 @@ def _solve_window(
         lo = max(0, offset - margin)
         u = np.concatenate((np.zeros(offset - lo), state.u)) if offset else state.u
         new, iters, flips = _solve_level(u, h, params, tau_n, sup)
-        if lo == 0 or not new[1 : _ZERO_EDGE + 1].any():
+        if lo == 0 or not np.count_nonzero(new[1 : _ZERO_EDGE + 1]):
             return lo, new, iters, flips
         margin *= 2
 

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from cwblowup.cli import main
+from cwblowup.params import build_params, load_config
+from cwblowup.simulator import run
 
 
 @pytest.fixture
@@ -48,8 +51,19 @@ class TestRunVerb:
         assert rc == 0
         snaps = sorted(out.glob("snapshot_*.csv"))
         assert snaps
-        first = snaps[0].read_text().splitlines()
-        assert first[1] == "x,u"
+        for path in out.iterdir():
+            assert "np." not in path.read_text(), path.name
+        # every row holds two plain floats, bit-equal to the grid nodes and
+        # the mirrored state of the same run
+        params, initial = build_params(load_config(fast_config))
+        _, history = run(params, initial, snapshot_every=50)
+        assert len(snaps) == len(history.snapshots)
+        for path, (n, _, x, u) in zip(snaps, history.snapshots):
+            assert path.name == f"snapshot_{n:06d}.csv"
+            lines = path.read_text().splitlines()
+            assert lines[1] == "x,u"
+            rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+            assert np.array(rows).tobytes() == np.column_stack((x, u)).tobytes()
 
     def test_snapshots_beyond_grid_limit_exit_2(self, tmp_path, capsys):
         # q = 1.45 refines to K = 3.7e9 at the default threshold; snapshots
@@ -60,7 +74,7 @@ class TestRunVerb:
         )
         assert rc == 2
         assert "run without snapshots" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_huge_initial_grid_exits_2(self, tmp_path, capsys):
         # lambda = 1e11 at q = 1.45 starts on K = 5.7e8, too large to sample
@@ -69,7 +83,7 @@ class TestRunVerb:
         rc = main(["run", "--set", "q=1.45", "--set", "lambda=1e11", "--output-dir", str(out)])
         assert rc == 2
         assert "choose a smaller lambda or q" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "absent.cfg")])
@@ -218,8 +232,6 @@ class TestTimeTableVerb:
             assert calls[-2:] == [(100.0, False), (10.0, False)]
 
     def test_requires_sine_initial(self, tmp_path):
-        import numpy as np
-
         table = tmp_path / "bump.csv"
         x = np.linspace(-1, 1, 41)
         u = 30.0 * np.cos(0.5 * np.pi * x)
@@ -322,8 +334,6 @@ class TestFiguresVerb:
         assert blowup == (out / "second_neighbor_bounded.csv").read_bytes()
 
     def test_table_initial_refused_before_any_output(self, tmp_path):
-        import numpy as np
-
         table = tmp_path / "bump.csv"
         x = np.linspace(-1, 1, 41)
         u = 30.0 * np.cos(0.5 * np.pi * x)
@@ -334,7 +344,7 @@ class TestFiguresVerb:
         out = tmp_path / "figs"
         rc = main(["figures", "--config", str(cfg), "--output-dir", str(out)])
         assert rc == 2
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestConvergeVerb:

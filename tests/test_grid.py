@@ -124,6 +124,20 @@ class TestCarryToGrid:
         assert (out.t, out.n, out.tau_last) == (state.t, state.n, state.tau_last)
         assert window_ok(out, new)
 
+    def test_keeps_every_other_field(self):
+        # the carried state is built field by field; each field but the
+        # offset, SolutionState's later fields too, must come across
+        old = build_grid_by_count(8)
+        new = build_grid_by_count(12)
+        state = SolutionState(
+            u=np.array([0.0, 1.0, 3.0]), t=0.25, n=7, tau_last=0.01, offset=2, t_comp=-1e-18
+        )
+        out = carry_to_grid(state, old, new)
+        for f in fields(SolutionState):
+            if f.name != "offset":
+                assert getattr(out, f.name) is getattr(state, f.name), f.name
+        assert out.sup_norm == 3.0
+
     def test_refuses_coarsening(self):
         fine = build_grid_by_count(8)
         coarse = build_grid_by_count(4)

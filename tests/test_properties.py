@@ -208,3 +208,38 @@ def test_fused_observe_matches_passes(windows):
         fused.observe(state)
         passes.observe(state)
     assert repr(fused.summary()) == repr(passes.summary())
+
+
+_SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 2.5)
+
+
+@st.composite
+def _reduction_array(draw):
+    """1..4000 entries from a small palette, so ties, NaN, +-inf and +-0 recur."""
+    palette = draw(
+        st.lists(st.one_of(st.sampled_from(_SPECIAL), finite), min_size=1, max_size=6)
+    )
+    n = draw(st.integers(1, 4000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).choice(np.array(palette), n)
+
+
+def _same_value(a, b):
+    return (np.isnan(a) and np.isnan(b)) or a == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_reduction_array())
+@example(a=np.array([0.0, -0.0, np.nan, -np.inf]))
+@example(a=np.full(130, -0.0))
+def test_index_read_matches_reduce(a):
+    # the step reads maxima and minima as a[a.argmax()] / a[a.argmin()]; on
+    # short and long arrays (both numpy SIMD paths) that is the ufunc
+    # reduce's value, NaN included
+    assert _same_value(a[a.argmax()], np.maximum.reduce(a))
+    assert _same_value(a[a.argmin()], np.minimum.reduce(a))
+    # of an abs'd array (norms, row sums, residuals), even a zero's sign agrees
+    mag = np.abs(a)
+    top = mag[mag.argmax()]
+    if not np.isnan(top):
+        assert top.tobytes() == np.maximum.reduce(mag).tobytes()

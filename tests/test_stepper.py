@@ -1,5 +1,6 @@
 """Step assembly, the tridiagonal solve, and the frozen-sign step."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,15 @@ import pytest
 
 from cwblowup import SimParams, assemble, build_grid, solve_tridiag, step
 from cwblowup.grid import build_grid_by_count, compute_tau
+from cwblowup.simulator import RunHistory
 from cwblowup.state import SolutionState, mirrored
-from cwblowup.stepper import StepError, StiffError, _gradient_coeff, source_rhs
+from cwblowup.stepper import (
+    NegativeSolutionError,
+    StepError,
+    StiffError,
+    _gradient_coeff,
+    source_rhs,
+)
 
 from conftest import (
     dense_solve,
@@ -61,6 +69,17 @@ class TestAssemble:
         )
         scale = max(1.0, float(np.max(u)))
         assert np.max(np.abs(half - full[:m])) <= 1e-11 * scale
+
+    def test_carried_norms_match_row_oracle(self, rng):
+        # ||b|| from source_rhs and ||A|| from assemble, both read by index,
+        # equal the row-wise norms of the assembled system
+        state, grid, params = random_symmetric_monotone_state(rng)
+        tau_n = compute_tau(params, state.sup_norm)
+        diffs = state.u[2:] - state.u[:-2]
+        gs = _gradient_coeff(diffs, grid.h, params.q, tau_n) * np.sign(diffs)
+        sys = assemble(*source_rhs(state.u, tau_n, params.p), grid.h, tau_n, gs)
+        assert sys.rhs_norm == float(np.abs(sys.rhs).max())
+        assert sys.norm == sys.norm_inf()
 
     def test_single_interior_node(self):
         grid = build_grid_by_count(2)  # nodes -1, 0, 1
@@ -155,6 +174,35 @@ class TestSolveTridiag:
         )
         with pytest.raises(StepError, match="residual"):
             solve_tridiag(sys)
+
+    @pytest.mark.parametrize("fraction, accepted", [(0.5, True), (2.0, False)])
+    def test_residual_bound_holds_row_by_row(self, monkeypatch, fraction, accepted):
+        # One solved entry is moved so that one row's residual is a fraction
+        # of the bound rtol * (||A|| ||x|| + ||b||); every other row stays at
+        # roundoff.  The bound needs the largest residual and the largest |x|
+        # (here ~16x the smallest), not any other entry.
+        from cwblowup import TriDiagSystem, stepper
+
+        lam, n, k = 1e4, 50, 25
+        x_true = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+        sub, sup = np.full(n - 1, -lam), np.full(n - 1, -lam)
+        diag = np.full(n, 1.0 + 2.0 * lam)
+        rhs = tridiag_dense(sub, diag, sup) @ x_true
+        sys = TriDiagSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+        bound = 1e-12 * (sys.norm_inf() * np.max(x_true) + np.max(np.abs(rhs)))
+        real = stepper.dgtsv
+
+        def moved(*args, **kwargs):
+            du2, d, du, x, info = real(*args, **kwargs)
+            x[k] += fraction * bound / diag[k]
+            return du2, d, du, x, info
+
+        monkeypatch.setattr(stepper, "dgtsv", moved)
+        if accepted:
+            solve_tridiag(sys)
+        else:
+            with pytest.raises(StepError, match="residual"):
+                solve_tridiag(sys)
 
     def test_large_lambda_solve_accepted(self):
         # lambda_n = 6.4e4: the residual scales with ||A|| ||x||, not with
@@ -341,6 +389,70 @@ class TestStep:
         u = np.array([0.0, 1.0, np.nan])
         with pytest.raises(StepError, match="non-finite"):
             step(_state(u), grid, SimParams())
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, np.nan, 2.0],  # NaN inside the window
+            [0.0, 1.0, np.inf],  # +inf at the peak
+            [0.0, -np.inf, 2.0],  # -inf inside the window
+            [-np.inf, 1.0, 2.0],  # -inf at the held zero node
+        ],
+    )
+    def test_refuses_non_finite_before_arithmetic(self, values):
+        grid = build_grid_by_count(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # (-inf)**2.5 would warn
+            with pytest.raises(StepError, match="state contains non-finite values"):
+                step(_state(values), grid, SimParams(p=2.5, q=1.2))
+
+    def test_all_zero_window_keeps_the_reduce_sup_norm(self):
+        # The sup norm is read as new[new.argmax()], which may differ from
+        # np.maximum.reduce only in a zero's sign; an all-zero window keeps
+        # the reduce's bytes in the sup_norm column.  From an all -0.0 state
+        # at q = 1.2 numpy 2.4 reduces the new window (+0, -0, -0) to -0.0.
+        windows = [np.zeros(3), np.full(3, -0.0), np.array([0.0, -0.0, -0.0])]
+        windows += [np.full(21, -0.0), np.zeros(21), np.full(201, -0.0)]
+        for u in windows:
+            grid = build_grid_by_count(2 * (u.size - 1))
+            for params in (SimParams(p=2.0, q=1.0), SimParams(p=3.0, q=1.2)):
+                new = step(_state(u), grid, params).next
+                assert not np.any(new.u)
+                history = RunHistory()
+                history.record(new, grid)
+                expected = np.maximum.reduce(new.u).tobytes()
+                assert history.column("sup_norm")[0].tobytes() == expected
+
+    @pytest.mark.parametrize("value", [-1e-14, -0.0, 0.0])
+    def test_roundoff_negative_entry_clamped(self, monkeypatch, value):
+        # an entry below zero by less than picard_tol * sup is set to 0
+        state, grid, params = self._with_solved_entry(monkeypatch, value)
+        new = step(state, grid, params).next
+        half = padded_half(new)
+        assert half[1] == 0.0 and np.min(half) == 0.0
+        assert window_ok(new, grid)
+
+    def test_negative_entry_beyond_roundoff_refused(self, monkeypatch):
+        state, grid, params = self._with_solved_entry(monkeypatch, -1e-6)
+        with pytest.raises(NegativeSolutionError, match="negative entry -1.000e-06"):
+            step(state, grid, params)
+
+    @staticmethod
+    def _with_solved_entry(monkeypatch, value):
+        """A sine state whose every solve returns ``value`` at node 1."""
+        from cwblowup import make_initial, stepper
+
+        grid = build_grid(0.125)
+        params = SimParams(p=3.0, q=1.2, tau=0.1, lam=10.0, h=grid.h)
+        real = stepper.solve_tridiag
+
+        def solve(sys):
+            x = real(sys)
+            x[0] = value
+            return x
+
+        monkeypatch.setattr(stepper, "solve_tridiag", solve)
+        return make_initial(params, grid), grid, params
 
     def test_picard_fallback_converges_to_fixed_point(self):
         # a rough symmetric profile flips frozen signs; the re-frozen
