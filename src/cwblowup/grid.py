@@ -67,21 +67,31 @@ def build_grid(h_target: float) -> GridState:
 
 
 def compute_tau(params: SimParams, sup_norm: float) -> float:
-    """Adaptive time increment tau * min(1, sup^(1-p))."""
+    """Adaptive time increment tau * min(1, sup^(1-p)).
+
+    For sup <= 1 the minimum is 1, so tau is returned without the power,
+    which would overflow once a decaying run's sup norm is subnormal.
+    """
     if sup_norm <= 0.0:
         raise ValueError(f"sup_norm must be positive, got {sup_norm}")
+    if sup_norm <= 1.0:
+        return params.tau
     return params.tau * min(1.0, sup_norm ** (1.0 - params.p))
 
 def compute_h(params: SimParams, sup_norm: float) -> float:
     """Adaptive space increment min(h, (2*sup^(1-q))^(1/(2-q))).
 
     For q = 1 the second argument is 2, so the base spacing is returned
-    unchanged and the grid never changes along a run.
+    unchanged and the grid never changes along a run.  For sup <= 1 the
+    second argument is at least 2 >= h, so h is returned without the power,
+    which would overflow at a subnormal sup norm.
     """
     if sup_norm <= 0.0:
         raise ValueError(f"sup_norm must be positive, got {sup_norm}")
     if params.q >= 2.0:
         raise ValueError(f"q must be < 2 for the adaptive spacing rule, got {params.q}")
+    if sup_norm <= 1.0:
+        return params.h
     shrink = (2.0 * sup_norm ** (1.0 - params.q)) ** (1.0 / (2.0 - params.q))
     return min(params.h, shrink)
 

@@ -14,15 +14,44 @@ re-frozen (Picard) in the rare case they disagree.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from cwblowup.grid import GridState, compute_tau
 from cwblowup.params import SimParams
 from cwblowup.state import SolutionState, with_sup_norm
+
+
+def _load_dgtsv():
+    """LAPACK ``dgtsv`` from scipy's compiled ``_flapack`` module, loaded alone.
+
+    ``scipy.linalg``'s package init costs about 0.25 s and 20 MB per process
+    (its array-API layer imports ``numpy.f2py``); the extension module that
+    ``scipy.linalg.lapack`` re-exports loads in about 5 ms and holds the same
+    compiled routine.  Where no such file sits in the ``linalg`` directory of
+    the installed scipy (an editable build, say), the public import is used.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    dirs = scipy_spec.submodule_search_locations if scipy_spec else None
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(d, "linalg") for d in dirs or ()]
+    )
+    if spec is None:
+        from scipy.linalg.lapack import dgtsv
+
+        return dgtsv
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dgtsv
+
+
+dgtsv = _load_dgtsv()
+
 
 _MAX_TAU_HALVINGS = 20
 _RESIDUAL_RTOL = 1e-12

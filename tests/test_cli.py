@@ -85,6 +85,17 @@ class TestRunVerb:
         assert "choose a smaller lambda or q" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_decay_exits_3(self, tmp_path, capsys):
+        # p=2 q=1 lambda=2 decays to a subnormal sup norm; the run ends with
+        # SolverError, written and reported, not an escaped OverflowError
+        out = tmp_path / "decay"
+        argv = ["run", "--set", "p=2", "--set", "q=1", "--set", "lambda=2"]
+        with pytest.warns(UserWarning):
+            rc = main([*argv, "--output-dir", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().out.startswith("SolverError: ")
+        assert json.loads((out / "outcome.json").read_text())["status"] == "SolverError"
+
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert rc == 2

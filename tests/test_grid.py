@@ -47,6 +47,20 @@ class TestComputeH:
             compute_h(params, 10.0)
 
 
+@pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.5, 1.1), (3.0, 1.5), (5.0, 5.0 / 3.0)])
+@pytest.mark.parametrize("sup", [1e-320, 0.5, 1.0])
+def test_base_increments_up_to_unit_sup(p, q, sup):
+    # sup <= 1 keeps tau and h without the power: a subnormal sup norm of a
+    # decaying run would overflow sup**(1-p) (and the spacing rule's power
+    # near q_max = 2p/(p+1)), and where the power is finite it agrees
+    params = SimParams(p=p, q=q, tau=0.3, h=0.05)
+    assert compute_tau(params, sup) == 0.3
+    assert compute_h(params, sup) == 0.05
+    if sup >= 0.5:
+        assert 0.3 * min(1.0, sup ** (1.0 - p)) == 0.3
+        assert min(0.05, (2.0 * sup ** (1.0 - q)) ** (1.0 / (2.0 - q))) == 0.05
+
+
 class TestBuildGrid:
     def test_exact_divisor(self):
         g = build_grid(0.5)

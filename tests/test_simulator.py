@@ -106,6 +106,16 @@ class TestRun:
         assert outcome.status is RunStatus.SOLVER_ERROR
         assert "StiffError" in outcome.error
 
+    def test_subnormal_decay_ends_as_solver_error(self):
+        # a decaying run's sup norm goes subnormal; the adaptive increments
+        # keep tau and h there, so the run ends with the residual check's
+        # SolverError instead of an OverflowError from sup**(1-p)
+        with pytest.warns(UserWarning, match="large amplitude"):
+            outcome, _ = run(SimParams(p=2.0, q=1.0, lam=2.0))
+        assert outcome.status is RunStatus.SOLVER_ERROR
+        assert "solver residual" in outcome.error
+        assert 0.0 < outcome.final_state.sup_norm < 1e-300
+
     def test_invalid_params_raise(self):
         from cwblowup import ConfigError
 

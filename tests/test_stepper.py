@@ -1,7 +1,12 @@
 """Step assembly, the tridiagonal solve, and the frozen-sign step."""
 
+import importlib.machinery
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from cwblowup.grid import build_grid_by_count, compute_tau
 from cwblowup.simulator import RunHistory
 from cwblowup.state import SolutionState, mirrored
 from cwblowup.stepper import (
+    _WINDOW_MARGIN,
+    _ZERO_EDGE,
     NegativeSolutionError,
     StepError,
     StiffError,
@@ -284,6 +291,78 @@ class TestInPlaceSolve:
             self._assert_same_as_gtsv(sys)
 
 
+class TestLapackLoad:
+    """stepper loads dgtsv from scipy's _flapack module, not via scipy.linalg."""
+
+    def test_package_import_leaves_out_scipy_linalg(self):
+        from cwblowup import stepper
+
+        code = (
+            "import sys, cwblowup, cwblowup.cli, cwblowup.analysis; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+        )
+        src = str(Path(stepper.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    @staticmethod
+    def _assert_same_as_public(sub, diag, sup, rhs):
+        from scipy.linalg.lapack import dgtsv
+
+        from cwblowup import stepper
+
+        loaded = stepper.dgtsv(sub, diag, sup, rhs)
+        public = dgtsv(sub, diag, sup, rhs)
+        assert len(loaded) == len(public) == 5
+        for a, b in zip(loaded[:4], public[:4]):
+            assert a.tobytes() == b.tobytes()
+        assert loaded[4] == public[4]
+        return loaded[4]
+
+    def test_random_systems_match_public_routine(self):
+        # dominant systems solve without interchanges; |sub| > |diag| pivots
+        rng = np.random.default_rng(23)
+        for pivoting in (False, True):
+            for _ in range(200):
+                n = int(rng.integers(2, 40))
+                sub = rng.uniform(-1, 1, n - 1)
+                sup = rng.uniform(-1, 1, n - 1)
+                if pivoting:
+                    sub *= 4.0
+                    diag = rng.uniform(-1, 1, n)
+                else:
+                    diag = rng.uniform(1e-3, 2.0, n)
+                    diag[1:] += np.abs(sub)
+                    diag[:-1] += np.abs(sup)
+                rhs = rng.uniform(-5, 5, n)
+                assert self._assert_same_as_public(sub, diag, sup, rhs) == 0
+
+    def test_singular_system_same_info(self):
+        sub = np.array([0.0, 0.0, 1.0])
+        diag = np.array([1.0, 0.0, 2.0, 1.0])
+        sup = np.array([0.0, 0.0, 1.0])
+        assert self._assert_same_as_public(sub, diag, sup, np.ones(4)) == 2
+
+    def test_public_import_when_no_module_file(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        from cwblowup import stepper
+
+        real = importlib.machinery.PathFinder.find_spec
+
+        def find(name, path=None, target=None):
+            return None if name == "_flapack" else real(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", find)
+        dgtsv = stepper._load_dgtsv()
+        assert dgtsv is lapack.dgtsv
+        x, info = dgtsv(np.array([-1.0]), np.array([2.0, 2.0]), np.array([-1.0]), np.ones(2))[3:]
+        assert info == 0 and x.tolist() == [1.0, 1.0]
+
+
 class TestStep:
     def test_zero_state_is_fixed_point(self):
         grid = build_grid_by_count(8)
@@ -525,6 +604,31 @@ class TestFrozenSignCheck:
 
 class TestWindow:
     """A windowed step is the step of the whole zero-padded half, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "first_nonzero, sizes", [(_ZERO_EDGE, [34, 66]), (_ZERO_EDGE + 1, [34])]
+    )
+    def test_zero_edge_width(self, monkeypatch, first_nonzero, sizes):
+        # a windowed solve is accepted only when all _ZERO_EDGE nodes next to
+        # its held zero come out exactly 0: a non-zero node at distance 8
+        # doubles the margin, one at distance 9 does not
+        from cwblowup import stepper
+
+        solved = []
+
+        def level(u, h, params, tau_n, sup):
+            new = np.zeros(u.size)
+            new[-1] = 1.0
+            if not solved:
+                new[first_nonzero] = 1e-300
+            solved.append(u.size)
+            return new, 1, 0
+
+        monkeypatch.setattr(stepper, "_solve_level", level)
+        state = SolutionState(u=np.array([0.0, 1.0]), t=0.0, n=0, tau_last=0.0, offset=100)
+        lo, _, _, _ = stepper._solve_window(state, 0.01, SimParams(), 0.1, 1.0)
+        assert solved == sizes
+        assert lo == 100 - _WINDOW_MARGIN * len(sizes)
 
     @staticmethod
     def _assert_same_as_whole_half(state, grid, params):
