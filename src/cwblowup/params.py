@@ -43,7 +43,7 @@ class ConfigError(ValueError):
     """Bad configuration file, key, or parameter combination."""
 
 
-class InitialDataError(ValueError):
+class InitialDataError(ConfigError):
     """Initial data violating the bump-profile requirements."""
 
 
@@ -360,10 +360,7 @@ def build_params(
         rel = Path(choice[len("file:") :])
         if base_dir is not None and not rel.is_absolute():
             rel = base_dir / rel
-        try:
-            initial = InitialData.from_csv(rel)
-        except InitialDataError as exc:
-            raise ConfigError(str(exc)) from exc
+        initial = InitialData.from_csv(rel)
     else:
         raise ConfigError(f"initial must be 'sine' or 'file:PATH', got {choice!r}")
     return params, initial

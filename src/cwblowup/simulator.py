@@ -10,7 +10,6 @@ many tiny geometric terms.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -50,7 +49,13 @@ HISTORY_COLUMNS = (
     "u_m_plus_1",
     "u_m_plus_2",
 )
-_COLUMN_INDEX = {name: j for j, name in enumerate(HISTORY_COLUMNS)}
+# The block stores the first eight columns; each u_m_plus_k column reads the
+# stored u_m_minus_k, its mirror image.
+_STORED_COLUMNS = HISTORY_COLUMNS[:8]
+_COLUMN_INDEX = {name: j for j, name in enumerate(_STORED_COLUMNS)}
+_COLUMN_INDEX.update(
+    u_m_plus_1=_COLUMN_INDEX["u_m_minus_1"], u_m_plus_2=_COLUMN_INDEX["u_m_minus_2"]
+)
 
 # A snapshot holds all K+1 coordinates and values: about 67 MB at this K.
 _SNAPSHOT_MAX_INTERVALS = 2**22
@@ -76,25 +81,34 @@ class RunStatus(Enum):
 
 
 class RunHistory:
-    """Per-step records plus optional full snapshots.
+    """Per-step records, the invariants that can fail, and optional snapshots.
 
     Row k holds the state after k accepted steps; ``tau_n`` and ``h_n`` in
     row k are the increments used by the step that produced it (0 and the
     initial spacing in row 0).  Tracked values follow the middle index of the
     current grid, so after a regrid they continue to describe the peak and
-    its offset neighbours.  The ``u_m_plus_k`` columns repeat ``u_m_minus_k``,
-    their mirror images.  Snapshots hold all K+1 nodes.
+    its offset neighbours.  Snapshots hold all K+1 nodes.
 
-    The rows live in one float64 block with a row per record, whose capacity
-    doubles when it fills; :meth:`column` and ``rows`` are views of the
-    filled rows.
+    The rows live in one float64 block of the eight ``_STORED_COLUMNS``,
+    with a row per record, whose capacity doubles when it fills;
+    :meth:`column` and ``rows`` are views of the filled rows.  A state is
+    its left half, so the ``u_m_plus_k`` columns are views of
+    ``u_m_minus_k``, their mirror images.
+
+    Each recorded state is also checked for the two invariants that can
+    fail: monotonicity of the left half, and the peak at the middle node.
     """
 
     def __init__(self) -> None:
-        self._block = np.empty((256, len(HISTORY_COLUMNS)))
+        self._block = np.empty((256, len(_STORED_COLUMNS)))
         self._filled = 0
         self.snapshots: list[tuple[int, float, np.ndarray, np.ndarray]] = []
-        self.invariant_summary: dict | None = None
+        # counters of the invariants that can fail, over every recorded state
+        self.invariant_summary = {
+            "monotonicity_violations": 0,
+            "worst_monotonicity_defect": 0.0,
+            "sup_norm_at_middle": True,
+        }
 
     def column(self, name: str) -> np.ndarray:
         """The named column over the filled rows, as a view of the block."""
@@ -108,71 +122,35 @@ class RunHistory:
     def __len__(self) -> int:
         return self._filled
 
-    def append_row(self, values: tuple[float, ...]) -> None:
-        """Append one row of values in ``HISTORY_COLUMNS`` order."""
+    def record(self, state: SolutionState, grid: GridState) -> None:
+        """Append the state's row and check its invariants."""
         k = self._filled
         if k == self._block.shape[0]:
-            grown = np.empty((2 * k, len(HISTORY_COLUMNS)))
+            grown = np.empty((2 * k, len(_STORED_COLUMNS)))
             grown[:k] = self._block
             self._block = grown
-        self._block[k] = values
-        self._filled = k + 1
-
-    def record(self, state: SolutionState, grid: GridState) -> None:
-        u = state.u  # the window ends at the peak node and holds mid-2..mid
+        # the window runs from a zero node u[0] to the peak node u[-1] and
+        # holds mid-2..mid
+        u = state.u
+        sup = state.sup_norm
         # with mid = 1 there is no second neighbour; u[-3] would wrap to the peak
         second = u[-3] if grid.mid >= 2 else 0.0
-        first = u[-2]
-        self.append_row((
-            state.n, state.t, state.tau_last, grid.h, state.sup_norm,
-            u[-1], first, second, first, second,
-        ))
+        self._block[k] = (
+            state.n, state.t, state.tau_last, grid.h, sup, u[-1], u[-2], second,
+        )
+        self._filled = k + 1
+
+        diffs = u[1:] - u[:-1]
+        defect = float(diffs[diffs.argmin()])
+        if defect < -1e-12 * max(sup, 1.0):
+            inv = self.invariant_summary
+            inv["monotonicity_violations"] += 1
+            inv["worst_monotonicity_defect"] = min(inv["worst_monotonicity_defect"], defect)
+        if u[-1] < sup:
+            self.invariant_summary["sup_norm_at_middle"] = False
 
     def add_snapshot(self, state: SolutionState, grid: GridState) -> None:
         self.snapshots.append((state.n, state.t, grid.nodes.copy(), mirrored(state)))
-
-
-class _InvariantMonitor:
-    """Observes each accepted state; recording never touches the run."""
-
-    def __init__(self) -> None:
-        self.min_entry = math.inf
-        self.monotonicity_violations = 0
-        self.worst_monotonicity_defect = 0.0
-        self.boundary_ok = True
-        self.sup_at_mid = True
-        self.steps_observed = 0
-
-    def observe(self, state: SolutionState) -> None:
-        u = state.u  # window of the left half: zero node at u[0], peak node at u[-1]
-        sup = state.sup_norm
-        scale = max(sup, 1.0)
-        self.steps_observed += 1
-        diffs = u[1:] - u[:-1]
-        defect = float(diffs[diffs.argmin()])
-        # a strictly increasing window takes its minimum at u[0] alone; any
-        # other is searched, since a tie of 0.0 and -0.0 makes u[0] differ
-        # from the minimum in its sign
-        self.min_entry = min(self.min_entry, float(u[0] if defect > 0.0 else u.min()))
-        # left of offset 0 every node, the boundary too, is 0 by construction
-        if state.offset == 0 and u[0] != 0.0:
-            self.boundary_ok = False
-        if defect < -1e-12 * scale:
-            self.monotonicity_violations += 1
-            self.worst_monotonicity_defect = min(self.worst_monotonicity_defect, defect)
-        if u[-1] < sup:
-            self.sup_at_mid = False
-
-    def summary(self) -> dict:
-        return {
-            "steps_observed": self.steps_observed,
-            "max_asymmetry": 0.0,  # a left-half state is symmetric by construction
-            "min_entry": self.min_entry if self.steps_observed else 0.0,
-            "monotonicity_violations": self.monotonicity_violations,
-            "worst_monotonicity_defect": self.worst_monotonicity_defect,
-            "boundary_zero": self.boundary_ok,
-            "sup_norm_at_middle": self.sup_at_mid,
-        }
 
 
 @dataclass(frozen=True)
@@ -206,7 +184,6 @@ def run(
     *,
     snapshot_every: int = 0,
     t_stop: float | None = None,
-    monitor: bool = True,
 ) -> tuple[RunOutcome, RunHistory]:
     """Drive a full simulation.
 
@@ -214,7 +191,8 @@ def run(
     carried per offset from the centre (:func:`carry_to_grid`) to the finer
     grid whenever the snapped interval count changed.
 
-    Returns the outcome together with the per-step history.  Step failures
+    Returns the outcome together with the per-step history, which also
+    counts invariant violations (:class:`RunHistory`).  Step failures
     are reported through the outcome status, not raised.  An initial grid of
     more than ``_INITIAL_MAX_INTERVALS`` intervals raises :class:`ConfigError`
     before the profile is sampled on it.  With
@@ -239,7 +217,6 @@ def run(
     state = make_initial(params, grid, initial)
 
     history = RunHistory()
-    mon = _InvariantMonitor() if monitor else None
     history.record(state, grid)
     if snapshot_every > 0:
         history.add_snapshot(state, grid)
@@ -278,8 +255,6 @@ def run(
             break
 
         history.record(state, grid)
-        if mon is not None:
-            mon.observe(state)
         if snapshot_every > 0 and state.n % snapshot_every == 0:
             history.add_snapshot(state, grid)
 
@@ -287,8 +262,6 @@ def run(
         not history.snapshots or history.snapshots[-1][0] != state.n
     ):
         history.add_snapshot(state, grid)
-    if mon is not None:
-        history.invariant_summary = mon.summary()
 
     outcome = RunOutcome(
         status=status,

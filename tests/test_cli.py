@@ -116,6 +116,13 @@ class TestRunVerb:
         )
         assert rc == 2
 
+    def test_refused_initial_data_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "small"
+        rc = main(["run", "--set", "lambda=0.5", "--output-dir", str(out)])
+        assert rc == 2
+        assert "sup norm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, fast_config, tmp_path):
         rc = main(
             [
@@ -225,14 +232,14 @@ class TestTimeTableVerb:
             assert row[6] == "BlewUp"
 
     def test_sweep_shared_with_figures(self, fast_config, tmp_path, monkeypatch):
-        # both verbs run each amplitude once, in order and unmonitored
+        # both verbs run each amplitude once, in order
         from cwblowup import cli
 
         calls = []
         real_run = cli.run
 
         def recording_run(params, initial=None, **kwargs):
-            calls.append((params.lam, kwargs.get("monitor", True)))
+            calls.append(params.lam)
             return real_run(params, initial, **kwargs)
 
         monkeypatch.setattr(cli, "run", recording_run)
@@ -240,7 +247,7 @@ class TestTimeTableVerb:
             calls.clear()
             argv = [verb, "--config", str(fast_config), "--lambdas", "100,10"]
             assert main(argv + ["--output-dir", str(tmp_path / verb)]) == 0
-            assert calls[-2:] == [(100.0, False), (10.0, False)]
+            assert calls[-2:] == [100.0, 10.0]
 
     def test_requires_sine_initial(self, tmp_path):
         table = tmp_path / "bump.csv"
@@ -455,3 +462,29 @@ class TestDiagnosticsVerb:
         payload = json.loads((out / "diagnostics.json").read_text())
         assert payload["ratio_diagnostics"]["applicable"]
         assert payload["failures"] == ["peak growth deviates 50.000% from 1+tau"]
+
+    def test_monotonicity_violation_exits_4(self, tmp_path, monkeypatch):
+        # no run is known to record a non-monotone window, so a dented copy of
+        # the final window is recorded after a multi-point run, where the
+        # limit checks do not apply
+        from dataclasses import replace
+
+        from cwblowup import cli
+
+        real_run = cli.run
+
+        def dented_run(params, initial=None, **kwargs):
+            outcome, history = real_run(params, initial, **kwargs)
+            u = outcome.final_state.u.copy()
+            u[1] = 0.5 * u[-1]
+            history.record(replace(outcome.final_state, u=u), outcome.final_grid)
+            return outcome, history
+
+        monkeypatch.setattr(cli, "run", dented_run)
+        out = tmp_path / "diag_dent"
+        rc = main(["diagnostics", "--set", "p=2", "--set", "q=1", "--output-dir", str(out)])
+        assert rc == 4
+        payload = json.loads((out / "diagnostics.json").read_text())
+        assert not payload["ratio_diagnostics"]["applicable"]
+        assert payload["failures"] == ["1 monotonicity violations"]
+        assert payload["invariants"]["worst_monotonicity_defect"] < 0.0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cwblowup import SimParams, build_grid, carry_to_grid, compute_h, compute_tau, step, validate
 from cwblowup.analysis import amplitude_lower_bound
 from cwblowup.grid import build_grid_by_count
-from cwblowup.simulator import _InvariantMonitor
+from cwblowup.simulator import RunHistory
 from cwblowup.state import SolutionState
 from cwblowup.stepper import StiffError, TriDiagSystem, assemble
 
@@ -167,23 +167,29 @@ def test_fused_dominance_matches_row_oracle(case):
     assert sys.dominance_margin() == margin
 
 
-class _PassMonitor(_InvariantMonitor):
-    """The monitor with one numpy pass per fact: min, then the differences."""
+class _PassMonitor:
+    """The recorded invariants with one numpy pass per fact."""
 
-    def observe(self, state):
-        u = state.u
-        sup = state.sup_norm
-        scale = max(sup, 1.0)
-        self.steps_observed += 1
-        self.min_entry = min(self.min_entry, float(np.min(u)))
-        if state.offset == 0 and u[0] != 0.0:
-            self.boundary_ok = False
+    def __init__(self):
+        self.violations = 0
+        self.worst = 0.0
+        self.sup_at_mid = True
+
+    def observe(self, u):
+        sup = float(np.max(u))
         defect = float(np.min(np.diff(u)))
-        if defect < -1e-12 * scale:
-            self.monotonicity_violations += 1
-            self.worst_monotonicity_defect = min(self.worst_monotonicity_defect, defect)
+        if defect < -1e-12 * max(sup, 1.0):
+            self.violations += 1
+            self.worst = min(self.worst, defect)
         if u[-1] < sup:
             self.sup_at_mid = False
+
+    def summary(self):
+        return {
+            "monotonicity_violations": self.violations,
+            "worst_monotonicity_defect": self.worst,
+            "sup_norm_at_middle": self.sup_at_mid,
+        }
 
 
 _window = st.lists(
@@ -199,15 +205,18 @@ _window = st.lists(
         st.tuples(_window, st.integers(0, 3), st.booleans()), min_size=1, max_size=8
     )
 )
-@example(windows=[([0.0, -0.0], 0, False)])  # a tie of signed zeros: min is not u[0]
+@example(windows=[([0.0, -0.0], 0, False)])  # a signed-zero difference is no defect
 def test_fused_observe_matches_passes(windows):
-    fused, passes = _InvariantMonitor(), _PassMonitor()
+    history, passes = RunHistory(), _PassMonitor()
     for values, offset, monotone in windows:
         u = np.sort(values) if monotone else np.array(values)
+        # a window holds at least the nodes mid-2..mid, or the whole half
+        offset = offset if u.size >= 3 else 0
         state = SolutionState(u=u, t=0.0, n=0, tau_last=0.0, offset=offset)
-        fused.observe(state)
-        passes.observe(state)
-    assert repr(fused.summary()) == repr(passes.summary())
+        history.record(state, build_grid_by_count(2 * (u.size - 1 + offset)))
+        passes.observe(u)
+    assert repr(history.invariant_summary) == repr(passes.summary())
+    assert len(history) == len(windows)
 
 
 _SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 2.5)

@@ -122,6 +122,14 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(SimParams(p=0.5))
 
+    def test_refused_initial_data_is_a_config_error(self):
+        # validate() accepts lambda = 0.5, but the sine profile is refused;
+        # only ConfigError leaves run()
+        from cwblowup import ConfigError
+
+        with pytest.raises(ConfigError, match="sup norm"):
+            run(SimParams(lam=0.5))
+
     def test_table_initial_mirrored_and_stays_clean(self):
         # table data is sampled on the left half and mirrored, so it takes
         # the half-range step like the sine bump and stays bit-symmetric
@@ -132,10 +140,7 @@ class TestRun:
         params = _fast_params(q=1.2, lam=40.0)
         outcome, history = run(params, data)
         assert outcome.status is RunStatus.BLEW_UP
-        inv = history.invariant_summary
-        assert inv["max_asymmetry"] == 0.0
-        assert inv["min_entry"] >= 0.0
-        assert inv["monotonicity_violations"] == 0
+        assert history.invariant_summary["monotonicity_violations"] == 0
 
     def test_every_state_is_a_left_half(self, monkeypatch):
         # make_initial, carry_to_grid and step hand on window states that
@@ -225,11 +230,11 @@ class TestRun:
 
     def test_invariant_summary_attached(self):
         _, history = run(_fast_params())
-        inv = history.invariant_summary
-        assert inv["max_asymmetry"] == 0.0
-        assert inv["min_entry"] >= 0.0
-        assert inv["monotonicity_violations"] == 0
-        assert inv["boundary_zero"] and inv["sup_norm_at_middle"]
+        assert history.invariant_summary == {
+            "monotonicity_violations": 0,
+            "worst_monotonicity_defect": 0.0,
+            "sup_norm_at_middle": True,
+        }
 
 
 class TestRecord:
@@ -337,15 +342,27 @@ class TestRunHistoryBlock:
         # the block doubles its capacity when full; rows written before a
         # growth must read back unchanged, and views cover the filled rows only
         history = RunHistory()
+        grid = build_grid_by_count(4)
         n_rows = 1000
-        for k in range(n_rows):
-            history.append_row(tuple(float(k * 10 + j) for j in range(len(HISTORY_COLUMNS))))
+        k = np.arange(n_rows) * 10.0
+        for n in range(n_rows):
+            u = np.array([0.0, k[n] + 2.0, k[n] + 5.0])
+            history.record(SolutionState(u=u, t=k[n] + 1.0, n=n, tau_last=k[n] + 3.0), grid)
         assert len(history) == n_rows
-        for j, name in enumerate(HISTORY_COLUMNS):
+        expected = {
+            "n": np.arange(n_rows), "t": k + 1.0, "tau_n": k + 3.0, "h_n": grid.h,
+            "sup_norm": k + 5.0, "u_m": k + 5.0, "u_m_minus_1": k + 2.0,
+            "u_m_minus_2": 0.0, "u_m_plus_1": k + 2.0, "u_m_plus_2": 0.0,
+        }
+        for name in HISTORY_COLUMNS:
             col = history.column(name)
             assert col.dtype == np.float64 and col.shape == (n_rows,)
-            assert np.array_equal(col, np.arange(n_rows) * 10.0 + j)
+            assert np.array_equal(col, np.broadcast_to(expected[name], n_rows)), name
             assert np.array_equal(history.rows[name], col)
+        # one side is stored: each mirror column is a view of its minus column
+        for j in (1, 2):
+            plus, minus = history.column(f"u_m_plus_{j}"), history.column(f"u_m_minus_{j}")
+            assert np.shares_memory(plus, minus)
 
     def test_empty_history_columns(self):
         history = RunHistory()
