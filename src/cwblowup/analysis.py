@@ -19,6 +19,7 @@ import numpy as np
 from cwblowup.grid import interval_count_for
 from cwblowup.params import InitialData, SimParams
 from cwblowup.simulator import RunHistory, RunOutcome, RunStatus, run
+from cwblowup.state import mirrored
 from cwblowup.stepper import StepError
 
 # Classifier thresholds (see classify_blowup_set): chosen so the classes
@@ -382,25 +383,24 @@ def _solution_at_time(
     """Run to t_check and interpolate the node values linearly in time.
 
     Returns (values, mid, interval_count).  The run must reach t_check
-    before blowing up or exhausting its budget.
+    before blowing up or exhausting its budget; it stops at the first state
+    with t >= t_check, and the state recorded before it lies before t_check.
     """
-    outcome, history = run(params, initial, snapshot_every=1, t_stop=t_check)
+    outcome, history = run(params, initial, t_stop=t_check)
     _raise_on_solver_error(outcome, params.h)
     if outcome.status is not RunStatus.TIME_LIMIT:
         raise ValueError(
             f"run at h={params.h} ended with {outcome.status.value} before "
             f"t_check={t_check}; pick a smaller t_check"
         )
-    snaps = history.snapshots
-    idx = next(i for i, s in enumerate(snaps) if s[1] >= t_check)
-    after = snaps[idx]
-    before = snaps[idx - 1] if idx > 0 else after
-    if before[3].size != after[3].size:
+    after = history.latest
+    before = history.previous or after
+    u0, u1 = mirrored(before), mirrored(after)
+    if u0.size != u1.size:
         raise ValueError("grid changed across t_check; pick a smaller t_check")
-    t0, u0 = before[1], before[3]
-    t1, u1 = after[1], after[3]
+    t0, t1 = before.t, after.t
     if t1 == t0:
-        u = u1.copy()
+        u = u1
     else:
         w = (t_check - t0) / (t1 - t0)
         u = u0 + w * (u1 - u0)

@@ -3,8 +3,8 @@
 The solver expects exponents p > 1 and 1 <= q <= 2p/(p+1), positive base
 increments tau and h, and bump-shaped initial data: continuous, nonnegative,
 symmetric about x = 0, strictly increasing on [-1, 0], zero at both ends,
-and with a large sup norm (the adaptive mesh rules degenerate for small
-amplitudes).
+and with a sup norm above 1 (a smaller profile decays, and its run would end
+in a solver error once u is subnormal).
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ class SimParams:
         lam: amplitude of the sine bump initial profile.
         blow_threshold: sup-norm level at which blow-up is declared.
         max_steps: step budget before giving up.
-        picard_tol: sup-norm tolerance for the frozen-sign fallback iteration.
-        picard_max_iters: iteration cap for that fallback.
+        picard_tol: relative roundoff tolerance (times max(1, sup)) within
+            which a negative solved entry is set to 0 rather than refused.
+        picard_max_iters: iteration cap for the frozen-sign fallback.
     """
 
     p: float = 3.0
@@ -268,7 +269,8 @@ def _check_profile(x: np.ndarray, u: np.ndarray, *, context: str) -> None:
         raise InitialDataError(f"{context}: profile must increase strictly on [-1, 0]")
     if scale <= 1.0:
         raise InitialDataError(
-            f"{context}: sup norm {scale} <= 1; the adaptive mesh rules degenerate"
+            f"{context}: sup norm {scale} <= 1; such a run decays and ends in a "
+            "solver error once u is subnormal"
         )
     if scale < 10.0:
         warnings.warn(

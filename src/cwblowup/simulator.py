@@ -97,12 +97,15 @@ class RunHistory:
 
     Each recorded state is also checked for the two invariants that can
     fail: monotonicity of the left half, and the peak at the middle node.
+    The two newest recorded states are kept as ``previous`` and ``latest``.
     """
 
     def __init__(self) -> None:
         self._block = np.empty((256, len(_STORED_COLUMNS)))
         self._filled = 0
         self.snapshots: list[tuple[int, float, np.ndarray, np.ndarray]] = []
+        self.previous: SolutionState | None = None
+        self.latest: SolutionState | None = None
         # counters of the invariants that can fail, over every recorded state
         self.invariant_summary = {
             "monotonicity_violations": 0,
@@ -123,7 +126,8 @@ class RunHistory:
         return self._filled
 
     def record(self, state: SolutionState, grid: GridState) -> None:
-        """Append the state's row and check its invariants."""
+        """Append the state's row, keep the state and check its invariants."""
+        self.previous, self.latest = self.latest, state
         k = self._filled
         if k == self._block.shape[0]:
             grown = np.empty((2 * k, len(_STORED_COLUMNS)))

@@ -89,17 +89,17 @@ class NegativeSolutionError(StepError):
 class TriDiagSystem(NamedTuple):
     """Tridiagonal system rows: sub[j-1]*x[j-1] + diag[j]*x[j] + sup[j]*x[j+1] = rhs[j].
 
-    ``norm`` and ``rhs_norm`` are ||A||_inf and ||b||_inf when the code that
-    forms the system already knows them (:func:`assemble` does);
-    :func:`solve_tridiag` computes any that is None row by row.
+    ``norm`` and ``rhs_norm`` are ||A||_inf and ||b||_inf, supplied by the
+    code that forms the system (:func:`assemble` knows both); :meth:`norm_inf`
+    recomputes ||A||_inf row by row.
     """
 
     sub: np.ndarray   # length n-1
     diag: np.ndarray  # length n
     sup: np.ndarray   # length n-1
     rhs: np.ndarray   # length n
-    norm: float | None = None
-    rhs_norm: float | None = None
+    norm: float
+    rhs_norm: float
 
     @property
     def size(self) -> int:
@@ -220,9 +220,7 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
     r[:-1] += sys.sup * x[1:]
     np.abs(r, r)
     resid = float(r[r.argmax()])
-    norm = sys.norm_inf() if sys.norm is None else sys.norm
-    rhs_norm = float(np.abs(sys.rhs).max()) if sys.rhs_norm is None else sys.rhs_norm
-    if resid > _RESIDUAL_RTOL * (norm * x_norm + rhs_norm):
+    if resid > _RESIDUAL_RTOL * (sys.norm * x_norm + sys.rhs_norm):
         raise StepError(
             f"solver residual {resid:.3e} exceeds {_RESIDUAL_RTOL} * "
             "(||A|| ||x|| + ||b||)"
@@ -235,7 +233,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
 
     Freezes the gradient-term signs from the current level, solves the
     tridiagonal system with a reflection at the peak, verifies the signs a
-    posteriori, and falls back to re-frozen Picard iterations on a mismatch.
+    posteriori, and re-freezes contradicted signs (Picard) until a solve keeps all.
     Diagonal-dominance loss is retried with a halved time increment up to 20
     times.  The solve covers rows lo+1..mid with lo = max(0, offset - 32) and
     node lo held at 0; unless lo = 0 it is accepted only when the 8 solved
@@ -273,7 +271,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     last_stiff: StiffError | None = None
     for _ in range(_MAX_TAU_HALVINGS + 1):
         try:
-            lo, new, iters, flips = _solve_window(state, grid.h, params, tau_n, sup)
+            lo, new, iters, flips = _solve_window(state, grid.h, params, tau_n)
             break
         except StiffError as exc:
             last_stiff = exc
@@ -304,12 +302,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     next_state = SolutionState(
         u=new, t=t, n=state.n + 1, tau_last=tau_n, offset=lo, t_comp=(t - state.t) - y
     )
-    new_sup = float(new[new.argmax()])
-    if new_sup == 0.0:
-        # an all-zero window keeps np.maximum.reduce's sign of zero, which
-        # the sup_norm history column records
-        new_sup = float(np.maximum.reduce(new))
-    with_sup_norm(next_state, new_sup)
+    with_sup_norm(next_state, float(new[new.argmax()]))
     return StepResult(next_state, iters, flips)
 
 
@@ -318,7 +311,6 @@ def _solve_window(
     h: float,
     params: SimParams,
     tau_n: float,
-    sup: float,
 ) -> tuple[int, np.ndarray, int, int]:
     """Solve the level on u_lo..u_mid, widening the zero margin left of the window.
 
@@ -329,7 +321,7 @@ def _solve_window(
     while True:
         lo = max(0, offset - margin)
         u = np.concatenate((np.zeros(offset - lo), state.u)) if offset else state.u
-        new, iters, flips = _solve_level(u, h, params, tau_n, sup)
+        new, iters, flips = _solve_level(u, h, params, tau_n)
         if lo == 0 or not np.count_nonzero(new[1 : _ZERO_EDGE + 1]):
             return lo, new, iters, flips
         margin *= 2
@@ -340,13 +332,14 @@ def _solve_level(
     h: float,
     params: SimParams,
     tau_n: float,
-    sup: float,
 ) -> tuple[np.ndarray, int, int]:
     """Frozen-sign solve with a posteriori verification and Picard fallback.
 
     Works on rows lo+1..mid-1 of the window u_lo..u_mid, the rows whose
     gradient term survives the fold, and returns the new values
-    u'_lo..u'_mid with u'_lo = 0.  Sign flips count both halves.
+    u'_lo..u'_mid with u'_lo = 0 from the first solve that contradicts none
+    of its frozen signs (re-freezing would then solve the same system
+    again).  Sign flips count both halves.
     """
     rhs, rhs_norm = source_rhs(u, tau_n, params.p)
     diffs = u[2:] - u[:-2]  # u_{j+1} - u_{j-1}, rows lo+1..mid-1
@@ -354,7 +347,6 @@ def _solve_level(
     signs = np.sign(diffs)
 
     total_flips = 0
-    prev: np.ndarray | None = None
     for iteration in range(1, params.picard_max_iters + 1):
         x = solve_tridiag(assemble(rhs, rhs_norm, h, tau_n, gamma * signs))
         new = x.base  # u'_lo .. u'_mid, the solve's buffer led by u'_lo = 0
@@ -366,14 +358,9 @@ def _solve_level(
         contradiction = gamma * new_signs * (new_signs - signs)
         flips = 2 * np.count_nonzero(contradiction)
         if flips == 0:
-            if prev is None:
-                return new, iteration, total_flips
-            gap = float(np.abs(new - prev).max())
-            if gap < params.picard_tol * max(1.0, sup):
-                return new, iteration, total_flips
+            return new, iteration, total_flips
         total_flips += flips
         signs = np.where(contradiction != 0.0, new_signs, signs)
-        prev = new
     raise PicardError(
         f"no sign fixed point within {params.picard_max_iters} iterations "
         f"({total_flips} total sign flips)"

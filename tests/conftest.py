@@ -8,6 +8,7 @@ import pytest
 from cwblowup import SimParams, build_grid
 from cwblowup.grid import GridState
 from cwblowup.state import SolutionState
+from cwblowup.stepper import TriDiagSystem
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -42,6 +43,12 @@ def tridiag_dense(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndar
     a[np.arange(1, n), np.arange(n - 1)] = sub
     a[np.arange(n - 1), np.arange(1, n)] = sup
     return a
+
+
+def row_norm_system(sub, diag, sup, rhs) -> TriDiagSystem:
+    """A hand-built system whose ||A|| and ||b|| come from the row-wise oracle."""
+    rows = TriDiagSystem(sub, diag, sup, rhs, np.nan, np.nan)
+    return rows._replace(norm=rows.norm_inf(), rhs_norm=float(np.abs(rhs).max()))
 
 
 def nonlinear_step_oracle(

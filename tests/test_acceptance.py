@@ -19,13 +19,13 @@ from cwblowup import (
     step,
     validate,
 )
-from cwblowup import TriDiagSystem
 from cwblowup.state import mirrored
 
 from conftest import (
     dense_solve,
     nonlinear_step_oracle,
     random_symmetric_monotone_state,
+    row_norm_system,
     tridiag_dense,
 )
 
@@ -239,7 +239,7 @@ def test_criterion_6_oracle_equivalence():
         diag += rng.uniform(0.05, 2.0, n)
         diag *= rng.choice([-1.0, 1.0], n)
         rhs = rng.uniform(-10.0, 10.0, n)
-        x = solve_tridiag(TriDiagSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
+        x = solve_tridiag(row_norm_system(sub=sub, diag=diag, sup=sup, rhs=rhs))
         x_ref = dense_solve(tridiag_dense(sub, diag, sup), rhs)
         scale = max(1.0, float(np.max(np.abs(x_ref))))
         worst_solve = max(worst_solve, float(np.max(np.abs(x - x_ref))) / scale)

@@ -14,7 +14,7 @@ from cwblowup import (
     peak_ratio_diagnostics,
     run,
 )
-from cwblowup.analysis import compare_to_reference
+from cwblowup.analysis import _solution_at_time, compare_to_reference
 from cwblowup.grid import build_grid_by_count
 from cwblowup.simulator import RunHistory, RunStatus
 from cwblowup.state import SolutionState
@@ -183,6 +183,45 @@ class TestConvergence:
         params = SimParams(p=2.0, q=1.0, tau=0.1, h=0.1, lam=10.0, blow_threshold=1e10)
         with pytest.raises(ValueError, match="t_check"):
             convergence_study(params, t_check=10.0, grid_levels=(0.2, 0.1, 0.05))
+
+    def test_study_takes_no_snapshot(self, monkeypatch):
+        # each level reads the two newest recorded states around t_check
+        def refuse(self, state, grid):
+            raise AssertionError("convergence_study took a snapshot")
+
+        monkeypatch.setattr(RunHistory, "add_snapshot", refuse)
+        params = SimParams(p=2.0, q=1.0, tau=0.1, h=0.2, lam=10.0, blow_threshold=1e10)
+        report = convergence_study(
+            params, grid_levels=(0.2, 0.1, 0.05), reference_h=0.0125
+        )
+        assert all(e > 0 for e in report.errors)
+
+    def test_solution_interpolated_between_the_states_around_t_check(self):
+        # oracle: the two states around t_check, from a snapshot at every step
+        params = SimParams(p=2.0, q=1.0, tau=0.1, h=0.1, lam=10.0)
+        _, history = run(params, snapshot_every=1)
+        (_, t0, _, u0), (_, t1, _, u1) = history.snapshots[4:6]
+        t_check = t0 + 0.25 * (t1 - t0)
+        u, mid, k = _solution_at_time(params, t_check, None)
+        w = (t_check - t0) / (t1 - t0)
+        assert u.tobytes() == (u0 + w * (u1 - u0)).tobytes()
+        assert (mid, k) == (u.size // 2, u.size - 1)
+
+    def test_grid_change_across_t_check_refused(self):
+        # state n is the first on a finer grid, so the states around t_n
+        # differ in size
+        params = SimParams(p=3.0, q=1.2, lam=10.0)
+        _, history = run(params)
+        h = history.column("h_n")
+        n = int(np.flatnonzero(h[1:] != h[:-1])[0]) + 1
+        with pytest.raises(ValueError, match="grid changed"):
+            _solution_at_time(params, float(history.column("t")[n]), None)
+
+    def test_keeps_the_two_newest_states(self):
+        outcome, history = run(SimParams(p=2.0, q=1.0), t_stop=0.05)
+        assert history.latest is outcome.final_state
+        assert history.previous.n == outcome.n_final - 1
+        assert history.previous.t < 0.05 <= history.latest.t
 
     def test_small_study_runs(self):
         params = SimParams(p=2.0, q=1.0, tau=0.1, h=0.2, lam=10.0, blow_threshold=1e10)

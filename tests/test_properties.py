@@ -10,9 +10,14 @@ from cwblowup.analysis import amplitude_lower_bound
 from cwblowup.grid import build_grid_by_count
 from cwblowup.simulator import RunHistory
 from cwblowup.state import SolutionState
-from cwblowup.stepper import StiffError, TriDiagSystem, assemble
+from cwblowup.stepper import StiffError, assemble
 
-from conftest import padded_half, random_symmetric_monotone_state, window_ok
+from conftest import (
+    padded_half,
+    random_symmetric_monotone_state,
+    row_norm_system,
+    window_ok,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 anything = st.floats(allow_nan=True, allow_infinity=True)
@@ -124,7 +129,7 @@ def _row_oracle_system(rhs, lam, signed_gamma):
     m = rhs.size
     sub = np.full(m - 1, -2.0 * lam)
     sub[:-1] = -lam - signed_gamma[1:]
-    return TriDiagSystem(
+    return row_norm_system(
         sub=sub, diag=np.full(m, 1.0 + 2.0 * lam), sup=-lam + signed_gamma, rhs=rhs
     )
 

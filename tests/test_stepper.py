@@ -30,6 +30,7 @@ from conftest import (
     nonlinear_step_oracle,
     padded_half,
     random_symmetric_monotone_state,
+    row_norm_system,
     tridiag_dense,
     window_ok,
 )
@@ -125,9 +126,7 @@ class TestAssemble:
 
 class TestSolveTridiag:
     def test_symmetric_example(self):
-        from cwblowup import TriDiagSystem
-
-        sys = TriDiagSystem(
+        sys = row_norm_system(
             sub=np.array([-1.0, -1.0]),
             diag=np.array([2.0, 2.0, 2.0]),
             sup=np.array([-1.0, -1.0]),
@@ -136,16 +135,12 @@ class TestSolveTridiag:
         assert np.allclose(solve_tridiag(sys), [1.0, 1.0, 1.0])
 
     def test_one_by_one(self):
-        from cwblowup import TriDiagSystem
-
-        sys = TriDiagSystem(
+        sys = row_norm_system(
             sub=np.empty(0), diag=np.array([4.0]), sup=np.empty(0), rhs=np.array([2.0])
         )
         assert solve_tridiag(sys)[0] == 0.5
 
     def test_matches_dense_oracle(self):
-        from cwblowup import TriDiagSystem
-
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(2, 12))
@@ -156,7 +151,7 @@ class TestSolveTridiag:
             diag[:-1] += np.abs(sup)
             diag += rng.uniform(0.1, 2.0, n)
             rhs = rng.uniform(-5, 5, n)
-            sys = TriDiagSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+            sys = row_norm_system(sub=sub, diag=diag, sup=sup, rhs=rhs)
             x = solve_tridiag(sys)
             x_ref = dense_solve(tridiag_dense(sub, diag, sup), rhs)
             assert np.max(np.abs(x - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
@@ -164,7 +159,7 @@ class TestSolveTridiag:
     def test_perturbed_solution_rejected(self, monkeypatch):
         # the residual check is independent of the solver: a solution off by
         # far more than roundoff must fail it
-        from cwblowup import TriDiagSystem, stepper
+        from cwblowup import stepper
 
         real = stepper.dgtsv
 
@@ -173,7 +168,7 @@ class TestSolveTridiag:
             return du2, d, du, x * (1.0 + 1e-6), info
 
         monkeypatch.setattr(stepper, "dgtsv", perturbed)
-        sys = TriDiagSystem(
+        sys = row_norm_system(
             sub=np.array([-1.0, -1.0]),
             diag=np.array([4.0, 4.0, 4.0]),
             sup=np.array([-1.0, -1.0]),
@@ -188,14 +183,14 @@ class TestSolveTridiag:
         # of the bound rtol * (||A|| ||x|| + ||b||); every other row stays at
         # roundoff.  The bound needs the largest residual and the largest |x|
         # (here ~16x the smallest), not any other entry.
-        from cwblowup import TriDiagSystem, stepper
+        from cwblowup import stepper
 
         lam, n, k = 1e4, 50, 25
         x_true = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
         sub, sup = np.full(n - 1, -lam), np.full(n - 1, -lam)
         diag = np.full(n, 1.0 + 2.0 * lam)
         rhs = tridiag_dense(sub, diag, sup) @ x_true
-        sys = TriDiagSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+        sys = row_norm_system(sub=sub, diag=diag, sup=sup, rhs=rhs)
         bound = 1e-12 * (sys.norm_inf() * np.max(x_true) + np.max(np.abs(rhs)))
         real = stepper.dgtsv
 
@@ -214,8 +209,6 @@ class TestSolveTridiag:
     def test_large_lambda_solve_accepted(self):
         # lambda_n = 6.4e4: the residual scales with ||A|| ||x||, not with
         # ||b||, so a backward-stable solve must pass
-        from cwblowup import TriDiagSystem
-
         lam, n = 6.4e4, 400
         sub = np.full(n - 1, -lam)
         sub[-1] = -2.0 * lam
@@ -223,7 +216,7 @@ class TestSolveTridiag:
         sup = np.full(n - 1, -lam)
         x_true = 10.0 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / n)
         rhs = tridiag_dense(sub, diag, sup) @ x_true
-        x = solve_tridiag(TriDiagSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
+        x = solve_tridiag(row_norm_system(sub=sub, diag=diag, sup=sup, rhs=rhs))
         assert np.max(np.abs(x - x_true)) <= 1e-6 * np.max(x_true)
 
 
@@ -241,8 +234,6 @@ class TestInPlaceSolve:
         return x
 
     def test_random_dominant_systems(self):
-        from cwblowup import TriDiagSystem
-
         rng = np.random.default_rng(17)
         for _ in range(200):
             n = int(rng.integers(2, 40))
@@ -253,16 +244,14 @@ class TestInPlaceSolve:
             diag[:-1] += np.abs(sup)
             diag += rng.uniform(1e-3, 2.0, n)
             rhs = rng.uniform(-5, 5, n)
-            self._assert_same_as_gtsv(TriDiagSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
+            self._assert_same_as_gtsv(row_norm_system(sub=sub, diag=diag, sup=sup, rhs=rhs))
 
     def test_pivoting_system(self):
         from scipy.linalg.lapack import dgtsv
 
-        from cwblowup import TriDiagSystem
-
         # |sub| > |diag| in the first column: gtsv interchanges rows 1 and 2,
         # which leaves fill-in on the second superdiagonal
-        sys = TriDiagSystem(
+        sys = row_norm_system(
             sub=np.array([3.0, 0.5, 0.25]),
             diag=np.array([1.0, 2.0, 4.0, 3.0]),
             sup=np.array([0.5, 1.0, 0.5]),
@@ -485,11 +474,9 @@ class TestStep:
             with pytest.raises(StepError, match="state contains non-finite values"):
                 step(_state(values), grid, SimParams(p=2.5, q=1.2))
 
-    def test_all_zero_window_keeps_the_reduce_sup_norm(self):
-        # The sup norm is read as new[new.argmax()], which may differ from
-        # np.maximum.reduce only in a zero's sign; an all-zero window keeps
-        # the reduce's bytes in the sup_norm column.  From an all -0.0 state
-        # at q = 1.2 numpy 2.4 reduces the new window (+0, -0, -0) to -0.0.
+    def test_all_zero_window_has_zero_sup_norm(self):
+        # a +-0 window steps to an all-zero window; its sup norm, read by
+        # index, is a zero of either sign, and the history records a zero
         windows = [np.zeros(3), np.full(3, -0.0), np.array([0.0, -0.0, -0.0])]
         windows += [np.full(21, -0.0), np.zeros(21), np.full(201, -0.0)]
         for u in windows:
@@ -497,10 +484,10 @@ class TestStep:
             for params in (SimParams(p=2.0, q=1.0), SimParams(p=3.0, q=1.2)):
                 new = step(_state(u), grid, params).next
                 assert not np.any(new.u)
+                assert new.sup_norm == 0.0
                 history = RunHistory()
                 history.record(new, grid)
-                expected = np.maximum.reduce(new.u).tobytes()
-                assert history.column("sup_norm")[0].tobytes() == expected
+                assert history.column("sup_norm")[0] == 0.0
 
     @pytest.mark.parametrize("value", [-1e-14, -0.0, 0.0])
     def test_roundoff_negative_entry_clamped(self, monkeypatch, value):
@@ -541,7 +528,11 @@ class TestStep:
         u = _ROUGH
         result = step(_state(u), grid, params)
         assert result.sign_flips > 0
-        assert result.picard_iters > 1
+        # the third solve contradicts none of its signs and is the step; a
+        # fourth would solve the same system again
+        assert result.picard_iters == 3
+        capped = step(_state(u), grid, replace(params, picard_max_iters=3))
+        assert capped.next.u.tobytes() == result.next.u.tobytes()
         oracle = nonlinear_step_oracle(
             mirrored(_state(u)), grid.h, params.p, params.q, result.next.tau_last
         )
@@ -560,9 +551,9 @@ class TestStep:
             step(_state(_ROUGH), grid, params)
 
     def test_singular_system_raises(self):
-        from cwblowup import SingularError, TriDiagSystem
+        from cwblowup import SingularError
 
-        sys = TriDiagSystem(
+        sys = row_norm_system(
             sub=np.array([0.0]),
             diag=np.array([0.0, 0.0]),
             sup=np.array([0.0]),
@@ -576,16 +567,22 @@ class TestFrozenSignCheck:
     """The a posteriori sign check of the Picard loop, on a prescribed solve."""
 
     @staticmethod
-    def _level(monkeypatch, u, q, new):
+    def _level(monkeypatch, u, q, *solves, **overrides):
+        """Picard counts when the i-th solve returns solves[i] (the last repeats)."""
         from cwblowup import stepper
 
-        def fixed(sys):
+        calls = []
+
+        def prescribed(sys):
+            new = solves[min(len(calls), len(solves) - 1)]
+            calls.append(sys)
             buf = np.array(new, dtype=float)  # u'_lo = 0 leads the buffer
             return buf[1:]
 
-        monkeypatch.setattr(stepper, "solve_tridiag", fixed)
-        params = SimParams(p=2.0, q=q, tau=0.01, h=0.5, blow_threshold=1e15)
-        _, iters, flips = stepper._solve_level(np.asarray(u, float), 0.5, params, 0.01, 3.0)
+        monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
+        params = SimParams(p=2.0, q=q, tau=0.01, h=0.5, blow_threshold=1e15, **overrides)
+        _, iters, flips = stepper._solve_level(np.asarray(u, float), 0.5, params, 0.01)
+        assert len(calls) == iters
         return iters, flips
 
     def test_zero_new_difference_keeps_the_sign(self, monkeypatch):
@@ -596,6 +593,22 @@ class TestFrozenSignCheck:
         # frozen (+, +); new (-, 0): row lo+1 flips (counted for both halves),
         # and the re-frozen signs (-, +) hold on the second iteration
         assert self._level(monkeypatch, [0.0, 1.0, 2.0, 3.0], 1.0, [0, 1, -1, 1]) == (2, 2)
+
+    # frozen (+, +); the first solve flips row lo+1 to -, and the second,
+    # which differs from it by 4 (far beyond picard_tol * sup), keeps the
+    # re-frozen signs (-, +)
+    _FIRST, _SECOND = [0, 1, -1, 1], [0, 1, -1, 5]
+
+    def test_first_consistent_solve_is_returned(self, monkeypatch):
+        u = [0.0, 1.0, 2.0, 3.0]
+        assert self._level(monkeypatch, u, 1.0, self._FIRST, self._SECOND) == (2, 2)
+
+    def test_consistent_solve_on_the_last_iteration_is_returned(self, monkeypatch):
+        u = [0.0, 1.0, 2.0, 3.0]
+        counts = self._level(
+            monkeypatch, u, 1.0, self._FIRST, self._SECOND, picard_max_iters=2
+        )
+        assert counts == (2, 2)
 
     def test_inactive_rows_never_flip(self, monkeypatch):
         # q > 1 and zero differences give gamma = 0: no gradient term to sign
@@ -616,7 +629,7 @@ class TestWindow:
 
         solved = []
 
-        def level(u, h, params, tau_n, sup):
+        def level(u, h, params, tau_n):
             new = np.zeros(u.size)
             new[-1] = 1.0
             if not solved:
@@ -626,7 +639,7 @@ class TestWindow:
 
         monkeypatch.setattr(stepper, "_solve_level", level)
         state = SolutionState(u=np.array([0.0, 1.0]), t=0.0, n=0, tau_last=0.0, offset=100)
-        lo, _, _, _ = stepper._solve_window(state, 0.01, SimParams(), 0.1, 1.0)
+        lo, _, _, _ = stepper._solve_window(state, 0.01, SimParams(), 0.1)
         assert solved == sizes
         assert lo == 100 - _WINDOW_MARGIN * len(sizes)
 
