@@ -11,7 +11,7 @@ verdicts are relative to the finite stopping threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 from enum import Enum
 
 import numpy as np
@@ -29,6 +29,19 @@ _BOUNDED_DRIFT = 0.01              # relative drift below this means saturated
 _TREND_DRIFT = 0.05                # sustained growth needs at least this drift
 _TREND_PERSISTENCE = 0.5           # late increments must keep >= half the early pace
 _WINDOW_GROWTH_FACTOR = 100.0      # window = trailing steps with 100x peak growth
+
+
+def _fields_dict(report) -> dict:
+    """A report dataclass's fields as a JSON-ready dict.
+
+    Tuples become lists; array fields are left out.
+    """
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if not isinstance(value, np.ndarray):
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 class Verdict(Enum):
@@ -49,14 +62,7 @@ class OffsetEvidence:
     trend_persistence: float
 
     def to_dict(self) -> dict:
-        return {
-            "final_value": self.final_value,
-            "window_start_value": self.window_start_value,
-            "drift": self.drift,
-            "per_step_ratio": self.per_step_ratio,
-            "strictly_increasing": self.strictly_increasing,
-            "trend_persistence": self.trend_persistence,
-        }
+        return _fields_dict(self)
 
 
 @dataclass(frozen=True)
@@ -199,18 +205,8 @@ class RatioDiagnostics:
     tail_window: int
 
     def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "mean_ratio_change": self.mean_ratio_change,
-            "mean_growth": self.mean_growth,
-            "ratio_change_deviation": self.ratio_change_deviation,
-            "growth_deviation": self.growth_deviation,
-            "strictly_decreasing_tail": self.strictly_decreasing_tail,
-            "sup_condition_observed": self.sup_condition_observed,
-            "window": self.window,
-            "tail_window": self.tail_window,
-        }
+        """The scalar fields; the three per-step arrays are left out."""
+        return _fields_dict(self)
 
 
 def peak_ratio_diagnostics(
@@ -359,15 +355,7 @@ class ConvergenceReport:
     reference_h: float
 
     def to_dict(self) -> dict:
-        return {
-            "t_check": self.t_check,
-            "levels": list(self.levels),
-            "errors": list(self.errors),
-            "fitted_order": self.fitted_order,
-            "expected_order": self.expected_order,
-            "compared_upto": self.compared_upto,
-            "reference_h": self.reference_h,
-        }
+        return _fields_dict(self)
 
 
 def _raise_on_solver_error(outcome: RunOutcome, h: float) -> None:
@@ -452,7 +440,7 @@ def convergence_study(
             raise ValueError(f"levels must halve h: got interval counts {counts}")
     if params.q == 1.0:
         upto, expected = 1, 2.0
-    elif params.p > 2.0 and params.q < 2.0 * (params.p - 1.0) / params.p:
+    elif params.regime() == "single-point":
         upto, expected = 2, 3.0 - params.q
     else:
         raise ValueError(

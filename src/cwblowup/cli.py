@@ -62,8 +62,14 @@ def _output_dir(args: argparse.Namespace) -> Path:
 
     Each verb creates it only when its first file is ready to write, so a
     run refused by validation or a failed study leaves no directory behind.
+    A path that could never be created, because it or its nearest existing
+    ancestor is not a directory, is refused here, before any run.
     """
-    return Path(os.environ.get("CW_OUTPUT_DIR") or args.output_dir)
+    out = Path(os.environ.get("CW_OUTPUT_DIR") or args.output_dir)
+    existing = next(d for d in (out, *out.parents) if d.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out}: {existing} is not a directory")
+    return out
 
 
 def _write_json(path: Path, payload: dict) -> None:

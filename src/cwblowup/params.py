@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -24,19 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Decimal budget of IEEE double; blow_threshold**p must stay below it.
 _MAX_LOG10 = 308.0
-
-_CONFIG_KEYS = (
-    "p",
-    "q",
-    "tau",
-    "h",
-    "lambda",
-    "blow_threshold",
-    "max_steps",
-    "picard_tol",
-    "picard_max_iters",
-    "initial",
-)
 
 
 class ConfigError(ValueError):
@@ -99,6 +86,11 @@ class SimParams:
         return "other"
 
 
+# Config key -> SimParams field: the key is the field's name, except
+# ``lambda`` for ``lam``.  The only other config key is ``initial``.
+_FIELDS = {("lambda" if f.name == "lam" else f.name): f for f in fields(SimParams)}
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of :func:`validate`: one (name, ok, message) row per check."""
@@ -129,7 +121,7 @@ def validate(params: SimParams) -> ValidationReport:
 
     p, q = params.p, params.q
     add("p_range", p > 1.0, f"p must be > 1, got {p}")
-    q_hi = 2.0 * p / (p + 1.0) if p > 1.0 else float("nan")
+    q_hi = params.q_max if p > 1.0 else float("nan")
     add(
         "q_range",
         p > 1.0 and 1.0 <= q <= q_hi,
@@ -201,19 +193,26 @@ class InitialData:
     @classmethod
     def from_csv(cls, path: str | Path) -> "InitialData":
         path = Path(path)
-        if not path.exists():
-            raise InitialDataError(f"initial data file not found: {path}")
+        if not path.is_file():
+            raise InitialDataError(f"initial data file not found or not a file: {path}")
         rows = []
-        for raw in path.read_text().splitlines():
+        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [p for p in line.replace(",", " ").split() if p]
-            if parts and parts[0].lower() in ("x", "x,u0"):
+            parts = line.replace(",", " ").split()
+            if parts[0].lower() == "x":
                 continue
             if len(parts) != 2:
-                raise InitialDataError(f"expected two columns (x, u0), got: {raw!r}")
-            rows.append((float(parts[0]), float(parts[1])))
+                raise InitialDataError(
+                    f"{path}:{lineno}: expected two columns (x, u0), got: {raw!r}"
+                )
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except ValueError as exc:
+                raise InitialDataError(
+                    f"{path}:{lineno}: non-numeric value in {raw!r}"
+                ) from exc
         if len(rows) < 3:
             raise InitialDataError("initial data table needs at least 3 rows")
         arr = np.asarray(rows, dtype=float)
@@ -297,8 +296,8 @@ def make_initial(
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a flat key=value config file into a raw string mapping."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config file not found or not a file: {path}")
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
@@ -308,7 +307,7 @@ def load_config(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got: {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS and key != "initial":
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         mapping[key] = value
     return mapping
@@ -322,7 +321,7 @@ def apply_overrides(mapping: dict[str, str], overrides: list[str]) -> dict[str, 
             raise ConfigError(f"override must look like key=value, got: {item!r}")
         key, _, value = item.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS and key != "initial":
             raise ConfigError(f"unknown override key {key!r}")
         out[key] = value
     return out
@@ -333,23 +332,24 @@ def build_params(
 ) -> tuple[SimParams, InitialData]:
     """Turn a raw config mapping into (SimParams, InitialData).
 
-    Raises ConfigError when a value fails to parse or validation fails.
+    Each value takes the type of its field's default.  Raises ConfigError
+    when a value fails to parse, an integer value is not a finite whole
+    number, or validation fails.
     """
     kwargs: dict[str, float | int] = {}
-    float_keys = {"p", "q", "tau", "h", "blow_threshold", "picard_tol"}
-    int_keys = {"max_steps", "picard_max_iters"}
-    for key, value in mapping.items():
-        if key == "initial":
+    for key, field in _FIELDS.items():
+        if key not in mapping:
             continue
+        value = mapping[key]
         try:
-            if key in int_keys:
-                kwargs[key] = int(float(value))
-            elif key == "lambda":
-                kwargs["lam"] = float(value)
-            elif key in float_keys:
-                kwargs[key] = float(value)
+            number = float(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+        if isinstance(field.default, int):
+            if not number.is_integer():
+                raise ConfigError(f"{key!r} must be a whole number, got {value!r}")
+            number = int(number)
+        kwargs[field.name] = number
     params = SimParams(**kwargs)  # type: ignore[arg-type]
     report = validate(params)
     if not report.ok:
@@ -370,17 +370,7 @@ def build_params(
 
 def params_header(params: SimParams, initial: InitialData | None = None) -> str:
     """One-line comment recording the fully resolved parameter set."""
-    parts = [
-        f"p={params.p!r}",
-        f"q={params.q!r}",
-        f"tau={params.tau!r}",
-        f"h={params.h!r}",
-        f"lambda={params.lam!r}",
-        f"blow_threshold={params.blow_threshold!r}",
-        f"max_steps={params.max_steps}",
-        f"picard_tol={params.picard_tol!r}",
-        f"picard_max_iters={params.picard_max_iters}",
-    ]
+    parts = [f"{key}={getattr(params, f.name)!r}" for key, f in _FIELDS.items()]
     if initial is not None:
         parts.append(f"initial={initial.kind}")
     return "# " + " ".join(parts)

@@ -137,6 +137,46 @@ class TestRunVerb:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--set", "max_steps=inf"],
+            ["--set", "picard_max_iters=1e400"],
+            ["--set", "max_steps=2.7"],
+            ["--config", "{tmp}"],
+            ["--set", "initial=file:{tmp}"],
+            ["--set", "initial=file:{tmp}/bad.csv"],
+        ],
+    )
+    def test_refused_input_exits_2(self, argv, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_text("x,u0\n-1,0\n0,abc\n1,0\n")
+        out = tmp_path / "out"
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(["run", *argv, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "verb", ["run", "classify", "time-table", "figures", "converge", "diagnostics"]
+    )
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_output_dir_under_a_file_refused_before_any_run(
+        self, verb, target, tmp_path, monkeypatch, capsys
+    ):
+        from cwblowup import cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(cli, "convergence_study", no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("keep me\n")
+        rc = main([verb, "--output-dir", str(tmp_path / target)])
+        assert rc == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == "keep me\n"
+
     def test_byte_identical_reruns(self, fast_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", str(fast_config), "--output-dir", str(out_a)]) == 0

@@ -1,5 +1,8 @@
 """Parameter validation, config parsing, and initial data."""
 
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from cwblowup import (
     make_initial,
     validate,
 )
+from cwblowup.cli import _resolve_setup, build_parser
 from cwblowup.params import apply_overrides, build_params, load_config, params_header
 from cwblowup.state import mirrored
 
@@ -207,3 +211,56 @@ class TestConfig:
         for key in ("p=", "q=", "tau=", "h=", "lambda=", "blow_threshold=", "initial=sine"):
             assert key in header
         assert header.startswith("# ")
+
+    @pytest.mark.parametrize("field", fields(SimParams), ids=lambda f: f.name)
+    def test_every_field_set_parses_back_and_prints(self, field):
+        # a non-default value of the default's type, still admissible
+        default = field.default
+        value = default + 1 if isinstance(default, int) else default * 1.1
+        key = "lambda" if field.name == "lam" else field.name
+        args = build_parser().parse_args(["run", "--set", f"{key}={value!r}"])
+        params, initial = _resolve_setup(args)
+        parsed = getattr(params, field.name)
+        assert parsed == value and type(parsed) is type(default)
+        assert f"{key}={value!r}" in params_header(params, initial).split()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("max_steps", "inf"),
+            ("max_steps", "nan"),
+            ("max_steps", "2.7"),
+            ("picard_max_iters", "1e400"),
+            ("picard_max_iters", "-inf"),
+        ],
+    )
+    def test_integer_key_refuses_non_whole_value(self, key, value):
+        with pytest.raises(ConfigError, match="whole number"):
+            build_params({key: value})
+
+    def test_integer_key_accepts_exponent_form(self):
+        params, _ = build_params({"max_steps": "1e3", "picard_max_iters": "20.0"})
+        assert params.max_steps == 1000 and type(params.max_steps) is int
+        assert params.picard_max_iters == 20
+
+    def test_directory_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="not a file"):
+            load_config(tmp_path)
+        with pytest.raises(InitialDataError, match="not a file"):
+            InitialData.from_csv(tmp_path)
+        with pytest.raises(InitialDataError, match="not a file"):
+            build_params({"initial": "file:."}, base_dir=tmp_path)
+
+    def test_table_non_numeric_cell_names_path_and_line(self, tmp_path):
+        table = tmp_path / "bump.csv"
+        table.write_text("x,u0\n-1,0\n0,abc\n1,0\n")
+        where = re.escape(f"{table}:3: non-numeric")
+        with pytest.raises(InitialDataError, match=where):
+            InitialData.from_csv(table)
+
+    def test_table_wrong_column_count_names_path_and_line(self, tmp_path):
+        table = tmp_path / "bump.csv"
+        table.write_text("# x u0\n-1,0\n0,20,1\n1,0\n")
+        where = re.escape(f"{table}:3: expected two columns")
+        with pytest.raises(InitialDataError, match=where):
+            InitialData.from_csv(table)
