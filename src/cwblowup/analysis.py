@@ -187,7 +187,8 @@ class RatioDiagnostics:
 
     ``neighbor_ratio`` is u at offset -1 over u at the peak, per step.  In
     the single-point regime it decays to 0 with per-step factor 1/(1+tau)
-    while the peak growth tends to 1+tau.
+    while the peak growth tends to 1+tau.  The four means and deviations
+    are None when the report is not applicable.
     """
 
     applicable: bool
@@ -195,10 +196,10 @@ class RatioDiagnostics:
     neighbor_ratio: np.ndarray
     neighbor_ratio_change: np.ndarray
     peak_growth: np.ndarray
-    mean_ratio_change: float
-    mean_growth: float
-    ratio_change_deviation: float
-    growth_deviation: float
+    mean_ratio_change: float | None
+    mean_growth: float | None
+    ratio_change_deviation: float | None
+    growth_deviation: float | None
     strictly_decreasing_tail: bool
     sup_condition_observed: bool
     window: int
@@ -229,10 +230,10 @@ def peak_ratio_diagnostics(
         neighbor_ratio=empty,
         neighbor_ratio_change=empty,
         peak_growth=empty,
-        mean_ratio_change=math.nan,
-        mean_growth=math.nan,
-        ratio_change_deviation=math.nan,
-        growth_deviation=math.nan,
+        mean_ratio_change=None,
+        mean_growth=None,
+        ratio_change_deviation=None,
+        growth_deviation=None,
         strictly_decreasing_tail=False,
         sup_condition_observed=False,
         window=window,
@@ -425,13 +426,15 @@ def convergence_study(
     """Measure the scheme's spatial convergence order by grid refinement.
 
     Runs each level to ``t_check`` (default: half the coarsest level's
-    blow-up time estimate), compares against a reference run at least 4x
-    finer than the finest level, and fits the slope of log(error) against
-    log(h).  The expected order is 2 for q = 1 (errors compared over
-    indices 1..mid-1) and 3-q in the damped case p > 2, q < 2(p-1)/p
-    (indices 1..mid-2).  Raises StepError, carrying the run's error, when
-    a run it needs ends with SolverError.
+    blow-up time estimate; a given value must be > 0), compares against a
+    reference run at least 4x finer than the finest level, and fits the
+    slope of log(error) against log(h).  The expected order is 2 for q = 1
+    (errors compared over indices 1..mid-1) and 3-q in the damped case
+    p > 2, q < 2(p-1)/p (indices 1..mid-2).  Raises StepError, carrying the
+    run's error, when a run it needs ends with SolverError.
     """
+    if t_check is not None and not t_check > 0.0:
+        raise ValueError(f"t_check must be > 0, got {t_check!r}")
     if len(grid_levels) < 3:
         raise ValueError("need at least 3 grid levels")
     counts = [interval_count_for(h) for h in grid_levels]

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,14 +34,7 @@ from cwblowup.params import (
     load_config,
     params_header,
 )
-from cwblowup.simulator import (
-    RunOutcome,
-    RunStatus,
-    history_csv_rows,
-    run,
-    write_history_csv,
-    write_snapshot_csv,
-)
+from cwblowup.simulator import HISTORY_COLUMNS, RunHistory, RunOutcome, RunStatus, run
 from cwblowup.stepper import StepError
 
 _FIGURE_LAMBDAS = tuple(10.0 ** (1.0 + 0.5 * i) for i in range(9))  # 10^1 .. 10^5
@@ -60,8 +53,9 @@ def _resolve_setup(args: argparse.Namespace) -> tuple[SimParams, InitialData]:
 def _output_dir(args: argparse.Namespace) -> Path:
     """The output directory, not yet created.
 
-    Each verb creates it only when its first file is ready to write, so a
-    run refused by validation or a failed study leaves no directory behind.
+    The two writers, :func:`_write_csv` and :func:`_write_json`, create it
+    when their file is ready, so a run refused by validation or a failed
+    study leaves no directory behind.
     A path that could never be created, because it or its nearest existing
     ancestor is not a directory, is refused here, before any run.
     """
@@ -73,7 +67,39 @@ def _output_dir(args: argparse.Namespace) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write strict JSON (NaN and infinities are refused), keys sorted."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def _write_csv(
+    path: Path, comment: str, names: Sequence[str], columns: Iterable, *copies: Path
+) -> None:
+    """Write the ``#`` comment line, the line of column names, then the rows.
+
+    ``columns`` holds the cells column by column, one sequence per name.
+    Each cell prints as its ``str``: a Python float as its shortest
+    round-trip ``repr``, an int as an integer, text as itself.  Each path in
+    ``copies`` receives the same bytes.
+    """
+    lines = [comment, ",".join(names)]
+    lines.extend(map(",".join, zip(*[map(str, column) for column in columns])))
+    text = "\n".join(lines) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    for target in (path, *copies):
+        target.write_text(text)
+
+
+def _history_columns(
+    history: RunHistory, names: Sequence[str] = HISTORY_COLUMNS
+) -> list[list]:
+    """The named columns as Python floats, with the step count ``n`` as ints."""
+    columns = [history.column(name).tolist() for name in names]
+    if "n" in names:
+        k = names.index("n")
+        columns[k] = [int(v) for v in columns[k]]
+    return columns
 
 
 def _outcome_payload(outcome) -> dict:
@@ -86,25 +112,28 @@ def _outcome_payload(outcome) -> dict:
     }
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    params, initial = _resolve_setup(args)
-    out = _output_dir(args)
+def cmd_run(
+    args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
+) -> int:
     outcome, history = run(params, initial, snapshot_every=args.snapshot_every)
-    out.mkdir(parents=True, exist_ok=True)
-    write_history_csv(history, out / "history.csv", params, initial)
-    for snap in history.snapshots:
-        write_snapshot_csv(snap, out / f"snapshot_{snap[0]:06d}.csv", params, initial)
+    header = params_header(params, initial)
+    _write_csv(out / "history.csv", header, HISTORY_COLUMNS, _history_columns(history))
+    for n, t, x, u in history.snapshots:
+        _write_csv(
+            out / f"snapshot_{n:06d}.csv", f"{header} n={n} t={t!r}", ("x", "u"),
+            (x.tolist(), u.tolist()),
+        )
     _write_json(out / "outcome.json", _outcome_payload(outcome))
     print(f"{outcome.status.value}: {outcome.n_final} steps, t = {outcome.t_num_partial!r}")
     return 3 if outcome.status is RunStatus.SOLVER_ERROR else 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    params, initial = _resolve_setup(args)
-    out = _output_dir(args)
+def cmd_classify(
+    args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
+) -> int:
     outcome, history = run(params, initial)
-    out.mkdir(parents=True, exist_ok=True)
-    write_history_csv(history, out / "history.csv", params, initial)
+    header = params_header(params, initial)
+    _write_csv(out / "history.csv", header, HISTORY_COLUMNS, _history_columns(history))
     _write_json(out / "outcome.json", _outcome_payload(outcome))
     if outcome.status is not RunStatus.BLEW_UP:
         print(f"cannot classify: run ended with {outcome.status.value}", file=sys.stderr)
@@ -125,33 +154,30 @@ def _amplitude_sweep(
         yield lam, row, run(row, initial)[0]
 
 
-def cmd_time_table(args: argparse.Namespace) -> int:
-    params, initial = _resolve_setup(args)
+def cmd_time_table(
+    args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
+) -> int:
     if initial.kind != "sine":
         raise ConfigError(
             "time-table requires the sine initial profile (the bounds assume "
             "the initial peak equals lambda)"
         )
-    out = _output_dir(args)
     lambdas = args.lambdas
-    lines = [
-        params_header(params, initial),
-        "lambda,g_lambda,T_num,tail,T_star_star,sandwich_ok,status",
-    ]
+    rows = []
     for lam, row_params, outcome in _amplitude_sweep(params, initial, lambdas):
+        status = outcome.status.value
         if outcome.status is RunStatus.BLEW_UP:
-            bounds = blowup_time_bounds(outcome, row_params)
-            upper = "" if bounds.upper is None else repr(bounds.upper)
-            lines.append(
-                f"{lam!r},{bounds.lower_g!r},{bounds.t_num!r},{bounds.tail!r},"
-                f"{upper},{str(bounds.sandwich_ok).lower()},{outcome.status.value}"
+            b = blowup_time_bounds(outcome, row_params)
+            upper = "" if b.upper is None else b.upper
+            rows.append(
+                (lam, b.lower_g, b.t_num, b.tail, upper, str(b.sandwich_ok).lower(), status)
             )
         else:
             g = amplitude_lower_bound(row_params.p, lam)
-            lines.append(f"{lam!r},{g!r},,,,false,{outcome.status.value}")
-    out.mkdir(parents=True, exist_ok=True)
+            rows.append((lam, g, "", "", "", "false", status))
     path = out / "time_table.csv"
-    path.write_text("\n".join(lines) + "\n")
+    names = ("lambda", "g_lambda", "T_num", "tail", "T_star_star", "sandwich_ok", "status")
+    _write_csv(path, params_header(params, initial), names, zip(*rows))
     print(f"wrote {path} ({len(lambdas)} rows)")
     return 0
 
@@ -159,22 +185,18 @@ def cmd_time_table(args: argparse.Namespace) -> int:
 def _figure_series(params: SimParams, out: Path, *names: str) -> None:
     """Run one scenario and write its tracked-node series to each file name."""
     outcome, history = run(params)
-    lines = [
-        params_header(params) + f" status={outcome.status.value}",
-        ",".join(_FIGURE_COLUMNS),
-    ]
-    lines.extend(history_csv_rows(history, _FIGURE_COLUMNS))
-    text = "\n".join(lines) + "\n"
-    out.mkdir(parents=True, exist_ok=True)
-    for name in names:
-        (out / name).write_text(text)
+    first, *rest = (out / name for name in names)
+    _write_csv(
+        first, params_header(params) + f" status={outcome.status.value}", _FIGURE_COLUMNS,
+        _history_columns(history, _FIGURE_COLUMNS), *rest,
+    )
 
 
-def cmd_figures(args: argparse.Namespace) -> int:
-    params, initial = _resolve_setup(args)
+def cmd_figures(
+    args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
+) -> int:
     if initial.kind != "sine":
         raise ConfigError("figures requires the sine initial profile")
-    out = _output_dir(args)
     # Scenario pins: the single-point damped case, and the multi-point case
     # tracked at the first and second neighbours (one run, two files).
     _figure_series(replace(params, p=4.0, q=1.3), out, "neighbor_bounded.csv")
@@ -182,25 +204,23 @@ def cmd_figures(args: argparse.Namespace) -> int:
     _figure_series(multi, out, "neighbor_blowup.csv", "second_neighbor_bounded.csv")
 
     sweep = replace(params, p=3.0)
-    lines = [
-        params_header(sweep, initial),
-        "lambda,g_lambda,T_num,tail,status",
-    ]
+    rows = []
     lambdas = args.lambdas or _FIGURE_LAMBDAS
     for lam, row_params, outcome in _amplitude_sweep(sweep, initial, lambdas):
         g = amplitude_lower_bound(row_params.p, lam)
         total = outcome.t_num_partial + outcome.t_num_tail
-        lines.append(
-            f"{lam!r},{g!r},{total!r},{outcome.t_num_tail!r},{outcome.status.value}"
-        )
-    (out / "time_vs_bound.csv").write_text("\n".join(lines) + "\n")
+        rows.append((lam, g, total, outcome.t_num_tail, outcome.status.value))
+    _write_csv(
+        out / "time_vs_bound.csv", params_header(sweep, initial),
+        ("lambda", "g_lambda", "T_num", "tail", "status"), zip(*rows),
+    )
     print(f"wrote 4 figure data files to {out}")
     return 0
 
 
-def cmd_converge(args: argparse.Namespace) -> int:
-    params, initial = _resolve_setup(args)
-    out = _output_dir(args)
+def cmd_converge(
+    args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
+) -> int:
     report = convergence_study(
         params,
         t_check=args.t_check,
@@ -208,11 +228,11 @@ def cmd_converge(args: argparse.Namespace) -> int:
         reference_h=args.ref_h,
         initial=initial,
     )
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "convergence.json", report.to_dict())
-    lines = [params_header(params, initial), "h,error"]
-    lines.extend(f"{h!r},{e!r}" for h, e in zip(report.levels, report.errors))
-    (out / "convergence.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(
+        out / "convergence.csv", params_header(params, initial), ("h", "error"),
+        (report.levels, report.errors),
+    )
     print(
         f"fitted order {report.fitted_order:.3f} "
         f"(expected {report.expected_order:.3f})"
@@ -220,9 +240,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_diagnostics(args: argparse.Namespace) -> int:
-    params, initial = _resolve_setup(args)
-    out = _output_dir(args)
+def cmd_diagnostics(
+    args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
+) -> int:
     outcome, history = run(params, initial)
     diag = peak_ratio_diagnostics(history, params)
     inv = history.invariant_summary
@@ -246,10 +266,13 @@ def cmd_diagnostics(args: argparse.Namespace) -> int:
         if not diag.strictly_decreasing_tail:
             failures.append("neighbour-to-peak ratio not strictly decreasing in the tail")
     payload["failures"] = failures
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "diagnostics.json", payload)
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
+    if outcome.status is RunStatus.SOLVER_ERROR:
+        print(f"cannot check limits: run ended with {outcome.status.value}",
+              file=sys.stderr)
+        return 3
     if not failures:
         print("diagnostics ok")
     return 4 if failures else 0
@@ -321,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        params, initial = _resolve_setup(args)
+        return args.func(args, params, initial, _output_dir(args))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

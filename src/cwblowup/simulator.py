@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from cwblowup.params import (
     InitialData,
     SimParams,
     make_initial,
-    params_header,
     validate,
 )
 from cwblowup.state import SolutionState, mirrored
@@ -202,8 +200,11 @@ def run(
     before the profile is sampled on it.  With
     ``snapshot_every > 0`` a grid of more than ``_SNAPSHOT_MAX_INTERVALS``
     intervals raises :class:`ConfigError` when it is reached, since each
-    snapshot lists all K+1 nodes.
+    snapshot lists all K+1 nodes; a negative ``snapshot_every`` raises
+    :class:`ConfigError`.
     """
+    if snapshot_every < 0:
+        raise ConfigError(f"snapshot_every must be >= 0, got {snapshot_every}")
     report = validate(params)
     if not report.ok:
         raise ConfigError("invalid parameters: " + "; ".join(report.failures()))
@@ -282,46 +283,3 @@ def run(
         "run finished: %s after %d steps, t = %.6e", status.value, state.n, state.t
     )
     return outcome, history
-
-
-def write_history_csv(
-    history: RunHistory,
-    path: str | Path,
-    params: SimParams,
-    initial: InitialData | None = None,
-) -> None:
-    """Write the per-step history as CSV with a resolved-parameter comment."""
-    lines = [params_header(params, initial), ",".join(HISTORY_COLUMNS)]
-    lines.extend(history_csv_rows(history, HISTORY_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def history_csv_rows(history: RunHistory, names: tuple[str, ...]) -> list[str]:
-    """One CSV line per recorded row of the named columns.
-
-    Values are read back as Python floats (``tolist``), so each prints as
-    its shortest round-trip ``repr``; the step count ``n`` prints as an
-    integer.
-    """
-    columns = [history.column(name).tolist() for name in names]
-    if "n" in names:
-        k = names.index("n")
-        columns[k] = [int(v) for v in columns[k]]
-    return [",".join(map(repr, row)) for row in zip(*columns)]
-
-
-def write_snapshot_csv(
-    snapshot: tuple[int, float, np.ndarray, np.ndarray],
-    path: str | Path,
-    params: SimParams,
-    initial: InitialData | None = None,
-) -> None:
-    """Write one (x, u) snapshot as CSV.
-
-    Values are read back as Python floats (``tolist``), so each prints as
-    its shortest round-trip ``repr``.
-    """
-    n, t, x, u = snapshot
-    lines = [params_header(params, initial) + f" n={n} t={t!r}", "x,u"]
-    lines.extend(f"{xi!r},{ui!r}" for xi, ui in zip(x.tolist(), u.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -146,6 +146,7 @@ class TestRunVerb:
             ["--config", "{tmp}"],
             ["--set", "initial=file:{tmp}"],
             ["--set", "initial=file:{tmp}/bad.csv"],
+            ["--snapshot-every", "-5"],
         ],
     )
     def test_refused_input_exits_2(self, argv, tmp_path, capsys):
@@ -469,6 +470,14 @@ class TestConvergeVerb:
         assert "t_check" not in err
         assert not (out / "convergence.json").exists()
 
+    @pytest.mark.parametrize("t_check", ["-1", "0"])
+    def test_non_positive_t_check_exits_2(self, t_check, tmp_path, capsys):
+        out = tmp_path / "conv"
+        rc = main(["converge", "--set", "q=1", "--t-check", t_check, "--output-dir", str(out)])
+        assert rc == 2
+        assert f"t_check must be > 0, got {float(t_check)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiagnosticsVerb:
     def test_clean_run_exits_0(self, tmp_path):
@@ -480,6 +489,35 @@ class TestDiagnosticsVerb:
         payload = json.loads((out / "diagnostics.json").read_text())
         assert payload["failures"] == []
         assert payload["ratio_diagnostics"]["applicable"]
+
+    def test_not_applicable_report_is_strict_json(self, tmp_path):
+        # p=2 q=1 is outside the single-point regime: the four means are
+        # null, and the file holds no NaN or Infinity token
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        out = tmp_path / "diag"
+        rc = main(["diagnostics", "--set", "p=2", "--set", "q=1", "--output-dir", str(out)])
+        assert rc == 0
+        text = (out / "diagnostics.json").read_text()
+        ratio = json.loads(text, parse_constant=refuse)["ratio_diagnostics"]
+        assert not ratio["applicable"]
+        for key in ("mean_ratio_change", "mean_growth", "ratio_change_deviation",
+                    "growth_deviation"):
+            assert ratio[key] is None, key
+
+    def test_subnormal_decay_exits_3(self, tmp_path, capsys):
+        # the run ends SolverError: diagnostics.json is written, then exit 3
+        out = tmp_path / "decay"
+        argv = ["diagnostics", "--set", "p=2", "--set", "q=1", "--set", "lambda=2"]
+        with pytest.warns(UserWarning):
+            rc = main([*argv, "--output-dir", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "diagnostics ok" not in captured.out
+        assert "run ended with SolverError" in captured.err
+        payload = json.loads((out / "diagnostics.json").read_text())
+        assert payload["outcome"]["status"] == "SolverError"
 
     def test_failed_limit_check_exits_4(self, tmp_path, monkeypatch):
         # no known carried run fails the limit checks, so the report of a

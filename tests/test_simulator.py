@@ -14,9 +14,10 @@ from cwblowup import (
     run,
     tail_estimate,
 )
+from cwblowup.cli import _FIGURE_COLUMNS, _figure_series, _history_columns, _write_csv
 from cwblowup.grid import build_grid_by_count
 from cwblowup.params import params_header
-from cwblowup.simulator import HISTORY_COLUMNS, RunHistory, RunOutcome, write_history_csv
+from cwblowup.simulator import HISTORY_COLUMNS, RunHistory, RunOutcome
 from cwblowup.state import SolutionState, mirrored
 
 from conftest import padded_half, window_ok
@@ -287,14 +288,19 @@ class TestTailEstimate:
         assert tail == pytest.approx(10 * 2e-13, rel=1e-12)
 
 
+def _write_history_csv(history, path, params):
+    """history.csv as the run and classify verbs write it."""
+    _write_csv(path, params_header(params), HISTORY_COLUMNS, _history_columns(history))
+
+
 class TestHistoryCsv:
     def test_format_and_stability(self, tmp_path):
         params = _fast_params(blow_threshold=1e4)
         outcome, history = run(params)
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
-        write_history_csv(history, path_a, params)
-        write_history_csv(history, path_b, params)
+        _write_history_csv(history, path_a, params)
+        _write_history_csv(history, path_b, params)
         text = path_a.read_text()
         lines = text.splitlines()
         assert lines[0].startswith("# p=")
@@ -310,7 +316,7 @@ class TestHistoryCsv:
         params = _fast_params(blow_threshold=1e4)
         _, history = run(params)
         path = tmp_path / "h.csv"
-        write_history_csv(history, path, params)
+        _write_history_csv(history, path, params)
         columns = [[float(v) for v in history.column(name)] for name in HISTORY_COLUMNS]
         lines = [params_header(params), ",".join(HISTORY_COLUMNS)]
         for row in zip(*columns):
@@ -320,8 +326,6 @@ class TestHistoryCsv:
         assert "np.float64(" not in expected
 
     def test_figure_series_bytes(self, tmp_path):
-        from cwblowup.cli import _FIGURE_COLUMNS, _figure_series
-
         params = _fast_params(blow_threshold=1e4)
         _figure_series(params, tmp_path, "a.csv", "b.csv")
         outcome, history = run(params)
