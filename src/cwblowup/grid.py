@@ -15,27 +15,25 @@ from functools import cached_property
 import numpy as np
 
 from cwblowup.params import SimParams
-from cwblowup.state import SolutionState, with_sup_norm
+from cwblowup.state import SolutionState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GridState:
     """Uniform grid x_j = -1 + j*h, j = 0..K, for an even interval count K.
 
-    The spacing h = 2/K and the index mid = K/2 of the node at x = 0 follow
-    from K; the node coordinates are built only when first read (sampling
-    and snapshots).
+    K is the one field.  The spacing ``h`` = 2/K and the index ``mid`` = K/2
+    of the node at x = 0 are plain attributes computed once when the grid is
+    built, since a step reads both; the node coordinates are built only when
+    first read (sampling and snapshots).
     """
 
     interval_count: int
 
-    @property
-    def h(self) -> float:
-        return 2.0 / self.interval_count
-
-    @property
-    def mid(self) -> int:
-        return self.interval_count // 2
+    def __init__(self, interval_count: int) -> None:
+        # written to the instance dict, as a frozen dataclass refuses setattr
+        k = interval_count
+        self.__dict__.update(interval_count=k, h=2.0 / k, mid=k // 2)
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -103,22 +101,18 @@ def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> Solut
     the nodes the finer grid adds on the left are zeros, matching the
     boundary.  So the window moves right by new.mid - old.mid, and ``u`` and
     the sup norm are shared, not recomputed: a carry allocates no node
-    values and costs O(1).
+    values and costs O(1).  A grid of fewer intervals than ``old`` is
+    refused.
     Equivalently this is interpolation in the stretched coordinate x/h, under
     which the scheme's step recursions continue seamlessly.  Plain linear
     interpolation would smear the one-node spike that develops near blow-up
     (every inserted neighbour would pick up a fixed fraction of the peak),
     destroying the bounded-neighbour structure this transfer keeps intact.
     """
-    if new.h > old.h * (1.0 + 1e-12):
+    if new.interval_count < old.interval_count:
         raise ValueError("carry_to_grid refuses to coarsen (new spacing exceeds old)")
     # built field by field: dataclasses.replace walks the fields on every call
-    carried = SolutionState(
-        u=state.u,
-        t=state.t,
-        n=state.n,
-        tau_last=state.tau_last,
-        offset=state.offset + new.mid - old.mid,
-        t_comp=state.t_comp,
+    return SolutionState(
+        u=state.u, t=state.t, n=state.n, tau_last=state.tau_last,
+        offset=state.offset + new.mid - old.mid, t_comp=state.t_comp, sup_norm=state.sup_norm,
     )
-    return with_sup_norm(carried, state.sup_norm)

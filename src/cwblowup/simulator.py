@@ -191,7 +191,8 @@ def run(
 
     Before each step the adaptive spacing is recomputed and the solution is
     carried per offset from the centre (:func:`carry_to_grid`) to the finer
-    grid whenever the snapped interval count changed.
+    grid whenever the snapped interval count changed.  With q = 1 the
+    spacing never changes, so the interval count is computed once.
 
     Returns the outcome together with the per-step history, which also
     counts invariant violations (:class:`RunHistory`).  Step failures
@@ -228,6 +229,8 @@ def run(
 
     status: RunStatus
     error: str | None = None
+    # compute_h returns the base spacing at every sup norm when q = 1
+    q_one = params.q == 1.0
     while True:
         sup = state.sup_norm
         if sup >= params.blow_threshold:
@@ -240,7 +243,7 @@ def run(
             status = RunStatus.TIME_LIMIT
             break
 
-        k_new = interval_count_for(compute_h(params, sup))
+        k_new = grid.interval_count if q_one else interval_count_for(compute_h(params, sup))
         if k_new != grid.interval_count:
             if snapshot_every > 0:
                 _refuse_snapshot_grid(k_new)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SolutionState:
     """Values of a mirror-symmetric solution at one time level.
 
@@ -21,6 +20,12 @@ class SolutionState:
     increment that produced this state (0 for the initial one).  ``t_comp``
     is the compensation term of the compensated (Kahan) sum that gives
     ``t``, so a long run of tiny increments keeps ``t`` accurate.
+
+    ``sup_norm`` is the largest node value, ||u||_inf as states are
+    nonnegative.  Whatever builds a state and already holds that maximum
+    passes it in; left out, it is computed as ``u.max()``.
+    ``dataclasses.replace`` never copies it, so a replaced state computes
+    its own.
     """
 
     u: np.ndarray
@@ -29,25 +34,20 @@ class SolutionState:
     tau_last: float
     offset: int = 0
     t_comp: float = 0.0
+    sup_norm: float = field(init=False)
 
-    @cached_property
-    def sup_norm(self) -> float:
-        """Largest node value, which is ||u||_inf as states are nonnegative.
-
-        Computed once per state and shared by every reader of that state.
-        """
-        return float(self.u.max())
-
-
-def with_sup_norm(state: SolutionState, sup: float) -> SolutionState:
-    """Return ``state`` with its sup norm set to ``sup``, which equals ``state.u.max()``.
-
-    A caller that already holds the maximum of ``state.u`` fills the
-    ``sup_norm`` cache (kept in the instance dict), so it is not computed
-    again.
-    """
-    state.__dict__["sup_norm"] = sup
-    return state
+    def __init__(self, u, t, n, tau_last, offset=0, t_comp=0.0, sup_norm=None) -> None:
+        # The instance dict is written directly: a frozen dataclass's own
+        # __init__ sets each field through object.__setattr__, about twice
+        # the cost, and every step builds a state.
+        d = self.__dict__
+        d["u"] = u
+        d["t"] = t
+        d["n"] = n
+        d["tau_last"] = tau_last
+        d["offset"] = offset
+        d["t_comp"] = t_comp
+        d["sup_norm"] = float(u.max()) if sup_norm is None else sup_norm
 
 
 def mirrored(state: SolutionState) -> np.ndarray:

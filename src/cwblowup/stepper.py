@@ -24,7 +24,7 @@ import numpy as np
 
 from cwblowup.grid import GridState, compute_tau
 from cwblowup.params import SimParams
-from cwblowup.state import SolutionState, with_sup_norm
+from cwblowup.state import SolutionState
 
 
 def _load_dgtsv():
@@ -121,27 +121,6 @@ class TriDiagSystem(NamedTuple):
         return float((np.abs(self.diag) + self._off_diagonal_sums()).max())
 
 
-def _gradient_coeff(diffs: np.ndarray, h: float, q: float, tau_n: float) -> np.ndarray:
-    """gamma_j = tau_n (2h)^(-q) |u_{j+1} - u_{j-1}|^(q-1) from the differences.
-
-    For q = 1 the exponent vanishes and gamma is the constant tau_n/(2h)
-    (0**0 evaluates to 1, which is the intended limit).
-    """
-    return tau_n * (2.0 * h) ** (-q) * np.abs(diffs) ** (q - 1.0)
-
-
-def source_rhs(u: np.ndarray, tau_n: float, p: float) -> tuple[np.ndarray, float]:
-    """Right-hand side u_j + tau_n*(u_j)^p of rows lo+1..mid, with its inf-norm.
-
-    Depends on the level and tau_n only, so it is formed once per tau_n and
-    shared by every Picard iteration.
-    """
-    inner = u[1:]
-    rhs = inner + tau_n * inner**p
-    mag = np.abs(rhs)
-    return rhs, float(mag[mag.argmax()])
-
-
 def assemble(
     rhs: np.ndarray,
     rhs_norm: float,
@@ -153,11 +132,12 @@ def assemble(
 
     Row j encodes (1+2*lam)u_j' - lam(u_{j+1}'+u_{j-1}') + gamma_j*s_j*
     (u_{j+1}'-u_{j-1}') = u_j + tau_n*(u_j)^p with lam = tau_n/h^2 and s_j
-    the frozen sign of (u_{j+1}' - u_{j-1}'); ``rhs`` and ``rhs_norm`` come
-    from :func:`source_rhs`, and ``signed_gamma`` holds gamma_j*s_j for rows
-    lo+1..mid-1.  Row lo+1 uses u_lo' = 0 (the boundary when lo = 0), and the
-    reflection u_{mid+1}' = u_{mid-1}' folds the peak row into
-    (1+2*lam)u_mid' - 2*lam*u_{mid-1}' = rhs (its gradient term cancels).
+    the frozen sign of (u_{j+1}' - u_{j-1}'); ``rhs`` holds u_j + tau_n*(u_j)^p
+    of rows lo+1..mid and ``rhs_norm`` its inf-norm, and ``signed_gamma``
+    holds gamma_j*s_j for rows lo+1..mid-1.  Row lo+1 uses u_lo' = 0 (the
+    boundary when lo = 0), and the reflection u_{mid+1}' = u_{mid-1}' folds
+    the peak row into (1+2*lam)u_mid' - 2*lam*u_{mid-1}' = rhs (its gradient
+    term cancels).
 
     Every row has the diagonal d = 1 + 2*lam > 0, so with the largest
     off-diagonal row sum o the dominance margin is d - o and ||A||_inf is
@@ -201,26 +181,27 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
     returned x is a view of a buffer led by one zero, ``x.base`` = [0, x],
     which is the new window u'_lo..u'_mid of a step.
     """
-    buf = np.zeros(sys.size + 1)
+    sub, diag, sup, rhs, norm, rhs_norm = sys
+    buf = np.zeros(diag.size + 1)
     x = buf[1:]
-    if sys.size == 1:
-        np.divide(sys.rhs, sys.diag, x)
+    if diag.size == 1:
+        np.divide(rhs, diag, x)
     else:
-        x[...] = sys.rhs
-        _, _, _, x, info = dgtsv(sys.sub, sys.diag, sys.sup, x, overwrite_b=1)
+        x[...] = rhs
+        _, _, _, x, info = dgtsv(sub, diag, sup, x, overwrite_b=1)
         if info != 0:
             raise SingularError(f"tridiagonal solve failed: gtsv info {info}")
     mag = np.abs(x)
     x_norm = float(mag[mag.argmax()])
     if not math.isfinite(x_norm):  # argmax finds the first NaN, and |+-inf| is the max
         raise SingularError("tridiagonal solve produced non-finite values")
-    r = sys.diag * x
-    r -= sys.rhs
-    r[1:] += sys.sub * x[:-1]
-    r[:-1] += sys.sup * x[1:]
+    r = diag * x
+    r -= rhs
+    r[1:] += sub * x[:-1]
+    r[:-1] += sup * x[1:]
     np.abs(r, r)
     resid = float(r[r.argmax()])
-    if resid > _RESIDUAL_RTOL * (sys.norm * x_norm + sys.rhs_norm):
+    if resid > _RESIDUAL_RTOL * (norm * x_norm + rhs_norm):
         raise StepError(
             f"solver residual {resid:.3e} exceeds {_RESIDUAL_RTOL} * "
             "(||A|| ||x|| + ||b||)"
@@ -248,10 +229,10 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     Raises StepError if the state does not hold grid.mid + 1 - offset values,
     is non-finite, or is already at ``blow_threshold``.
     """
-    u = state.u
-    if u.size != grid.mid + 1 - state.offset:
+    u, offset, mid = state.u, state.offset, grid.mid
+    if u.size != mid + 1 - offset:
         raise StepError(
-            f"state holds {u.size} values, not the {grid.mid + 1 - state.offset} "
+            f"state holds {u.size} values, not the {mid + 1 - offset} "
             "of its window on the left half"
         )
     # Every state a run hands over came out of a checked step, so the carried
@@ -265,21 +246,43 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
             f"sup norm {sup:.3e} already at blow_threshold; the source term is refused"
         )
 
+    h, p, q = grid.h, params.p, params.q
     # sup = 0 falls on the clamp branch of the tau rule (min(1, 0^(1-p)) = 1),
     # keeping the all-zero state a fixed point of the step.
     tau_n = params.tau if sup == 0.0 else compute_tau(params, sup)
-    last_stiff: StiffError | None = None
-    for _ in range(_MAX_TAU_HALVINGS + 1):
+    halvings, margin = 0, _WINDOW_MARGIN
+    while True:
+        lo = max(0, offset - margin)
+        if offset:
+            w = np.zeros(mid + 1 - lo)
+            w[offset - lo :] = u
+        else:
+            w = u
+        # rows lo+1..mid: the source right-hand side u_j + tau_n*(u_j)^p
+        inner = w[1:]
+        rhs = inner + tau_n * inner**p
+        mag = np.abs(rhs)
+        # rows lo+1..mid-1: gamma_j = tau_n (2h)^(-q) |u_{j+1} - u_{j-1}|^(q-1),
+        # one number for q = 1 (the power is 1), and the frozen signs
+        diffs = w[2:] - w[:-2]
+        gamma = tau_n * (2.0 * h) ** (-q)
+        if q != 1.0:
+            gamma = gamma * np.abs(diffs) ** (q - 1.0)
         try:
-            lo, new, iters, flips = _solve_window(state, grid.h, params, tau_n)
-            break
+            new, iters, flips = _solve_frozen_signs(
+                rhs, float(mag[mag.argmax()]), h, tau_n, gamma, np.sign(diffs), params
+            )
         except StiffError as exc:
-            last_stiff = exc
+            if halvings == _MAX_TAU_HALVINGS:
+                raise StiffError(
+                    f"dominance not recovered after {_MAX_TAU_HALVINGS} halvings: {exc}"
+                ) from None
+            halvings, margin = halvings + 1, _WINDOW_MARGIN
             tau_n *= 0.5
-    else:
-        raise StiffError(
-            f"dominance not recovered after {_MAX_TAU_HALVINGS} halvings: {last_stiff}"
-        )
+            continue
+        if lo == 0 or not np.count_nonzero(new[1 : _ZERO_EDGE + 1]):
+            break
+        margin *= 2
 
     clamp_tol = params.picard_tol * max(1.0, sup)
     low = float(new[new.argmin()])
@@ -291,8 +294,8 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         np.clip(new, 0.0, None, out=new)
 
     if lo > 0 or new[1] == 0.0:
-        nonzero = np.flatnonzero(new)
-        first = int(nonzero[0]) if nonzero.size else new.size
+        # new[0] is the held zero, so argmax finds 0 only in an all-zero window
+        first = int((new != 0.0).argmax()) or new.size
         cut = max(0, min(first - 1, new.size - 3))
         new, lo = new[cut:], lo + cut
 
@@ -300,61 +303,57 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     y = tau_n - state.t_comp
     t = state.t + y
     next_state = SolutionState(
-        u=new, t=t, n=state.n + 1, tau_last=tau_n, offset=lo, t_comp=(t - state.t) - y
+        u=new, t=t, n=state.n + 1, tau_last=tau_n, offset=lo, t_comp=(t - state.t) - y,
+        sup_norm=float(new[new.argmax()]),
     )
-    with_sup_norm(next_state, float(new[new.argmax()]))
     return StepResult(next_state, iters, flips)
 
 
-def _solve_window(
-    state: SolutionState,
+def _solve_frozen_signs(
+    rhs: np.ndarray,
+    rhs_norm: float,
     h: float,
-    params: SimParams,
     tau_n: float,
-) -> tuple[int, np.ndarray, int, int]:
-    """Solve the level on u_lo..u_mid, widening the zero margin left of the window.
-
-    Returns lo and the new values u'_lo..u'_mid (u'_lo = 0) with the Picard
-    counts of the accepted solve.
-    """
-    offset, margin = state.offset, _WINDOW_MARGIN
-    while True:
-        lo = max(0, offset - margin)
-        u = np.concatenate((np.zeros(offset - lo), state.u)) if offset else state.u
-        new, iters, flips = _solve_level(u, h, params, tau_n)
-        if lo == 0 or not np.count_nonzero(new[1 : _ZERO_EDGE + 1]):
-            return lo, new, iters, flips
-        margin *= 2
-
-
-def _solve_level(
-    u: np.ndarray,
-    h: float,
+    gamma: np.ndarray | float,
+    signs: np.ndarray,
     params: SimParams,
-    tau_n: float,
 ) -> tuple[np.ndarray, int, int]:
     """Frozen-sign solve with a posteriori verification and Picard fallback.
 
-    Works on rows lo+1..mid-1 of the window u_lo..u_mid, the rows whose
-    gradient term survives the fold, and returns the new values
+    Works on rows lo+1..mid-1 of a window u_lo..u_mid, the rows whose
+    gradient term survives the fold: ``gamma`` holds gamma_j >= 0 (one
+    number for q = 1) and ``signs`` the frozen signs s_j in {-1, 0, 1}, 0
+    only where the current difference is 0.  Returns the new values
     u'_lo..u'_mid with u'_lo = 0 from the first solve that contradicts none
     of its frozen signs (re-freezing would then solve the same system
-    again).  Sign flips count both halves.
-    """
-    rhs, rhs_norm = source_rhs(u, tau_n, params.p)
-    diffs = u[2:] - u[:-2]  # u_{j+1} - u_{j-1}, rows lo+1..mid-1
-    gamma = _gradient_coeff(diffs, h, params.q, tau_n)
-    signs = np.sign(diffs)
+    again), the iteration count and the sign flips, counting both halves.
 
+    A frozen sign is contradicted where the row is active (gamma > 0) and
+    the new difference d' is nonzero with a sign s' != s; an exactly zero
+    difference satisfies either sign.  That is where gamma*s'*(s' - s) is
+    nonzero.  A prefilter marks a superset of those rows without np.sign,
+    and only when it marks one does the exact test run:
+
+    * q = 1: |d'| > d'*s holds exactly where d' != 0 and s' != s;
+    * q > 1: d'*s < 0 holds where s and s' are nonzero and opposite.  The
+      rows it leaves out have s = 0, hence a zero current difference and
+      gamma = 0 (0^(q-1) = 0); re-freezing only ever sets a nonzero s'.
+
+    d'*s is +-d' or +-0 exactly, so neither test rounds.
+    """
+    q = params.q
     total_flips = 0
     for iteration in range(1, params.picard_max_iters + 1):
         x = solve_tridiag(assemble(rhs, rhs_norm, h, tau_n, gamma * signs))
         new = x.base  # u'_lo .. u'_mid, the solve's buffer led by u'_lo = 0
-        new_signs = np.sign(new[2:] - new[:-2])
-        # A frozen sign is contradicted where the row is active (gamma > 0)
-        # and the new difference is nonzero and disagrees; an exactly zero
-        # difference satisfies either sign.  With gamma >= 0 and signs in
-        # {-1, 0, 1}, that is where gamma * s' * (s' - s) is nonzero.
+        nd = new[2:] - new[:-2]
+        if q == 1.0:
+            marked = np.count_nonzero(np.abs(nd) > nd * signs)
+        else:
+            marked = np.count_nonzero(nd * signs < 0.0)
+        if not marked:
+            return new, iteration, total_flips
+        new_signs = np.sign(nd)
         contradiction = gamma * new_signs * (new_signs - signs)
         flips = 2 * np.count_nonzero(contradiction)
         if flips == 0:

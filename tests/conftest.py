@@ -51,6 +51,22 @@ def row_norm_system(sub, diag, sup, rhs) -> TriDiagSystem:
     return rows._replace(norm=rows.norm_inf(), rhs_norm=float(np.abs(rhs).max()))
 
 
+def scheme_rows(
+    u: np.ndarray, h: float, p: float, q: float, tau_n: float
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Rows of the step on a window u_lo..u_mid, from the scheme's formulas.
+
+    The right-hand side u_j + tau_n*u_j^p of rows lo+1..mid with its
+    inf-norm; gamma_j = tau_n (2h)^(-q) |d_j|^(q-1) and the frozen signs
+    sign(d_j), d_j = u_{j+1} - u_{j-1}, of rows lo+1..mid-1.
+    """
+    inner = u[1:]
+    rhs = inner + tau_n * inner**p
+    diffs = u[2:] - u[:-2]
+    gamma = tau_n * (2.0 * h) ** (-q) * np.abs(diffs) ** (q - 1.0)
+    return rhs, float(np.abs(rhs).max()), gamma, np.sign(diffs)
+
+
 def nonlinear_step_oracle(
     u: np.ndarray,
     h: float,

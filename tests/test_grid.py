@@ -83,10 +83,13 @@ class TestBuildGrid:
         assert g.interval_count * g.h == pytest.approx(2.0, rel=1e-15)
 
     def test_nodes_built_on_demand(self):
-        # the interval count is the whole grid; the K+1 coordinates are
-        # built on first read and then kept
+        # the interval count is the whole grid; h and mid are computed once
+        # when the grid is built, the K+1 coordinates on first read and then
+        # kept
         g = build_grid_by_count(6)
         assert [f.name for f in fields(g)] == ["interval_count"]
+        assert (vars(g)["h"], vars(g)["mid"]) == (2.0 / 6, 3)
+        assert replace(g, interval_count=8).h == 0.25
         assert "nodes" not in vars(g)
         assert g.nodes is g.nodes
         assert g.nodes.size == 7
@@ -157,3 +160,18 @@ class TestCarryToGrid:
         coarse = build_grid_by_count(4)
         with pytest.raises(ValueError, match="coarsen"):
             carry_to_grid(_state(np.zeros(5)), fine, coarse)
+
+    @pytest.mark.parametrize("k", [4, 40, 3_700_002, 4 * 10**12])
+    def test_refusal_compares_interval_counts(self, k):
+        # the same K is accepted as it is; K - 2 intervals are refused, with
+        # the same message at every K, also where the two spacings differ
+        # by less than 1e-12 relative (K = 4e12)
+        state = _state(np.arange(3.0))
+        grid = build_grid_by_count(k)
+        out = carry_to_grid(state, grid, build_grid_by_count(k))
+        assert out.u is state.u and out.offset == state.offset
+        with pytest.raises(
+            ValueError,
+            match=r"^carry_to_grid refuses to coarsen \(new spacing exceeds old\)$",
+        ):
+            carry_to_grid(state, grid, build_grid_by_count(k - 2))

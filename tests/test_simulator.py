@@ -1,6 +1,7 @@
 """Run loop behaviour: stopping, accumulation, history, output files."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -236,6 +237,49 @@ class TestRun:
             "worst_monotonicity_defect": 0.0,
             "sup_norm_at_middle": True,
         }
+
+
+class TestCarriedSupNorm:
+    """Every state a run builds carries sup_norm == u.max(), bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(p=2.0, q=1.0),
+            dict(p=3.0, q=1.36, tau=0.1, h=0.05, lam=10.0),
+            dict(p=2.0, q=1.0, lam=2.0),
+        ],
+        ids=["q1", "regrid-q1.36", "subnormal-decay"],
+    )
+    def test_no_stale_sup_norm(self, monkeypatch, kwargs):
+        from cwblowup import simulator
+
+        built = {"make_initial": [], "carry_to_grid": [], "record": []}
+
+        def keep(name, fn, pick):
+            def wrapper(*args):
+                out = fn(*args)
+                built[name].append(pick(args, out))
+                return out
+
+            return wrapper
+
+        for name in ("make_initial", "carry_to_grid"):
+            fn = getattr(simulator, name)
+            monkeypatch.setattr(simulator, name, keep(name, fn, lambda args, out: out))
+        record = keep("record", RunHistory.record, lambda args, out: args[1])
+        monkeypatch.setattr(RunHistory, "record", record)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*large amplitude", UserWarning)
+            outcome, history = run(SimParams(**kwargs))
+        assert len(built["make_initial"]) == 1
+        assert len(built["record"]) == len(history) == outcome.n_final + 1
+        assert bool(built["carry_to_grid"]) == (kwargs["q"] > 1.0)
+        states = [st for group in built.values() for st in group]
+        for st in states:
+            assert np.float64(st.sup_norm).tobytes() == st.u.max().tobytes()
+        if kwargs.get("lam") == 2.0:
+            assert 0.0 < min(st.sup_norm for st in states) < 1e-300
 
 
 class TestRecord:

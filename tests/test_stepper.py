@@ -21,8 +21,6 @@ from cwblowup.stepper import (
     NegativeSolutionError,
     StepError,
     StiffError,
-    _gradient_coeff,
-    source_rhs,
 )
 
 from conftest import (
@@ -31,6 +29,7 @@ from conftest import (
     padded_half,
     random_symmetric_monotone_state,
     row_norm_system,
+    scheme_rows,
     tridiag_dense,
     window_ok,
 )
@@ -38,6 +37,24 @@ from conftest import (
 
 def _state(values):
     return SolutionState(u=np.asarray(values, dtype=float), t=0.0, n=0, tau_last=0.0)
+
+
+def _assembled(monkeypatch, state, grid, params):
+    """Step ``state`` and return the arguments and system of every assemble call."""
+    from cwblowup import stepper
+
+    real = stepper.assemble
+    calls = []
+
+    def spy(*args):
+        sys = real(*args)
+        calls.append((args, sys))
+        return sys
+
+    monkeypatch.setattr(stepper, "assemble", spy)
+    result = step(state, grid, params)
+    monkeypatch.undo()
+    return calls, result
 
 
 # The left half of a rough symmetric profile whose frozen signs flip on the
@@ -49,7 +66,8 @@ class TestAssemble:
     def test_zero_state_is_pure_diffusion(self):
         grid = build_grid_by_count(6)
         params = SimParams(p=3.0, q=1.2)
-        sys = assemble(*source_rhs(np.zeros(4), 0.01, params.p), grid.h, 0.01, np.zeros(2))
+        rhs, rhs_norm, _, _ = scheme_rows(np.zeros(4), grid.h, params.p, params.q, 0.01)
+        sys = assemble(rhs, rhs_norm, grid.h, 0.01, np.zeros(2))
         lam = 0.01 / grid.h**2
         assert sys.size == grid.mid
         assert np.allclose(sys.rhs, 0.0)
@@ -65,11 +83,10 @@ class TestAssemble:
         u, m = mirrored(state), grid.mid
         tau_n = compute_tau(params, float(np.max(u)))
         lam = tau_n / grid.h**2
-        diffs = u[2:] - u[:-2]
-        gs = _gradient_coeff(diffs, grid.h, params.q, tau_n) * np.sign(diffs)
-        half = solve_tridiag(assemble(
-            *source_rhs(state.u, tau_n, params.p), grid.h, tau_n, gs[: m - 1]
-        ))
+        _, _, gamma, signs = scheme_rows(u, grid.h, params.p, params.q, tau_n)
+        gs = gamma * signs
+        rhs, rhs_norm, _, _ = scheme_rows(state.u, grid.h, params.p, params.q, tau_n)
+        half = solve_tridiag(assemble(rhs, rhs_norm, grid.h, tau_n, gs[: m - 1]))
         n = grid.interval_count - 1
         full = dense_solve(
             tridiag_dense(-lam - gs[1:], np.full(n, 1 + 2 * lam), -lam + gs[:-1]),
@@ -78,25 +95,35 @@ class TestAssemble:
         scale = max(1.0, float(np.max(u)))
         assert np.max(np.abs(half - full[:m])) <= 1e-11 * scale
 
-    def test_carried_norms_match_row_oracle(self, rng):
-        # ||b|| from source_rhs and ||A|| from assemble, both read by index,
+    def test_carried_norms_match_row_oracle(self, rng, monkeypatch):
+        # ||b|| from the step and ||A|| from assemble, both read by index,
         # equal the row-wise norms of the assembled system
         state, grid, params = random_symmetric_monotone_state(rng)
-        tau_n = compute_tau(params, state.sup_norm)
-        diffs = state.u[2:] - state.u[:-2]
-        gs = _gradient_coeff(diffs, grid.h, params.q, tau_n) * np.sign(diffs)
-        sys = assemble(*source_rhs(state.u, tau_n, params.p), grid.h, tau_n, gs)
-        assert sys.rhs_norm == float(np.abs(sys.rhs).max())
-        assert sys.norm == sys.norm_inf()
+        calls, _ = _assembled(monkeypatch, state, grid, params)
+        for _, sys in calls:
+            assert sys.rhs_norm == float(np.abs(sys.rhs).max())
+            assert sys.norm == sys.norm_inf()
+
+    @pytest.mark.parametrize("q", [1.0, 1.2])
+    def test_step_assembles_the_scheme_rows(self, rng, monkeypatch, q):
+        # the right-hand side, its norm and gamma_j*s_j the step hands to
+        # assemble are the scheme's formulas, bit for bit
+        state, grid, params = random_symmetric_monotone_state(rng)
+        params = replace(params, q=q)
+        calls, result = _assembled(monkeypatch, state, grid, params)
+        (rhs, rhs_norm, h, tau_n, signed_gamma), _ = calls[0]
+        ref = scheme_rows(state.u, grid.h, params.p, q, result.next.tau_last)
+        assert (h, tau_n) == (grid.h, result.next.tau_last)
+        assert rhs.tobytes() == ref[0].tobytes() and rhs_norm == ref[1]
+        assert signed_gamma.tobytes() == (ref[2] * ref[3]).tobytes()
 
     def test_single_interior_node(self):
         grid = build_grid_by_count(2)  # nodes -1, 0, 1
         params = SimParams(p=2.0, q=1.2)
         u1 = 3.0
         tau_n = 0.05
-        sys = assemble(
-            *source_rhs(np.array([0.0, u1]), tau_n, params.p), grid.h, tau_n, np.zeros(0)
-        )
+        rhs, rhs_norm, _, _ = scheme_rows(np.array([0.0, u1]), grid.h, params.p, params.q, tau_n)
+        sys = assemble(rhs, rhs_norm, grid.h, tau_n, np.zeros(0))
         assert sys.size == 1
         lam = tau_n / grid.h**2
         assert sys.diag[0] == pytest.approx(1 + 2 * lam)
@@ -105,11 +132,16 @@ class TestAssemble:
         x = solve_tridiag(sys)
         assert x[0] == pytest.approx((u1 + tau_n * u1**2) / (1 + 2 * lam))
 
-    def test_q_one_gradient_coeff_constant(self):
+    def test_q_one_gradient_coeff_constant(self, monkeypatch):
+        # a rough left half with sup <= 1, so tau_n = tau = 0.02; every row
+        # has a nonzero difference, and |gamma_j*s_j| is tau_n/(2h) on all
         grid = build_grid_by_count(8)
         rng = np.random.default_rng(3)
-        u = np.concatenate([[0.0], rng.uniform(1, 5, 7), [0.0]])
-        gamma = _gradient_coeff(u[2:] - u[:-2], grid.h, 1.0, 0.02)
+        u = np.concatenate([[0.0], rng.uniform(0.2, 1.0, 4)])
+        assert np.all(u[2:] != u[:-2])
+        params = SimParams(p=3.0, q=1.0, tau=0.02, h=grid.h)
+        calls, _ = _assembled(monkeypatch, _state(u), grid, params)
+        gamma = np.abs(calls[0][0][4])
         assert np.allclose(gamma, 0.02 / (2 * grid.h))
 
     def test_dominance_violation_raises(self):
@@ -118,10 +150,10 @@ class TestAssemble:
         grid = build_grid_by_count(4)
         params = SimParams(p=3.0, q=1.5, h=0.5)
         u = np.array([0.0, 1e6, 2e6])
-        diffs = u[2:3] - u[0:1]  # row 1, the only row left of the peak
-        gs = _gradient_coeff(diffs, grid.h, params.q, 0.01) * np.sign(diffs)
+        # gamma and signs hold row 1, the only row left of the peak
+        rhs, rhs_norm, gamma, signs = scheme_rows(u, grid.h, params.p, params.q, 0.01)
         with pytest.raises(StiffError, match="dominance"):
-            assemble(*source_rhs(u, 0.01, params.p), grid.h, 0.01, gs)
+            assemble(rhs, rhs_norm, grid.h, 0.01, gamma * signs)
 
 
 class TestSolveTridiag:
@@ -581,7 +613,8 @@ class TestFrozenSignCheck:
 
         monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
         params = SimParams(p=2.0, q=q, tau=0.01, h=0.5, blow_threshold=1e15, **overrides)
-        _, iters, flips = stepper._solve_level(np.asarray(u, float), 0.5, params, 0.01)
+        rows = scheme_rows(np.asarray(u, float), 0.5, params.p, q, 0.01)
+        _, iters, flips = stepper._solve_frozen_signs(*rows[:2], 0.5, 0.01, *rows[2:], params)
         assert len(calls) == iters
         return iters, flips
 
@@ -615,6 +648,77 @@ class TestFrozenSignCheck:
         assert self._level(monkeypatch, [0.0, 1.0, 0.0, 1.0], 1.5, [0, 1, -1, 2]) == (1, 0)
 
 
+class TestSignPrefilter:
+    """The Picard loop's sign prefilter passes a solve only where the exact test would.
+
+    The exact test marks row j contradicted where gamma_j*s'*(s' - s) != 0,
+    s the frozen and s' the new sign.  A step's frozen sign is 0 only where
+    the current difference is 0, so for q > 1 such a row has gamma = 0.
+    """
+
+    @staticmethod
+    def _check(monkeypatch, q, s, nd, g, **overrides):
+        """Picard counts of one row with frozen sign s, new difference nd and gamma g."""
+        from cwblowup import stepper
+
+        calls = []
+
+        def prescribed(sys):
+            # the first solve has nd on the row, the second 0, which no sign contradicts
+            calls.append(sys)
+            return np.array([0.0, 1.0, nd if len(calls) == 1 else 0.0])[1:]
+
+        monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
+        params = SimParams(p=2.0, q=q, blow_threshold=1e15, **overrides)
+        _, iters, flips = stepper._solve_frozen_signs(
+            np.ones(2), 1.0, 0.5, 0.01, np.array([g]), np.array([s]), params
+        )
+        assert len(calls) == iters
+        return iters, flips
+
+    @pytest.mark.parametrize(
+        "q, s, nd, g",
+        [
+            (q, s, nd, g)
+            for q in (1.0, 1.5)
+            for s in (-1.0, 0.0, 1.0)
+            for nd in (-1.0, -5e-324, 0.0, 5e-324, 1.0)
+            for g in (0.0, 0.25)
+            if q == 1.0 or s != 0.0 or g == 0.0
+        ],
+    )
+    def test_no_mark_means_no_contradiction(self, monkeypatch, q, s, nd, g):
+        # a row the prefilter leaves unmarked is accepted on the first solve;
+        # a contradicted row flips once (2 flips for both halves)
+        exact = g * np.sign(nd) * (np.sign(nd) - s)
+        expected = (2, 2) if exact != 0.0 else (1, 0)
+        assert self._check(monkeypatch, q, s, nd, g) == expected
+
+    def test_underflowed_gamma_row_is_accepted(self, monkeypatch):
+        # tau_n (2h)^(-q) |d|^(q-1) underflows to 0 on row 1, where the
+        # frozen sign is + (d = 5e-324) and the solve's new difference is
+        # -1e-300: the prefilter marks the row, the exact test finds no
+        # contradiction, and the first solve is the step, even with one
+        # Picard iteration allowed
+        from cwblowup import stepper
+
+        grid = build_grid_by_count(6)
+        u = np.array([0.0, 0.5, 5e-324, 1.0])
+        params = SimParams(p=3.0, q=1.5, tau=1e-170, h=grid.h, picard_max_iters=1)
+        gamma = scheme_rows(u, grid.h, params.p, params.q, params.tau)[2]
+        assert gamma[0] == 0.0 and gamma[1] > 0.0
+        calls = []
+
+        def prescribed(sys):
+            calls.append(sys)
+            return np.array([0.0, 0.5, -1e-300, 1.0])[1:]
+
+        monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
+        result = step(_state(u), grid, params)
+        assert (len(calls), result.picard_iters, result.sign_flips) == (1, 1, 0)
+        assert result.next.u.tolist() == [0.0, 0.5, 0.0, 1.0]
+
+
 class TestWindow:
     """A windowed step is the step of the whole zero-padded half, bit for bit."""
 
@@ -625,22 +729,26 @@ class TestWindow:
         # a windowed solve is accepted only when all _ZERO_EDGE nodes next to
         # its held zero come out exactly 0: a non-zero node at distance 8
         # doubles the margin, one at distance 9 does not
+        # (the window u_lo..u_mid of a solve holds sys.size + 1 values)
         from cwblowup import stepper
 
         solved = []
 
-        def level(u, h, params, tau_n):
-            new = np.zeros(u.size)
+        def solve(sys):
+            new = np.zeros(sys.size + 1)  # u'_lo = 0 leads the buffer
             new[-1] = 1.0
             if not solved:
                 new[first_nonzero] = 1e-300
-            solved.append(u.size)
-            return new, 1, 0
+            solved.append(new.size)
+            return new[1:]
 
-        monkeypatch.setattr(stepper, "_solve_level", level)
+        monkeypatch.setattr(stepper, "solve_tridiag", solve)
         state = SolutionState(u=np.array([0.0, 1.0]), t=0.0, n=0, tau_last=0.0, offset=100)
-        lo, _, _, _ = stepper._solve_window(state, 0.01, SimParams(), 0.1)
+        grid = build_grid_by_count(202)
+        result = step(state, grid, SimParams(q=1.2, tau=0.1, h=grid.h))
         assert solved == sizes
+        assert result.picard_iters == 1
+        lo = grid.mid + 1 - solved[-1]
         assert lo == 100 - _WINDOW_MARGIN * len(sizes)
 
     @staticmethod
