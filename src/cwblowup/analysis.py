@@ -29,19 +29,15 @@ _BOUNDED_DRIFT = 0.01              # relative drift below this means saturated
 _TREND_DRIFT = 0.05                # sustained growth needs at least this drift
 _TREND_PERSISTENCE = 0.5           # late increments must keep >= half the early pace
 _WINDOW_GROWTH_FACTOR = 100.0      # window = trailing steps with 100x peak growth
+# Ratio diagnostics windows (see peak_ratio_diagnostics), in trailing steps.
+_RATIO_WINDOW = 50                 # steps averaged for the two limits
+_RATIO_TAIL_WINDOW = 200           # steps over which the ratio must decrease
 
 
 def _fields_dict(report) -> dict:
-    """A report dataclass's fields as a JSON-ready dict.
-
-    Tuples become lists; array fields are left out.
-    """
-    out = {}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        if not isinstance(value, np.ndarray):
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
+    """A report dataclass's fields as a JSON-ready dict; tuples become lists."""
+    values = ((f.name, getattr(report, f.name)) for f in fields(report))
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
 class Verdict(Enum):
@@ -183,9 +179,9 @@ def classify_blowup_set(history: RunHistory, params: SimParams) -> BlowupReport:
 
 @dataclass(frozen=True)
 class RatioDiagnostics:
-    """Peak-neighbour ratio sequence and its limit behaviour.
+    """Limit behaviour of the peak-neighbour ratio and the peak growth.
 
-    ``neighbor_ratio`` is u at offset -1 over u at the peak, per step.  In
+    The neighbour ratio is u at offset -1 over u at the peak, per step.  In
     the single-point regime it decays to 0 with per-step factor 1/(1+tau)
     while the peak growth tends to 1+tau.  The four means and deviations
     are None when the report is not applicable.
@@ -193,51 +189,37 @@ class RatioDiagnostics:
 
     applicable: bool
     reason: str
-    neighbor_ratio: np.ndarray
-    neighbor_ratio_change: np.ndarray
-    peak_growth: np.ndarray
     mean_ratio_change: float | None
     mean_growth: float | None
     ratio_change_deviation: float | None
     growth_deviation: float | None
     strictly_decreasing_tail: bool
     sup_condition_observed: bool
-    window: int
-    tail_window: int
+    window: int = _RATIO_WINDOW
+    tail_window: int = _RATIO_TAIL_WINDOW
 
     def to_dict(self) -> dict:
-        """The scalar fields; the three per-step arrays are left out."""
         return _fields_dict(self)
 
 
-def peak_ratio_diagnostics(
-    history: RunHistory,
-    params: SimParams,
-    *,
-    window: int = 50,
-    tail_window: int = 200,
-) -> RatioDiagnostics:
+def peak_ratio_diagnostics(history: RunHistory, params: SimParams) -> RatioDiagnostics:
     """Diagnose the neighbour-to-peak ratio limits of a blown-up run.
 
+    The two means are taken over the last ``_RATIO_WINDOW`` steps, and the
+    ratio must decrease strictly over the last ``_RATIO_TAIL_WINDOW``.
     Applicable in the single-point regime (p > 2, q < 2(p-1)/p) once the run
     reached the threshold; otherwise the report is marked not applicable and
     carries no computed limits.
     """
-    empty = np.empty(0)
     not_applicable = RatioDiagnostics(
         applicable=False,
         reason="",
-        neighbor_ratio=empty,
-        neighbor_ratio_change=empty,
-        peak_growth=empty,
         mean_ratio_change=None,
         mean_growth=None,
         ratio_change_deviation=None,
         growth_deviation=None,
         strictly_decreasing_tail=False,
         sup_condition_observed=False,
-        window=window,
-        tail_window=tail_window,
     )
     if params.regime() != "single-point":
         return dc_replace(
@@ -245,7 +227,7 @@ def peak_ratio_diagnostics(
             reason=f"regime {params.regime()!r} is outside p > 2, q < 2(p-1)/p",
         )
     sup = history.column("sup_norm")
-    if len(sup) < window + 2 or sup[-1] < params.blow_threshold:
+    if len(sup) < _RATIO_WINDOW + 2 or sup[-1] < params.blow_threshold:
         return dc_replace(not_applicable, reason="run did not reach blow_threshold")
 
     u_m = history.column("u_m")
@@ -254,28 +236,23 @@ def peak_ratio_diagnostics(
     ratio_change = a[1:] / a[:-1]
     growth = u_m[1:] / u_m[:-1]
 
-    mean_ratio_change = float(np.mean(ratio_change[-window:]))
-    mean_growth = float(np.mean(growth[-window:]))
+    mean_ratio_change = float(np.mean(ratio_change[-_RATIO_WINDOW:]))
+    mean_growth = float(np.mean(growth[-_RATIO_WINDOW:]))
     target_change = 1.0 / (1.0 + params.tau)
     target_growth = 1.0 + params.tau
-    tail = a[-(tail_window + 1) :]
+    tail = a[-(_RATIO_TAIL_WINDOW + 1) :]
     strictly_decreasing = bool(np.all(np.diff(tail) < 0.0))
     sup_condition = float(np.max(u_m1)) > 3.0 * (1.0 + params.tau) / params.h**2
 
     return RatioDiagnostics(
         applicable=True,
         reason="ok",
-        neighbor_ratio=a,
-        neighbor_ratio_change=ratio_change,
-        peak_growth=growth,
         mean_ratio_change=mean_ratio_change,
         mean_growth=mean_growth,
         ratio_change_deviation=abs(mean_ratio_change - target_change) / target_change,
         growth_deviation=abs(mean_growth - target_growth) / target_growth,
         strictly_decreasing_tail=strictly_decreasing,
         sup_condition_observed=sup_condition,
-        window=window,
-        tail_window=tail_window,
     )
 
 
@@ -302,27 +279,11 @@ def geometric_upper_bound(params: SimParams, peak0: float) -> float | None:
 
 @dataclass(frozen=True)
 class TimeBounds:
-    """Numerical blow-up time with its two-sided bounds."""
+    """The two-sided bounds on a run's numerical blow-up time, ``RunOutcome.t_num``."""
 
-    t_num_partial: float
-    tail: float
     lower_g: float
     upper: float | None
     sandwich_ok: bool
-
-    @property
-    def t_num(self) -> float:
-        return self.t_num_partial + self.tail
-
-    def to_dict(self) -> dict:
-        return {
-            "T_num": self.t_num,
-            "T_num_partial": self.t_num_partial,
-            "tail": self.tail,
-            "g": self.lower_g,
-            "T_star_star": self.upper,
-            "sandwich_ok": self.sandwich_ok,
-        }
 
 
 def blowup_time_bounds(outcome: RunOutcome, params: SimParams) -> TimeBounds:
@@ -332,15 +293,8 @@ def blowup_time_bounds(outcome: RunOutcome, params: SimParams) -> TimeBounds:
         raise ValueError("time bounds require a run that blew up")
     g = amplitude_lower_bound(params.p, params.lam)
     upper = geometric_upper_bound(params, params.lam)
-    total = outcome.t_num_partial + outcome.t_num_tail
-    ok = upper is not None and g <= total <= upper
-    return TimeBounds(
-        t_num_partial=outcome.t_num_partial,
-        tail=outcome.t_num_tail,
-        lower_g=g,
-        upper=upper,
-        sandwich_ok=bool(ok),
-    )
+    ok = upper is not None and g <= outcome.t_num <= upper
+    return TimeBounds(lower_g=g, upper=upper, sandwich_ok=bool(ok))
 
 
 @dataclass(frozen=True)
@@ -456,7 +410,7 @@ def convergence_study(
         _raise_on_solver_error(coarse, grid_levels[0])
         if coarse.status is not RunStatus.BLEW_UP:
             raise ValueError("coarse run did not blow up; cannot pick t_check")
-        t_check = 0.5 * (coarse.t_num_partial + coarse.t_num_tail)
+        t_check = 0.5 * coarse.t_num
 
     if reference_h is None:
         reference_h = grid_levels[-1] / 4.0

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,6 +39,10 @@ from cwblowup.stepper import StepError
 
 _FIGURE_LAMBDAS = tuple(10.0 ** (1.0 + 0.5 * i) for i in range(9))  # 10^1 .. 10^5
 _FIGURE_COLUMNS = ("t", "u_m", "u_m_minus_1", "u_m_minus_2", "u_m_plus_1", "u_m_plus_2")
+_TIME_TABLE_COLUMNS = (
+    "lambda", "g_lambda", "T_num", "tail", "T_star_star", "sandwich_ok", "status"
+)
+_TIME_VS_BOUND_COLUMNS = ("lambda", "g_lambda", "T_num", "tail", "status")
 
 
 def _resolve_setup(args: argparse.Namespace) -> tuple[SimParams, InitialData]:
@@ -102,7 +106,7 @@ def _history_columns(
     return columns
 
 
-def _outcome_payload(outcome) -> dict:
+def _outcome_payload(outcome: RunOutcome) -> dict:
     return {
         "status": outcome.status.value,
         "t_num_partial": outcome.t_num_partial,
@@ -112,18 +116,23 @@ def _outcome_payload(outcome) -> dict:
     }
 
 
+def _write_run(out: Path, header: str, outcome: RunOutcome, history: RunHistory) -> None:
+    """Write a run's ``history.csv`` and ``outcome.json``."""
+    _write_csv(out / "history.csv", header, HISTORY_COLUMNS, _history_columns(history))
+    _write_json(out / "outcome.json", _outcome_payload(outcome))
+
+
 def cmd_run(
     args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
 ) -> int:
     outcome, history = run(params, initial, snapshot_every=args.snapshot_every)
     header = params_header(params, initial)
-    _write_csv(out / "history.csv", header, HISTORY_COLUMNS, _history_columns(history))
+    _write_run(out, header, outcome, history)
     for n, t, x, u in history.snapshots:
         _write_csv(
             out / f"snapshot_{n:06d}.csv", f"{header} n={n} t={t!r}", ("x", "u"),
             (x.tolist(), u.tolist()),
         )
-    _write_json(out / "outcome.json", _outcome_payload(outcome))
     print(f"{outcome.status.value}: {outcome.n_final} steps, t = {outcome.t_num_partial!r}")
     return 3 if outcome.status is RunStatus.SOLVER_ERROR else 0
 
@@ -132,9 +141,7 @@ def cmd_classify(
     args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
 ) -> int:
     outcome, history = run(params, initial)
-    header = params_header(params, initial)
-    _write_csv(out / "history.csv", header, HISTORY_COLUMNS, _history_columns(history))
-    _write_json(out / "outcome.json", _outcome_payload(outcome))
+    _write_run(out, params_header(params, initial), outcome, history)
     if outcome.status is not RunStatus.BLEW_UP:
         print(f"cannot classify: run ended with {outcome.status.value}", file=sys.stderr)
         return 3
@@ -145,40 +152,45 @@ def cmd_classify(
     return 0
 
 
-def _amplitude_sweep(
+def _amplitude_table(
     params: SimParams, initial: InitialData, lambdas: Iterable[float]
-) -> Iterator[tuple[float, SimParams, RunOutcome]]:
-    """Run each amplitude once, yielding each outcome as its run ends."""
+) -> dict[str, list]:
+    """Run each amplitude once, in order; the ``_TIME_TABLE_COLUMNS`` by name.
+
+    A run that did not blow up has empty ``T_num``, ``tail`` and
+    ``T_star_star`` cells.  Every run ends before any file is written, so a
+    refused amplitude leaves no output behind.
+    """
+    if initial.kind != "sine":
+        raise ConfigError(
+            "time-table and figures require the sine initial profile (the "
+            "bounds assume the initial peak equals lambda)"
+        )
+    rows = []
     for lam in lambdas:
-        row = replace(params, lam=lam)
-        yield lam, row, run(row, initial)[0]
+        row_params = replace(params, lam=lam)
+        outcome = run(row_params, initial)[0]
+        status = outcome.status.value
+        if outcome.status is RunStatus.BLEW_UP:
+            b = blowup_time_bounds(outcome, row_params)
+            upper = "" if b.upper is None else b.upper
+            ok = str(b.sandwich_ok).lower()
+            rows.append((lam, b.lower_g, outcome.t_num, outcome.t_num_tail, upper, ok, status))
+        else:
+            g = amplitude_lower_bound(row_params.p, lam)
+            rows.append((lam, g, "", "", "", "false", status))
+    return {
+        name: [row[k] for row in rows] for k, name in enumerate(_TIME_TABLE_COLUMNS)
+    }
 
 
 def cmd_time_table(
     args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
 ) -> int:
-    if initial.kind != "sine":
-        raise ConfigError(
-            "time-table requires the sine initial profile (the bounds assume "
-            "the initial peak equals lambda)"
-        )
-    lambdas = args.lambdas
-    rows = []
-    for lam, row_params, outcome in _amplitude_sweep(params, initial, lambdas):
-        status = outcome.status.value
-        if outcome.status is RunStatus.BLEW_UP:
-            b = blowup_time_bounds(outcome, row_params)
-            upper = "" if b.upper is None else b.upper
-            rows.append(
-                (lam, b.lower_g, b.t_num, b.tail, upper, str(b.sandwich_ok).lower(), status)
-            )
-        else:
-            g = amplitude_lower_bound(row_params.p, lam)
-            rows.append((lam, g, "", "", "", "false", status))
+    table = _amplitude_table(params, initial, args.lambdas)
     path = out / "time_table.csv"
-    names = ("lambda", "g_lambda", "T_num", "tail", "T_star_star", "sandwich_ok", "status")
-    _write_csv(path, params_header(params, initial), names, zip(*rows))
-    print(f"wrote {path} ({len(lambdas)} rows)")
+    _write_csv(path, params_header(params, initial), _TIME_TABLE_COLUMNS, table.values())
+    print(f"wrote {path} ({len(args.lambdas)} rows)")
     return 0
 
 
@@ -195,24 +207,16 @@ def _figure_series(params: SimParams, out: Path, *names: str) -> None:
 def cmd_figures(
     args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
 ) -> int:
-    if initial.kind != "sine":
-        raise ConfigError("figures requires the sine initial profile")
+    sweep = replace(params, p=3.0)
+    table = _amplitude_table(sweep, initial, args.lambdas or _FIGURE_LAMBDAS)
     # Scenario pins: the single-point damped case, and the multi-point case
     # tracked at the first and second neighbours (one run, two files).
     _figure_series(replace(params, p=4.0, q=1.3), out, "neighbor_bounded.csv")
     multi = replace(params, p=2.0, q=1.0)
     _figure_series(multi, out, "neighbor_blowup.csv", "second_neighbor_bounded.csv")
-
-    sweep = replace(params, p=3.0)
-    rows = []
-    lambdas = args.lambdas or _FIGURE_LAMBDAS
-    for lam, row_params, outcome in _amplitude_sweep(sweep, initial, lambdas):
-        g = amplitude_lower_bound(row_params.p, lam)
-        total = outcome.t_num_partial + outcome.t_num_tail
-        rows.append((lam, g, total, outcome.t_num_tail, outcome.status.value))
     _write_csv(
-        out / "time_vs_bound.csv", params_header(sweep, initial),
-        ("lambda", "g_lambda", "T_num", "tail", "status"), zip(*rows),
+        out / "time_vs_bound.csv", params_header(sweep, initial), _TIME_VS_BOUND_COLUMNS,
+        [table[name] for name in _TIME_VS_BOUND_COLUMNS],
     )
     print(f"wrote 4 figure data files to {out}")
     return 0

@@ -71,7 +71,8 @@ class SimParams:
 
         Returns one of:
           * ``"multi-point"``   -- p = 2, q = 1: the peak and both neighbours
-            diverge while the second neighbours stay bounded.
+            diverge while the second neighbours stay bounded (the neighbours
+            diverge when h < 1/(1+tau)).
           * ``"single-point"``  -- p > 2, q < 2(p-1)/p: only the peak diverges.
           * ``"open-theory"``   -- 1 < p < 2: boundedness off the peak is an
             open question; only empirical evidence is reported.
@@ -96,8 +97,6 @@ class ValidationReport:
     """Outcome of :func:`validate`: one (name, ok, message) row per check."""
 
     checks: tuple[tuple[str, bool, str], ...]
-    adjacent_blowup_h_ok: bool
-    regime: str
 
     @property
     def ok(self) -> bool:
@@ -110,9 +109,7 @@ class ValidationReport:
 def validate(params: SimParams) -> ValidationReport:
     """Check a parameter set against the admissibility constraints.
 
-    Total: always returns a report, never raises.  Also flags whether
-    h < 1/(1+tau) holds; in the p = 2, q = 1 regime that inequality is what
-    makes the nodes adjacent to the peak diverge as well.
+    Total: always returns a report, never raises.
     """
     checks: list[tuple[str, bool, str]] = []
 
@@ -155,13 +152,7 @@ def validate(params: SimParams) -> ValidationReport:
         params.picard_max_iters >= 1,
         "picard_max_iters must be >= 1",
     )
-
-    h_flag = params.tau > 0.0 and params.h < 1.0 / (1.0 + params.tau)
-    return ValidationReport(
-        checks=tuple(checks),
-        adjacent_blowup_h_ok=bool(h_flag),
-        regime=params.regime(),
-    )
+    return ValidationReport(checks=tuple(checks))
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,12 @@ class RunOutcome:
     final_grid: GridState
     error: str | None = None
 
+    @property
+    def t_num(self) -> float:
+        """The numerical blow-up time: the partial sum plus its tail (0 unless
+        the run blew up)."""
+        return self.t_num_partial + self.t_num_tail
+
 
 def tail_estimate(outcome: RunOutcome, params: SimParams) -> float:
     """Geometric tail of the time sum beyond the last accepted step.

@@ -85,7 +85,7 @@ def test_criterion_1_bounds_sandwich(bounds_runs):
     for lam, (params, outcome, _) in sorted(bounds_runs.items()):
         assert outcome.status is RunStatus.BLEW_UP
         bounds = blowup_time_bounds(outcome, params)
-        total = bounds.t_num
+        total = outcome.t_num
         factor = total / TABLE_VALUES[lam]
         details.append(
             f"lam={lam:g}: g={bounds.lower_g:.3e} <= T={total:.6e} <= "
@@ -104,7 +104,7 @@ def test_criterion_1_bounds_sandwich(bounds_runs):
 def test_criterion_2_ratio_limits(ratio_run):
     params, outcome, history = ratio_run
     assert outcome.status is RunStatus.BLEW_UP
-    diag = peak_ratio_diagnostics(history, params, window=50, tail_window=200)
+    diag = peak_ratio_diagnostics(history, params)
     assert diag.applicable, diag.reason
     ok = (
         diag.growth_deviation < 0.01
@@ -127,7 +127,8 @@ def test_criterion_2_ratio_limits(ratio_run):
 
 def test_criterion_3_blowup_set_dichotomy(multi_point_run, single_point_run):
     params_m, outcome_m, history_m = multi_point_run
-    assert validate(params_m).adjacent_blowup_h_ok  # h = 0.5 < 1/1.1
+    assert validate(params_m).ok
+    assert params_m.h < 1.0 / (1.0 + params_m.tau)  # h = 0.5 < 1/1.1
     report_m = classify_blowup_set(history_m, params_m)
     multi_ok = (
         report_m.verdicts[-1] is Verdict.BLOWS_UP

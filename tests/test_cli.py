@@ -273,7 +273,7 @@ class TestTimeTableVerb:
             assert row[6] == "BlewUp"
 
     def test_sweep_shared_with_figures(self, fast_config, tmp_path, monkeypatch):
-        # both verbs run each amplitude once, in order
+        # both verbs run each amplitude once, in order, before any other run
         from cwblowup import cli
 
         calls = []
@@ -288,7 +288,7 @@ class TestTimeTableVerb:
             calls.clear()
             argv = [verb, "--config", str(fast_config), "--lambdas", "100,10"]
             assert main(argv + ["--output-dir", str(tmp_path / verb)]) == 0
-            assert calls[-2:] == [100.0, 10.0]
+            assert calls[:2] == [100.0, 10.0]
 
     def test_requires_sine_initial(self, tmp_path):
         table = tmp_path / "bump.csv"
@@ -404,6 +404,35 @@ class TestFiguresVerb:
         rc = main(["figures", "--config", str(cfg), "--output-dir", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "verb, lambdas", [("time-table", "10,-1"), ("figures", "-1")]
+    )
+    def test_refused_amplitude_leaves_no_output(
+        self, verb, lambdas, fast_config, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        argv = [verb, "--config", str(fast_config), f"--lambdas={lambdas}"]
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, status", [([], "BlewUp"), (["--set", "max_steps=5"], "BudgetExhausted")]
+    )
+    def test_time_vs_bound_matches_time_table(self, overrides, status, fast_config, tmp_path):
+        argv = ["--config", str(fast_config), *overrides, "--lambdas", "10,100"]
+        assert main(["time-table", *argv, "--output-dir", str(tmp_path / "tt")]) == 0
+        assert main(["figures", *argv, "--output-dir", str(tmp_path / "fig")]) == 0
+        names, table = _read_rows(tmp_path / "tt" / "time_table.csv")
+        header, rows = _read_rows(tmp_path / "fig" / "time_vs_bound.csv")
+        assert header == ["lambda", "g_lambda", "T_num", "tail", "status"]
+        keep = [names.index(name) for name in header]
+        assert rows == [[row[k] for k in keep] for row in table]
+        assert [row[-1] for row in rows] == [status, status]
+        if status != "BlewUp":
+            # a run that did not blow up has no blow-up time
+            assert all(row[2] == row[3] == "" for row in rows)
 
 
 class TestConvergeVerb:

@@ -26,10 +26,9 @@ class TestValidate:
         assert report.ok  # 2p/(p+1) = 1.5 >= 1.4
 
     def test_adjacent_blowup_flag(self):
-        report = validate(SimParams(p=2.0, q=1.0, tau=0.1, h=0.5))
-        assert report.ok
-        assert report.adjacent_blowup_h_ok  # 0.5 < 1/1.1
-        assert report.regime == "multi-point"
+        params = SimParams(p=2.0, q=1.0, tau=0.1, h=0.5)
+        assert validate(params).ok  # h = 0.5 < 1/1.1: the neighbours diverge
+        assert params.regime() == "multi-point"
 
     def test_q_beyond_admissible_fails(self):
         report = validate(SimParams(p=2.0, q=1.5))

@@ -35,6 +35,7 @@ class TestRun:
         outcome, history = run(_fast_params(max_steps=0))
         assert outcome.status is RunStatus.BUDGET_EXHAUSTED
         assert outcome.t_num_partial == 0.0
+        assert outcome.t_num == 0.0  # no tail unless the run blew up
         assert outcome.n_final == 0
         assert outcome.final_state.u[outcome.final_grid.mid] == 10.0
         assert len(history) == 1
@@ -48,7 +49,8 @@ class TestRun:
         params = _fast_params(blow_threshold=1e12)
         outcome, history = run(params)
         assert outcome.status is RunStatus.BLEW_UP
-        total = outcome.t_num_partial + outcome.t_num_tail
+        total = outcome.t_num
+        assert total == outcome.t_num_partial + outcome.t_num_tail
         # the reported value for these exponents; base increments differ,
         # so agreement is only expected within a modest factor
         assert total / 5.177e-3 < 1.25
