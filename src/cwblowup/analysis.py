@@ -322,12 +322,12 @@ def _solution_at_time(
     params: SimParams,
     t_check: float,
     initial: InitialData | None,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int]:
     """Run to t_check and interpolate the node values linearly in time.
 
-    Returns (values, mid, interval_count).  The run must reach t_check
-    before blowing up or exhausting its budget; it stops at the first state
-    with t >= t_check, and the state recorded before it lies before t_check.
+    Returns (values, interval_count).  The run must reach t_check before
+    blowing up or exhausting its budget; it stops at the first state with
+    t >= t_check, and the state recorded before it lies before t_check.
     """
     outcome, history = run(params, initial, t_stop=t_check)
     _raise_on_solver_error(outcome, params.h)
@@ -336,19 +336,20 @@ def _solution_at_time(
             f"run at h={params.h} ended with {outcome.status.value} before "
             f"t_check={t_check}; pick a smaller t_check"
         )
+    h_n = history.column("h_n")
+    if h_n.size > 1 and h_n[-1] != h_n[-2]:
+        raise ValueError("grid changed across t_check; pick a smaller t_check")
     after = history.latest
     before = history.previous or after
-    u0, u1 = mirrored(before), mirrored(after)
-    if u0.size != u1.size:
-        raise ValueError("grid changed across t_check; pick a smaller t_check")
+    mid = outcome.final_grid.mid
+    u0, u1 = mirrored(before, mid), mirrored(after, mid)
     t0, t1 = before.t, after.t
     if t1 == t0:
         u = u1
     else:
         w = (t_check - t0) / (t1 - t0)
         u = u0 + w * (u1 - u0)
-    k = u.size - 1
-    return u, k // 2, k
+    return u, outcome.final_grid.interval_count
 
 
 def compare_to_reference(
@@ -419,14 +420,14 @@ def convergence_study(
     if k_ref < 4 * k_fine or k_ref % k_fine != 0:
         raise ValueError("reference grid must be a nested refinement >= 4x the finest level")
 
-    u_ref, _, k_ref = _solution_at_time(
+    u_ref, k_ref = _solution_at_time(
         dc_replace(params, h=reference_h), t_check, initial
     )
 
     snapped = []
     errors = []
     for h_level in grid_levels:
-        u_lvl, _, k_lvl = _solution_at_time(
+        u_lvl, k_lvl = _solution_at_time(
             dc_replace(params, h=h_level), t_check, initial
         )
         snapped.append(2.0 / k_lvl)

@@ -68,13 +68,14 @@ def compute_tau(params: SimParams, sup_norm: float) -> float:
     """Adaptive time increment tau * min(1, sup^(1-p)).
 
     For sup <= 1 the minimum is 1, so tau is returned without the power,
-    which would overflow once a decaying run's sup norm is subnormal.
+    which would overflow at a decaying run's subnormal (or zero) sup norm.
     """
-    if sup_norm <= 0.0:
-        raise ValueError(f"sup_norm must be positive, got {sup_norm}")
+    if sup_norm < 0.0:
+        raise ValueError(f"sup_norm must be nonnegative, got {sup_norm}")
     if sup_norm <= 1.0:
         return params.tau
     return params.tau * min(1.0, sup_norm ** (1.0 - params.p))
+
 
 def compute_h(params: SimParams, sup_norm: float) -> float:
     """Adaptive space increment min(h, (2*sup^(1-q))^(1/(2-q))).
@@ -82,10 +83,10 @@ def compute_h(params: SimParams, sup_norm: float) -> float:
     For q = 1 the second argument is 2, so the base spacing is returned
     unchanged and the grid never changes along a run.  For sup <= 1 the
     second argument is at least 2 >= h, so h is returned without the power,
-    which would overflow at a subnormal sup norm.
+    which would overflow at a subnormal or zero sup norm.
     """
-    if sup_norm <= 0.0:
-        raise ValueError(f"sup_norm must be positive, got {sup_norm}")
+    if sup_norm < 0.0:
+        raise ValueError(f"sup_norm must be nonnegative, got {sup_norm}")
     if params.q >= 2.0:
         raise ValueError(f"q must be < 2 for the adaptive spacing rule, got {params.q}")
     if sup_norm <= 1.0:
@@ -99,10 +100,9 @@ def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> Solut
 
     The node at offset k from the centre keeps the old offset-k value, and
     the nodes the finer grid adds on the left are zeros, matching the
-    boundary.  So the window moves right by new.mid - old.mid, and ``u`` and
-    the sup norm are shared, not recomputed: a carry allocates no node
-    values and costs O(1).  A grid of fewer intervals than ``old`` is
-    refused.
+    boundary.  A window is placed by its length from the middle node, so the
+    state is returned unchanged: a carry allocates nothing and costs O(1).
+    A grid of fewer intervals than ``old`` is refused.
     Equivalently this is interpolation in the stretched coordinate x/h, under
     which the scheme's step recursions continue seamlessly.  Plain linear
     interpolation would smear the one-node spike that develops near blow-up
@@ -111,8 +111,4 @@ def carry_to_grid(state: SolutionState, old: GridState, new: GridState) -> Solut
     """
     if new.interval_count < old.interval_count:
         raise ValueError("carry_to_grid refuses to coarsen (new spacing exceeds old)")
-    # built field by field: dataclasses.replace walks the fields on every call
-    return SolutionState(
-        u=state.u, t=state.t, n=state.n, tau_last=state.tau_last,
-        offset=state.offset + new.mid - old.mid, t_comp=state.t_comp, sup_norm=state.sup_norm,
-    )
+    return state

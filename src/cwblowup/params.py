@@ -36,7 +36,8 @@ class InitialDataError(ConfigError):
 
 @dataclass(frozen=True)
 class SimParams:
-    """Immutable contract for one run.
+    """Immutable contract for one run; the solver's tolerances are
+    constants of :mod:`cwblowup.stepper`, not run parameters.
 
     Attributes:
         p: source exponent, must be > 1.
@@ -46,9 +47,6 @@ class SimParams:
         lam: amplitude of the sine bump initial profile.
         blow_threshold: sup-norm level at which blow-up is declared.
         max_steps: step budget before giving up.
-        picard_tol: relative roundoff tolerance (times max(1, sup)) within
-            which a negative solved entry is set to 0 rather than refused.
-        picard_max_iters: iteration cap for the frozen-sign fallback.
     """
 
     p: float = 3.0
@@ -58,8 +56,6 @@ class SimParams:
     lam: float = 10.0
     blow_threshold: float = 1e12
     max_steps: int = 100_000
-    picard_tol: float = 1e-12
-    picard_max_iters: int = 50
 
     @property
     def q_max(self) -> float:
@@ -146,12 +142,6 @@ def validate(params: SimParams) -> ValidationReport:
         "blow_threshold**p overflows double precision",
     )
     add("max_steps_nonnegative", params.max_steps >= 0, "max_steps must be >= 0")
-    add("picard_tol_positive", params.picard_tol > 0.0, "picard_tol must be positive")
-    add(
-        "picard_iters_positive",
-        params.picard_max_iters >= 1,
-        "picard_max_iters must be >= 1",
-    )
     return ValidationReport(checks=tuple(checks))
 
 
@@ -163,12 +153,16 @@ class InitialData:
     on the left half of the grid; the right half is its mirror image.
     """
 
-    kind: str = "sine"  # "sine" | "table"
-    table: np.ndarray | None = None  # shape (k, 2): columns x, u0
+    table: np.ndarray | None = None  # shape (k, 2): columns x, u0; None for the sine
+
+    @property
+    def kind(self) -> str:
+        """``"sine"`` or ``"table"``."""
+        return "sine" if self.table is None else "table"
 
     @classmethod
     def sine(cls) -> "InitialData":
-        return cls(kind="sine")
+        return cls()
 
     @classmethod
     def from_table(cls, x: np.ndarray, u0: np.ndarray) -> "InitialData":
@@ -179,7 +173,7 @@ class InitialData:
         order = np.argsort(x)
         x, u0 = x[order], u0[order]
         _check_profile(x, u0, context="table")
-        return cls(kind="table", table=np.column_stack([x, u0]))
+        return cls(table=np.column_stack([x, u0]))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "InitialData":
@@ -211,9 +205,8 @@ class InitialData:
 
     def sup_estimate(self, params: SimParams) -> float:
         """Sup norm of the profile, used to size the initial grid."""
-        if self.kind == "sine":
+        if self.table is None:
             return params.lam
-        assert self.table is not None
         return float(self.table[:, 1].max())
 
     def sample(self, params: SimParams, nodes: np.ndarray, mid: int) -> np.ndarray:
@@ -222,11 +215,10 @@ class InitialData:
         ``nodes`` spans the whole grid, so a table is checked to cover [-1, 1].
         """
         left_nodes = nodes[: mid + 1]
-        if self.kind == "sine":
+        if self.table is None:
             # u0(x) = lam*sin(pi/2*(x+1)), evaluated as lam*cos(pi*x/2)
             left = params.lam * np.cos(0.5 * np.pi * left_nodes)
         else:
-            assert self.table is not None
             x, u0 = self.table[:, 0], self.table[:, 1]
             if x[0] > nodes[0] or x[-1] < nodes[-1]:
                 raise InitialDataError("initial data table must cover [-1, 1]")
@@ -280,7 +272,7 @@ def make_initial(
     state = SolutionState(
         u=initial.sample(params, grid.nodes, grid.mid), t=0.0, n=0, tau_last=0.0
     )
-    _check_profile(grid.nodes, mirrored(state), context=initial.kind)
+    _check_profile(grid.nodes, mirrored(state, grid.mid), context=initial.kind)
     return state
 
 

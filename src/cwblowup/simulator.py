@@ -152,20 +152,28 @@ class RunHistory:
             self.invariant_summary["sup_norm_at_middle"] = False
 
     def add_snapshot(self, state: SolutionState, grid: GridState) -> None:
-        self.snapshots.append((state.n, state.t, grid.nodes.copy(), mirrored(state)))
+        self.snapshots.append((state.n, state.t, grid.nodes.copy(), mirrored(state, grid.mid)))
 
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """How a run ended and what it accumulated."""
+    """How a run ended and what it accumulated (the tail is 0 unless it blew up)."""
 
     status: RunStatus
-    t_num_partial: float
-    t_num_tail: float
-    n_final: int
     final_state: SolutionState
     final_grid: GridState
+    t_num_tail: float = 0.0
     error: str | None = None
+
+    @property
+    def n_final(self) -> int:
+        """Accepted steps, the final state's step count."""
+        return self.final_state.n
+
+    @property
+    def t_num_partial(self) -> float:
+        """The partial time sum Sum tau_n, the final state's time."""
+        return self.final_state.t
 
     @property
     def t_num(self) -> float:
@@ -197,8 +205,10 @@ def run(
 
     Before each step the adaptive spacing is recomputed and the solution is
     carried per offset from the centre (:func:`carry_to_grid`) to the finer
-    grid whenever the snapped interval count changed.  With q = 1 the
-    spacing never changes, so the interval count is computed once.
+    grid whenever the snapped interval count grew; a shrinking peak keeps
+    its finer grid, where the gradient term, of order h^(2-q) relative to
+    diffusion, stays dominated.  With q = 1 the spacing never changes, so
+    the interval count is computed once.
 
     Returns the outcome together with the per-step history, which also
     counts invariant violations (:class:`RunHistory`).  Step failures
@@ -250,7 +260,7 @@ def run(
             break
 
         k_new = grid.interval_count if q_one else interval_count_for(compute_h(params, sup))
-        if k_new != grid.interval_count:
+        if k_new > grid.interval_count:
             if snapshot_every > 0:
                 _refuse_snapshot_grid(k_new)
             new_grid = build_grid_by_count(k_new)
@@ -277,15 +287,7 @@ def run(
     ):
         history.add_snapshot(state, grid)
 
-    outcome = RunOutcome(
-        status=status,
-        t_num_partial=state.t,
-        t_num_tail=0.0,
-        n_final=state.n,
-        final_state=state,
-        final_grid=grid,
-        error=error,
-    )
+    outcome = RunOutcome(status=status, final_state=state, final_grid=grid, error=error)
     if status is RunStatus.BLEW_UP:
         outcome = replace(outcome, t_num_tail=tail_estimate(outcome, params))
     logger.info(

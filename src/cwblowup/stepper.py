@@ -54,7 +54,11 @@ dgtsv = _load_dgtsv()
 
 
 _MAX_TAU_HALVINGS = 20
+_MAX_PICARD_ITERS = 50
 _RESIDUAL_RTOL = 1e-12
+# A solved entry below zero by at most this much times max(1, sup) is
+# roundoff and is set to 0; a larger negative entry is refused.
+_CLAMP_RTOL = 1e-12
 # A windowed step solves from 32 zero nodes left of the window and accepts
 # the solve once the 8 nodes next to its held-zero edge come out exactly 0;
 # otherwise the margin doubles.
@@ -210,13 +214,14 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
 
 
 def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResult":
-    """Advance one time level of a window state u_offset..u_mid.
+    """Advance one time level of a window state u_start..u_mid.
 
     Freezes the gradient-term signs from the current level, solves the
     tridiagonal system with a reflection at the peak, verifies the signs a
     posteriori, and re-freezes contradicted signs (Picard) until a solve keeps all.
     Diagonal-dominance loss is retried with a halved time increment up to 20
-    times.  The solve covers rows lo+1..mid with lo = max(0, offset - 32) and
+    times.  The window starts at node start = grid.mid + 1 - state.u.size.
+    The solve covers rows lo+1..mid with lo = max(0, start - 32) and
     node lo held at 0; unless lo = 0 it is accepted only when the 8 solved
     nodes next to lo are exactly 0, and otherwise repeated with a doubled
     margin.  Rows left of lo then have rhs 0 and zero neighbours, so the
@@ -226,14 +231,14 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     (keeping nodes mid-2..mid) on the same grid.  Its time is state.t + tau_n,
     summed with compensation (``t_comp``), and it carries its sup norm.
 
-    Raises StepError if the state does not hold grid.mid + 1 - offset values,
-    is non-finite, or is already at ``blow_threshold``.
+    Raises StepError if the state holds more than the grid.mid + 1 values
+    of the left half, is non-finite, or is already at ``blow_threshold``.
     """
-    u, offset, mid = state.u, state.offset, grid.mid
-    if u.size != mid + 1 - offset:
+    u, mid = state.u, grid.mid
+    start = mid + 1 - u.size
+    if start < 0:
         raise StepError(
-            f"state holds {u.size} values, not the {mid + 1 - offset} "
-            "of its window on the left half"
+            f"state holds {u.size} values, more than the {mid + 1} of the left half"
         )
     # Every state a run hands over came out of a checked step, so the carried
     # sup norm (NaN or +inf) and the minimum (-inf) suffice to refuse a
@@ -247,15 +252,13 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         )
 
     h, p, q = grid.h, params.p, params.q
-    # sup = 0 falls on the clamp branch of the tau rule (min(1, 0^(1-p)) = 1),
-    # keeping the all-zero state a fixed point of the step.
-    tau_n = params.tau if sup == 0.0 else compute_tau(params, sup)
+    tau_n = compute_tau(params, sup)
     halvings, margin = 0, _WINDOW_MARGIN
     while True:
-        lo = max(0, offset - margin)
-        if offset:
+        lo = max(0, start - margin)
+        if start:
             w = np.zeros(mid + 1 - lo)
-            w[offset - lo :] = u
+            w[start - lo :] = u
         else:
             w = u
         # rows lo+1..mid: the source right-hand side u_j + tau_n*(u_j)^p
@@ -270,7 +273,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
             gamma = gamma * np.abs(diffs) ** (q - 1.0)
         try:
             new, iters, flips = _solve_frozen_signs(
-                rhs, float(mag[mag.argmax()]), h, tau_n, gamma, np.sign(diffs), params
+                rhs, float(mag[mag.argmax()]), h, tau_n, gamma, np.sign(diffs), q
             )
         except StiffError as exc:
             if halvings == _MAX_TAU_HALVINGS:
@@ -284,7 +287,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
             break
         margin *= 2
 
-    clamp_tol = params.picard_tol * max(1.0, sup)
+    clamp_tol = _CLAMP_RTOL * max(1.0, sup)
     low = float(new[new.argmin()])
     if low < -clamp_tol:
         raise NegativeSolutionError(
@@ -297,13 +300,13 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         # new[0] is the held zero, so argmax finds 0 only in an all-zero window
         first = int((new != 0.0).argmax()) or new.size
         cut = max(0, min(first - 1, new.size - 3))
-        new, lo = new[cut:], lo + cut
+        new = new[cut:]
 
     # t is a compensated (Kahan) sum of the increments
     y = tau_n - state.t_comp
     t = state.t + y
     next_state = SolutionState(
-        u=new, t=t, n=state.n + 1, tau_last=tau_n, offset=lo, t_comp=(t - state.t) - y,
+        u=new, t=t, n=state.n + 1, tau_last=tau_n, t_comp=(t - state.t) - y,
         sup_norm=float(new[new.argmax()]),
     )
     return StepResult(next_state, iters, flips)
@@ -316,7 +319,7 @@ def _solve_frozen_signs(
     tau_n: float,
     gamma: np.ndarray | float,
     signs: np.ndarray,
-    params: SimParams,
+    q: float,
 ) -> tuple[np.ndarray, int, int]:
     """Frozen-sign solve with a posteriori verification and Picard fallback.
 
@@ -341,9 +344,8 @@ def _solve_frozen_signs(
 
     d'*s is +-d' or +-0 exactly, so neither test rounds.
     """
-    q = params.q
     total_flips = 0
-    for iteration in range(1, params.picard_max_iters + 1):
+    for iteration in range(1, _MAX_PICARD_ITERS + 1):
         x = solve_tridiag(assemble(rhs, rhs_norm, h, tau_n, gamma * signs))
         new = x.base  # u'_lo .. u'_mid, the solve's buffer led by u'_lo = 0
         nd = new[2:] - new[:-2]
@@ -361,7 +363,7 @@ def _solve_frozen_signs(
         total_flips += flips
         signs = np.where(contradiction != 0.0, new_signs, signs)
     raise PicardError(
-        f"no sign fixed point within {params.picard_max_iters} iterations "
+        f"no sign fixed point within {_MAX_PICARD_ITERS} iterations "
         f"({total_flips} total sign flips)"
     )
 

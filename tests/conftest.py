@@ -138,19 +138,20 @@ def random_symmetric_monotone_state(
     return state, grid, params
 
 
-def padded_half(state: SolutionState) -> np.ndarray:
-    """u_0..u_mid of a window state: ``offset`` zeros, then the window."""
-    return np.concatenate((np.zeros(state.offset), state.u))
+def window_start(state: SolutionState, grid: GridState) -> int:
+    """Index of the window's first node: a window ends at the middle node."""
+    return grid.mid + 1 - state.u.size
+
+
+def padded_half(state: SolutionState, grid: GridState) -> np.ndarray:
+    """u_0..u_mid of a window state: zeros up to the window, then the window."""
+    return np.concatenate((np.zeros(window_start(state, grid)), state.u))
 
 
 def window_ok(state: SolutionState, grid: GridState) -> bool:
     """The window invariants: it ends at the peak node, starts at a zero node,
     and holds the nodes mid-2..mid (all nodes when mid < 2)."""
-    return (
-        state.u.size == grid.mid + 1 - state.offset
-        and state.u[0] == 0.0
-        and 0 <= state.offset <= max(0, grid.mid - 2)
-    )
+    return state.u[0] == 0.0 and 0 <= window_start(state, grid) <= max(0, grid.mid - 2)
 
 
 @pytest.fixture

@@ -220,11 +220,11 @@ def test_criterion_6_oracle_equivalence():
         result = step(state, grid, params)
         # the oracle works on the full width; the step stores the left half
         oracle = nonlinear_step_oracle(
-            mirrored(state), grid.h, params.p, params.q, result.next.tau_last
+            mirrored(state, grid.mid), grid.h, params.p, params.q, result.next.tau_last
         )
         scale = max(1.0, float(np.max(state.u)))
         worst_step = max(
-            worst_step, float(np.max(np.abs(mirrored(result.next) - oracle))) / scale
+            worst_step, float(np.max(np.abs(mirrored(result.next, grid.mid) - oracle))) / scale
         )
     step_ok = worst_step <= 1e-10
 

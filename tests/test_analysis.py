@@ -202,10 +202,10 @@ class TestConvergence:
         _, history = run(params, snapshot_every=1)
         (_, t0, _, u0), (_, t1, _, u1) = history.snapshots[4:6]
         t_check = t0 + 0.25 * (t1 - t0)
-        u, mid, k = _solution_at_time(params, t_check, None)
+        u, k = _solution_at_time(params, t_check, None)
         w = (t_check - t0) / (t1 - t0)
         assert u.tobytes() == (u0 + w * (u1 - u0)).tobytes()
-        assert (mid, k) == (u.size // 2, u.size - 1)
+        assert k == u.size - 1
 
     def test_grid_change_across_t_check_refused(self):
         # state n is the first on a finer grid, so the states around t_n

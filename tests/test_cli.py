@@ -141,7 +141,7 @@ class TestRunVerb:
         "argv",
         [
             ["--set", "max_steps=inf"],
-            ["--set", "picard_max_iters=1e400"],
+            ["--set", "max_steps=1e400"],
             ["--set", "max_steps=2.7"],
             ["--config", "{tmp}"],
             ["--set", "initial=file:{tmp}"],

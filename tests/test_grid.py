@@ -9,7 +9,7 @@ from cwblowup import SimParams, build_grid, carry_to_grid, compute_h, compute_ta
 from cwblowup.grid import build_grid_by_count, interval_count_for
 from cwblowup.state import SolutionState, mirrored
 
-from conftest import padded_half, window_ok
+from conftest import padded_half, window_ok, window_start
 
 
 class TestComputeTau:
@@ -23,8 +23,14 @@ class TestComputeTau:
         assert compute_tau(SimParams(p=2.0, tau=0.2), 1.0) == 0.2
 
     def test_rejects_nonpositive_sup(self):
-        with pytest.raises(ValueError):
-            compute_tau(SimParams(), 0.0)
+        # a zero sup norm takes the sup <= 1 branch (the all-zero state);
+        # only a negative one is refused
+        params = SimParams()
+        assert compute_tau(params, 0.0) == params.tau
+        assert compute_h(params, 0.0) == params.h
+        for rule in (compute_tau, compute_h):
+            with pytest.raises(ValueError, match="nonnegative"):
+                rule(params, -1e-300)
 
 
 class TestComputeH:
@@ -110,14 +116,15 @@ def _state(values):
 
 class TestCarryToGrid:
     def test_offsets_preserved_and_outer_zeros(self):
-        # the window moves right by new.mid - old.mid; the nodes left of it,
-        # the ones the finer grid adds, are zeros
+        # the window ends at the middle node, so it moves right by
+        # new.mid - old.mid; the nodes left of it, the ones the finer grid
+        # adds, are zeros
         old = build_grid_by_count(4)
         new = build_grid_by_count(8)
         out = carry_to_grid(_state([0.0, 1.0, 4.0]), old, new)
-        assert out.offset == 2
+        assert window_start(out, new) == 2
         assert np.array_equal(out.u, [0.0, 1.0, 4.0])
-        assert np.array_equal(padded_half(out), [0, 0, 0.0, 1.0, 4.0])
+        assert np.array_equal(padded_half(out, new), [0, 0, 0.0, 1.0, 4.0])
         assert window_ok(out, new)
 
     def test_sup_and_symmetry_preserved(self):
@@ -127,32 +134,31 @@ class TestCarryToGrid:
         out = carry_to_grid(_state([0.0, 2.0, 5.0, 9.0]), old, new)
         assert out.sup_norm == 9.0
         assert np.array_equal(
-            mirrored(out), [0, 0, 0.0, 2.0, 5.0, 9.0, 5.0, 2.0, 0.0, 0, 0]
+            mirrored(out, new.mid), [0, 0, 0.0, 2.0, 5.0, 9.0, 5.0, 2.0, 0.0, 0, 0]
         )
 
     def test_shares_the_window(self):
-        # a carry copies nothing: the same array, the offset moved
+        # a carry copies nothing: the same array, the window start moved
         old = build_grid_by_count(40)
         new = build_grid_by_count(1000)
-        state = replace(_state([0.0, 0.0, 3.0, 7.0]), offset=17)
+        state = _state([0.0, 0.0, 3.0, 7.0])
+        assert window_start(state, old) == 17
         out = carry_to_grid(state, old, new)
         assert out.u is state.u
-        assert out.offset == 17 + new.mid - old.mid
+        assert window_start(out, new) == 17 + new.mid - old.mid
         assert (out.t, out.n, out.tau_last) == (state.t, state.n, state.tau_last)
         assert window_ok(out, new)
 
     def test_keeps_every_other_field(self):
-        # the carried state is built field by field; each field but the
-        # offset, SolutionState's later fields too, must come across
+        # every field, SolutionState's later fields too, must come across
         old = build_grid_by_count(8)
         new = build_grid_by_count(12)
         state = SolutionState(
-            u=np.array([0.0, 1.0, 3.0]), t=0.25, n=7, tau_last=0.01, offset=2, t_comp=-1e-18
+            u=np.array([0.0, 1.0, 3.0]), t=0.25, n=7, tau_last=0.01, t_comp=-1e-18
         )
         out = carry_to_grid(state, old, new)
         for f in fields(SolutionState):
-            if f.name != "offset":
-                assert getattr(out, f.name) is getattr(state, f.name), f.name
+            assert getattr(out, f.name) is getattr(state, f.name), f.name
         assert out.sup_norm == 3.0
 
     def test_refuses_coarsening(self):
@@ -169,7 +175,7 @@ class TestCarryToGrid:
         state = _state(np.arange(3.0))
         grid = build_grid_by_count(k)
         out = carry_to_grid(state, grid, build_grid_by_count(k))
-        assert out.u is state.u and out.offset == state.offset
+        assert out is state
         with pytest.raises(
             ValueError,
             match=r"^carry_to_grid refuses to coarsen \(new spacing exceeds old\)$",

@@ -74,7 +74,7 @@ def test_regrid_preserves_structure(u, k_extra):
     new = build_grid_by_count(2 * (u.size - 1 + k_extra))
     out = carry_to_grid(SolutionState(u=u, t=0.0, n=0, tau_last=0.0), old, new)
     assert window_ok(out, new)
-    half = padded_half(out)
+    half = padded_half(out, new)
     assert half.size == new.mid + 1
     assert half[0] == 0.0
     assert np.all(np.diff(half) >= 0.0)
@@ -215,9 +215,10 @@ def test_fused_observe_matches_passes(windows):
     history, passes = RunHistory(), _PassMonitor()
     for values, offset, monotone in windows:
         u = np.sort(values) if monotone else np.array(values)
-        # a window holds at least the nodes mid-2..mid, or the whole half
+        # a window holds at least the nodes mid-2..mid, or the whole half;
+        # it starts ``offset`` nodes right of the grid's first node
         offset = offset if u.size >= 3 else 0
-        state = SolutionState(u=u, t=0.0, n=0, tau_last=0.0, offset=offset)
+        state = SolutionState(u=u, t=0.0, n=0, tau_last=0.0)
         history.record(state, build_grid_by_count(2 * (u.size - 1 + offset)))
         passes.observe(u)
     assert repr(history.invariant_summary) == repr(passes.summary())

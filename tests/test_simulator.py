@@ -1,5 +1,6 @@
 """Run loop behaviour: stopping, accumulation, history, output files."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from cwblowup import (
+    ConfigError,
     InitialData,
     InitialDataError,
     RunStatus,
@@ -16,12 +18,12 @@ from cwblowup import (
     tail_estimate,
 )
 from cwblowup.cli import _FIGURE_COLUMNS, _figure_series, _history_columns, _write_csv
-from cwblowup.grid import build_grid_by_count
+from cwblowup.grid import build_grid_by_count, compute_h, interval_count_for
 from cwblowup.params import params_header
 from cwblowup.simulator import HISTORY_COLUMNS, RunHistory, RunOutcome
 from cwblowup.state import SolutionState, mirrored
 
-from conftest import padded_half, window_ok
+from conftest import padded_half, window_ok, window_start
 
 
 def _fast_params(**kwargs):
@@ -153,16 +155,16 @@ class TestRun:
         from cwblowup import simulator
 
         real_step = simulator.step
-        seen, offsets = [], []
+        seen, starts = [], []
 
         def checked_step(state, grid, params):
-            full = mirrored(state)
+            full = mirrored(state, grid.mid)
             seen.append(
                 window_ok(state, grid)
                 and full.size == grid.interval_count + 1
                 and np.array_equal(full, full[::-1])
             )
-            offsets.append(state.offset)
+            starts.append(window_start(state, grid))
             return real_step(state, grid, params)
 
         monkeypatch.setattr(simulator, "step", checked_step)
@@ -172,7 +174,7 @@ class TestRun:
         assert history.column("h_n")[-1] < history.column("h_n")[0]  # it regridded
         assert seen and all(seen)
         assert window_ok(outcome.final_state, outcome.final_grid)
-        assert max(offsets) > 0  # the carried run steps on a window
+        assert max(starts) > 0  # the carried run steps on a window
         for k in (1, 2):
             plus = history.column(f"u_m_plus_{k}")
             assert np.array_equal(plus, history.column(f"u_m_minus_{k}"))
@@ -204,7 +206,8 @@ class TestRun:
         n, t, x, u = history.snapshots[-1]
         assert n == outcome.n_final
         assert u.size == outcome.final_grid.interval_count + 1
-        assert np.array_equal(u[: outcome.final_grid.mid + 1], padded_half(outcome.final_state))
+        grid = outcome.final_grid
+        assert np.array_equal(u[: grid.mid + 1], padded_half(outcome.final_state, grid))
 
     def test_snapshots_of_a_huge_initial_grid_refused(self, monkeypatch):
         # lambda = 1e9 at q = 1.45 starts on K = 1.3e7, above the snapshot
@@ -223,14 +226,15 @@ class TestRun:
         # every snapshot still lists all K+1 nodes
         outcome, history = run(_fast_params(q=1.36, blow_threshold=1e5), snapshot_every=10)
         grid, state = outcome.final_grid, outcome.final_state
-        assert state.offset > 0
+        start = window_start(state, grid)
+        assert start > 0
         n, _, x, u = history.snapshots[-1]
         assert n == outcome.n_final
         assert x.size == u.size == grid.interval_count + 1
         assert np.array_equal(x, grid.nodes)
         assert np.array_equal(u, u[::-1])
-        assert np.all(u[: state.offset + 1] == 0.0)
-        assert np.array_equal(u[state.offset : grid.mid + 1], state.u)
+        assert np.all(u[: start + 1] == 0.0)
+        assert np.array_equal(u[start : grid.mid + 1], state.u)
 
     def test_invariant_summary_attached(self):
         _, history = run(_fast_params())
@@ -239,6 +243,48 @@ class TestRun:
             "worst_monotonicity_defect": 0.0,
             "sup_norm_at_middle": True,
         }
+
+
+class TestErrorContract:
+    """Every run ends with a RunStatus or raises ConfigError, nothing else."""
+
+    def test_grid_never_coarsens(self):
+        # on a coarse base grid the first regrid can shrink the peak, and the
+        # spacing rule then asks for fewer intervals than the grid has; the
+        # run keeps its finer grid and blows up
+        params = SimParams(p=1.5, q=1.2, h=1.0, lam=10.0)
+        outcome, history = run(params)
+        assert outcome.status is RunStatus.BLEW_UP
+        assert (outcome.n_final, outcome.final_grid.interval_count) == (627, 830)
+        h, sup = history.column("h_n"), history.column("sup_norm")
+        assert np.all(np.diff(h) <= 0.0)
+        asked = [interval_count_for(compute_h(params, s)) for s in sup[:-1]]
+        assert np.any(np.array(asked) < np.rint(2.0 / h[:-1]))
+
+    def test_scan_of_admissible_parameters(self):
+        # q = 1, 1.19 and q_max (None; 1.2 at p = 1.5, where a coarse base
+        # grid once made the spacing rule coarsen), h from fine to the
+        # coarsest grid, and lambda = 0.5, whose profile is refused; first
+        # grids too large to sample quickly are left out.  Any other
+        # exception fails the test.
+        ends: dict[str, int] = {}
+        for p, q, tau, h, lam in itertools.product(
+            (1.5, 2.0, 3.0, 5.0), (1.0, 1.19, None), (0.1, 1.0), (0.05, 1.0, 2.0),
+            (0.5, 5.0, 10.0, 30.0, 1e3),
+        ):
+            params = SimParams(p=p, tau=tau, h=h, lam=lam, max_steps=80)
+            params = replace(params, q=q or params.q_max)
+            if interval_count_for(compute_h(params, lam)) > 2**14:
+                continue
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", ".*large amplitude", UserWarning)
+                try:
+                    end = run(params)[0].status.value
+                except ConfigError:
+                    end = "ConfigError"
+            ends[end] = ends.get(end, 0) + 1
+        assert ends["ConfigError"] == 4 * 3 * 2 * 3  # every lambda = 0.5 draw
+        assert ends["BlewUp"] and ends["BudgetExhausted"]
 
 
 class TestCarriedSupNorm:
@@ -289,10 +335,7 @@ class TestRecord:
         # a window far from the boundary: the peak and its neighbours are the
         # window's last three values, whatever the grid size
         grid = build_grid_by_count(2 * 10**9)
-        state = SolutionState(
-            u=np.array([0.0, 0.0, 0.0, 5.0]), t=0.5, n=7, tau_last=1e-3,
-            offset=grid.mid - 3,
-        )
+        state = SolutionState(u=np.array([0.0, 0.0, 0.0, 5.0]), t=0.5, n=7, tau_last=1e-3)
         history = RunHistory()
         history.record(state, grid)
         row = {name: history.rows[name][0] for name in HISTORY_COLUMNS}
@@ -311,12 +354,7 @@ class TestTailEstimate:
     def _outcome(self, tau_last):
         state = SolutionState(u=np.zeros(2), t=1.0, n=5, tau_last=tau_last)
         return RunOutcome(
-            status=RunStatus.BLEW_UP,
-            t_num_partial=1.0,
-            t_num_tail=0.0,
-            n_final=5,
-            final_state=state,
-            final_grid=build_grid_by_count(2),
+            status=RunStatus.BLEW_UP, final_state=state, final_grid=build_grid_by_count(2)
         )
 
     def test_geometric_tail_value(self):

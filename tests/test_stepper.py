@@ -32,6 +32,7 @@ from conftest import (
     scheme_rows,
     tridiag_dense,
     window_ok,
+    window_start,
 )
 
 
@@ -80,7 +81,7 @@ class TestAssemble:
         # the half-range system with the reflection has the same solution as
         # the full-width system of a symmetric state (dense oracle)
         state, grid, params = random_symmetric_monotone_state(rng)
-        u, m = mirrored(state), grid.mid
+        u, m = mirrored(state, grid.mid), grid.mid
         tau_n = compute_tau(params, float(np.max(u)))
         lam = tau_n / grid.h**2
         _, _, gamma, signs = scheme_rows(u, grid.h, params.p, params.q, tau_n)
@@ -391,8 +392,8 @@ class TestStep:
         result = step(_state(np.zeros(5)), grid, params)
         # the padded half stays all zeros; the window keeps only mid-2..mid
         assert window_ok(result.next, grid)
-        assert np.array_equal(padded_half(result.next), np.zeros(5))
-        assert result.next.offset == grid.mid - 2
+        assert np.array_equal(padded_half(result.next, grid), np.zeros(5))
+        assert window_start(result.next, grid) == grid.mid - 2
         assert result.next.tau_last == params.tau
 
     def test_sine_bump_stays_symmetric_monotone(self):
@@ -408,9 +409,10 @@ class TestStep:
         assert np.argmax(u) == grid.mid
         # against the brute-force nonlinear fixed point, absolute values kept
         oracle = nonlinear_step_oracle(
-            mirrored(state), grid.h, params.p, params.q, result.next.tau_last
+            mirrored(state, grid.mid), grid.h, params.p, params.q, result.next.tau_last
         )
-        assert np.max(np.abs(mirrored(result.next) - oracle)) <= 1e-10 * max(1.0, np.max(u))
+        gap = np.max(np.abs(mirrored(result.next, grid.mid) - oracle))
+        assert gap <= 1e-10 * max(1.0, np.max(u))
 
     def test_small_tau_closed_form_at_peak(self):
         # with lam_n -> 0 the peak update approaches u*(1 + tau_n*u^(p-1))
@@ -442,24 +444,24 @@ class TestStep:
         assert result.next.u[grid.mid] >= floor * (1 - 1e-10)
 
     def test_refuses_wrong_length_state(self, rng):
-        # a state holds its window u_offset..u_mid of the left half; the full
-        # node vector, a half of another grid or a window whose offset does
-        # not match its length is refused rather than misread
+        # a state holds a window of the left half, placed by its length; the
+        # full node vector, or a half one node longer, is refused rather than
+        # misread
         state, grid, params = random_symmetric_monotone_state(rng)
-        for wrong in (mirrored(state), state.u[:-1]):
-            with pytest.raises(StepError, match="left half"):
+        for wrong in (mirrored(state, grid.mid), np.concatenate(([0.0], state.u))):
+            with pytest.raises(StepError, match="more than the .* left half"):
                 step(_state(wrong), grid, params)
-        with pytest.raises(StepError, match="left half"):
-            step(replace(state, offset=1), grid, params)
         result = step(state, grid, params)
         assert window_ok(result.next, grid)
 
     def test_positivity_on_random_states(self, rng):
+        from cwblowup import stepper
+
         for _ in range(20):
             state, grid, params = random_symmetric_monotone_state(rng)
             result = step(state, grid, params)
             assert np.min(result.next.u) >= 0.0
-            assert result.picard_iters <= params.picard_max_iters
+            assert result.picard_iters <= stepper._MAX_PICARD_ITERS
 
     def test_tau_halving_recovers_dominance(self):
         # an oversized base increment puts the gradient coefficient above the
@@ -472,9 +474,9 @@ class TestStep:
         result = step(state, grid, params)
         assert result.next.tau_last < compute_tau(params, float(np.max(u)))
         oracle = nonlinear_step_oracle(
-            mirrored(state), grid.h, params.p, params.q, result.next.tau_last
+            mirrored(state, grid.mid), grid.h, params.p, params.q, result.next.tau_last
         )
-        gap = np.max(np.abs(mirrored(result.next) - oracle))
+        gap = np.max(np.abs(mirrored(result.next, grid.mid) - oracle))
         assert gap <= 1e-10 * max(1.0, np.max(u))
 
     def test_refuses_state_beyond_threshold(self):
@@ -523,10 +525,10 @@ class TestStep:
 
     @pytest.mark.parametrize("value", [-1e-14, -0.0, 0.0])
     def test_roundoff_negative_entry_clamped(self, monkeypatch, value):
-        # an entry below zero by less than picard_tol * sup is set to 0
+        # an entry below zero by less than _CLAMP_RTOL * sup is set to 0
         state, grid, params = self._with_solved_entry(monkeypatch, value)
         new = step(state, grid, params).next
-        half = padded_half(new)
+        half = padded_half(new, grid)
         assert half[1] == 0.0 and np.min(half) == 0.0
         assert window_ok(new, grid)
 
@@ -552,9 +554,11 @@ class TestStep:
         monkeypatch.setattr(stepper, "solve_tridiag", solve)
         return make_initial(params, grid), grid, params
 
-    def test_picard_fallback_converges_to_fixed_point(self):
+    def test_picard_fallback_converges_to_fixed_point(self, monkeypatch):
         # a rough symmetric profile flips frozen signs; the re-frozen
         # iteration must land on the same nonlinear fixed point
+        from cwblowup import stepper
+
         grid = build_grid_by_count(12)
         params = SimParams(p=3.214, q=1.0, tau=1.963, h=grid.h, blow_threshold=1e15)
         u = _ROUGH
@@ -563,23 +567,22 @@ class TestStep:
         # the third solve contradicts none of its signs and is the step; a
         # fourth would solve the same system again
         assert result.picard_iters == 3
-        capped = step(_state(u), grid, replace(params, picard_max_iters=3))
+        monkeypatch.setattr(stepper, "_MAX_PICARD_ITERS", 3)
+        capped = step(_state(u), grid, params)
         assert capped.next.u.tobytes() == result.next.u.tobytes()
         oracle = nonlinear_step_oracle(
-            mirrored(_state(u)), grid.h, params.p, params.q, result.next.tau_last
+            mirrored(_state(u), grid.mid), grid.h, params.p, params.q, result.next.tau_last
         )
-        gap = np.max(np.abs(mirrored(result.next) - oracle))
+        gap = np.max(np.abs(mirrored(result.next, grid.mid) - oracle))
         assert gap <= 1e-10 * max(1.0, np.max(u))
 
-    def test_picard_iteration_cap(self):
-        from cwblowup import PicardError
+    def test_picard_iteration_cap(self, monkeypatch):
+        from cwblowup import PicardError, stepper
 
         grid = build_grid_by_count(12)
-        params = SimParams(
-            p=3.214, q=1.0, tau=1.963, h=grid.h, blow_threshold=1e15,
-            picard_max_iters=1,
-        )
-        with pytest.raises(PicardError):
+        params = SimParams(p=3.214, q=1.0, tau=1.963, h=grid.h, blow_threshold=1e15)
+        monkeypatch.setattr(stepper, "_MAX_PICARD_ITERS", 1)
+        with pytest.raises(PicardError, match="within 1 iterations"):
             step(_state(_ROUGH), grid, params)
 
     def test_singular_system_raises(self):
@@ -599,7 +602,7 @@ class TestFrozenSignCheck:
     """The a posteriori sign check of the Picard loop, on a prescribed solve."""
 
     @staticmethod
-    def _level(monkeypatch, u, q, *solves, **overrides):
+    def _level(monkeypatch, u, q, *solves):
         """Picard counts when the i-th solve returns solves[i] (the last repeats)."""
         from cwblowup import stepper
 
@@ -612,9 +615,8 @@ class TestFrozenSignCheck:
             return buf[1:]
 
         monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
-        params = SimParams(p=2.0, q=q, tau=0.01, h=0.5, blow_threshold=1e15, **overrides)
-        rows = scheme_rows(np.asarray(u, float), 0.5, params.p, q, 0.01)
-        _, iters, flips = stepper._solve_frozen_signs(*rows[:2], 0.5, 0.01, *rows[2:], params)
+        rows = scheme_rows(np.asarray(u, float), 0.5, 2.0, q, 0.01)
+        _, iters, flips = stepper._solve_frozen_signs(*rows[:2], 0.5, 0.01, *rows[2:], q)
         assert len(calls) == iters
         return iters, flips
 
@@ -628,7 +630,7 @@ class TestFrozenSignCheck:
         assert self._level(monkeypatch, [0.0, 1.0, 2.0, 3.0], 1.0, [0, 1, -1, 1]) == (2, 2)
 
     # frozen (+, +); the first solve flips row lo+1 to -, and the second,
-    # which differs from it by 4 (far beyond picard_tol * sup), keeps the
+    # which differs from it by 4 (far beyond _CLAMP_RTOL * sup), keeps the
     # re-frozen signs (-, +)
     _FIRST, _SECOND = [0, 1, -1, 1], [0, 1, -1, 5]
 
@@ -637,10 +639,11 @@ class TestFrozenSignCheck:
         assert self._level(monkeypatch, u, 1.0, self._FIRST, self._SECOND) == (2, 2)
 
     def test_consistent_solve_on_the_last_iteration_is_returned(self, monkeypatch):
+        from cwblowup import stepper
+
         u = [0.0, 1.0, 2.0, 3.0]
-        counts = self._level(
-            monkeypatch, u, 1.0, self._FIRST, self._SECOND, picard_max_iters=2
-        )
+        monkeypatch.setattr(stepper, "_MAX_PICARD_ITERS", 2)
+        counts = self._level(monkeypatch, u, 1.0, self._FIRST, self._SECOND)
         assert counts == (2, 2)
 
     def test_inactive_rows_never_flip(self, monkeypatch):
@@ -657,7 +660,7 @@ class TestSignPrefilter:
     """
 
     @staticmethod
-    def _check(monkeypatch, q, s, nd, g, **overrides):
+    def _check(monkeypatch, q, s, nd, g):
         """Picard counts of one row with frozen sign s, new difference nd and gamma g."""
         from cwblowup import stepper
 
@@ -669,9 +672,8 @@ class TestSignPrefilter:
             return np.array([0.0, 1.0, nd if len(calls) == 1 else 0.0])[1:]
 
         monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
-        params = SimParams(p=2.0, q=q, blow_threshold=1e15, **overrides)
         _, iters, flips = stepper._solve_frozen_signs(
-            np.ones(2), 1.0, 0.5, 0.01, np.array([g]), np.array([s]), params
+            np.ones(2), 1.0, 0.5, 0.01, np.array([g]), np.array([s]), q
         )
         assert len(calls) == iters
         return iters, flips
@@ -704,7 +706,8 @@ class TestSignPrefilter:
 
         grid = build_grid_by_count(6)
         u = np.array([0.0, 0.5, 5e-324, 1.0])
-        params = SimParams(p=3.0, q=1.5, tau=1e-170, h=grid.h, picard_max_iters=1)
+        params = SimParams(p=3.0, q=1.5, tau=1e-170, h=grid.h)
+        monkeypatch.setattr(stepper, "_MAX_PICARD_ITERS", 1)
         gamma = scheme_rows(u, grid.h, params.p, params.q, params.tau)[2]
         assert gamma[0] == 0.0 and gamma[1] > 0.0
         calls = []
@@ -743,8 +746,8 @@ class TestWindow:
             return new[1:]
 
         monkeypatch.setattr(stepper, "solve_tridiag", solve)
-        state = SolutionState(u=np.array([0.0, 1.0]), t=0.0, n=0, tau_last=0.0, offset=100)
         grid = build_grid_by_count(202)
+        state = _state([0.0, 1.0])  # nodes 100..101 = mid
         result = step(state, grid, SimParams(q=1.2, tau=0.1, h=grid.h))
         assert solved == sizes
         assert result.picard_iters == 1
@@ -754,10 +757,10 @@ class TestWindow:
     @staticmethod
     def _assert_same_as_whole_half(state, grid, params):
         windowed = step(state, grid, params)
-        whole = step(_state(padded_half(state)), grid, params)
+        whole = step(_state(padded_half(state, grid)), grid, params)
         assert window_ok(windowed.next, grid)
-        assert np.array_equal(padded_half(windowed.next), padded_half(whole.next))
-        assert windowed.next.offset == whole.next.offset
+        assert np.array_equal(padded_half(windowed.next, grid), padded_half(whole.next, grid))
+        assert windowed.next.u.size == whole.next.u.size
         assert windowed.next.tau_last == whole.next.tau_last
         assert (windowed.picard_iters, windowed.sign_flips) == (
             whole.picard_iters, whole.sign_flips
@@ -771,7 +774,7 @@ class TestWindow:
         seen = []
 
         def keep(state, grid, params):
-            if state.offset > 0:
+            if window_start(state, grid) > 0:
                 seen.append((state, grid))
             return real_step(state, grid, params)
 
@@ -793,9 +796,7 @@ class TestWindow:
 
         grid = build_grid_by_count(2000)
         params = SimParams(p=3.0, q=1.36, tau=tau, h=grid.h, blow_threshold=1e15)
-        state = SolutionState(
-            u=np.array([0.0, 0.0, 10.0]), t=0.0, n=0, tau_last=0.0, offset=grid.mid - 2
-        )
+        state = _state([0.0, 0.0, 10.0])  # nodes mid-2..mid
         assert compute_tau(params, 10.0) / grid.h**2 == pytest.approx(tau * 1e4)
         sizes = []
         real = stepper.solve_tridiag
@@ -812,4 +813,5 @@ class TestWindow:
         assert (sizes[-1] == grid.mid) == (tau == 1e-4)
         result = self._assert_same_as_whole_half(state, grid, params)
         # the trimmed window starts one zero before the spread support
-        assert result.next.u[1] > 0.0 and result.next.offset < state.offset
+        assert result.next.u[1] > 0.0
+        assert window_start(result.next, grid) < window_start(state, grid)

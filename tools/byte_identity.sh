@@ -7,7 +7,9 @@
 # The calls are the seven of the study-cli benchmark workload plus `run` at
 # the fixed-q1 parameters (p=2, q=1, tau=0.001, lambda=7) and the
 # refine-q136 ones (p=3, q=1.36, tau=0.1).  Exits 0 when the two output
-# trees are identical and 1 (with the diff) when they are not.
+# trees are identical and 1 (with the diff) when they are not; it then also
+# counts the differing files, and those of them that differ outside their
+# `#` comment lines (a file present on one side only counts as such).
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
@@ -67,9 +69,24 @@ for side in base head; do
   done
 done
 
+# a file's lines other than its `#` comment lines (the parameter header)
+body() { grep -v '^#' "$1" || true; }
+
 if diff -r "$out/base" "$out/head"; then
   echo "byte-identical: $(find "$out/head" -type f | wc -l) files"
 else
-  echo "outputs differ" >&2
+  differing=0
+  beyond=0
+  while IFS= read -r rel; do
+    if [ -f "$out/base/$rel" ] && [ -f "$out/head/$rel" ]; then
+      cmp -s "$out/base/$rel" "$out/head/$rel" && continue
+      differing=$((differing + 1))
+      cmp -s <(body "$out/base/$rel") <(body "$out/head/$rel") && continue
+    else
+      differing=$((differing + 1))
+    fi
+    beyond=$((beyond + 1))
+  done < <(cd "$out" && find base head -type f | cut -d/ -f2- | sort -u)
+  echo "outputs differ: $differing files differ, $beyond of them outside their # lines" >&2
   exit 1
 fi
