@@ -123,8 +123,11 @@ class RunHistory:
     def __len__(self) -> int:
         return self._filled
 
-    def record(self, state: SolutionState, grid: GridState) -> None:
-        """Append the state's row, keep the state and check its invariants."""
+    def record(self, state: SolutionState, grid: GridState, min_rise=None) -> None:
+        """Append the state's row, keep the state and check its invariants.
+
+        ``min_rise`` is ``StepResult.min_rise``, a lower bound of the window's
+        adjacent differences; left out, their minimum is computed here."""
         self.previous, self.latest = self.latest, state
         k = self._filled
         if k == self._block.shape[0]:
@@ -142,12 +145,13 @@ class RunHistory:
         )
         self._filled = k + 1
 
-        diffs = u[1:] - u[:-1]
-        defect = float(diffs[diffs.argmin()])
-        if defect < -1e-12 * max(sup, 1.0):
+        if min_rise is None:
+            diffs = u[1:] - u[:-1]
+            min_rise = float(diffs[diffs.argmin()])
+        if min_rise < -1e-12 * max(sup, 1.0):
             inv = self.invariant_summary
             inv["monotonicity_violations"] += 1
-            inv["worst_monotonicity_defect"] = min(inv["worst_monotonicity_defect"], defect)
+            inv["worst_monotonicity_defect"] = min(inv["worst_monotonicity_defect"], min_rise)
         if u[-1] < sup:
             self.invariant_summary["sup_norm_at_middle"] = False
 
@@ -271,14 +275,14 @@ def run(
             grid = new_grid
 
         try:
-            state = step(state, grid, params).next
+            state, _, _, min_rise = step(state, grid, params)
         except StepError as exc:
             status = RunStatus.SOLVER_ERROR
             error = f"{type(exc).__name__}: {exc}"
             logger.warning("step %d failed: %s", state.n, error)
             break
 
-        history.record(state, grid)
+        history.record(state, grid, min_rise)
         if snapshot_every > 0 and state.n % snapshot_every == 0:
             history.add_snapshot(state, grid)
 

@@ -180,8 +180,8 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
     """Solve the tridiagonal system with LAPACK gtsv and verify its backward error.
 
     A 1x1 system is x = rhs/diag.  The solve is accepted when
-    ||A x - b|| <= rtol * (||A|| ||x|| + ||b||) in the inf-norm, which every
-    backward-stable solve meets whatever the conditioning of A.  The
+    ||A x - b|| <= rtol * (||A|| ||x|| + ||b||) < inf in the inf-norm, which
+    every backward-stable solve meets whatever the conditioning of A.  The
     returned x is a view of a buffer led by one zero, ``x.base`` = [0, x],
     which is the new window u'_lo..u'_mid of a step.
     """
@@ -192,7 +192,8 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
         np.divide(rhs, diag, x)
     else:
         x[...] = rhs
-        _, _, _, x, info = dgtsv(sub, diag, sup, x, overwrite_b=1)
+        # overwrite_dl, _d, _du, _b by position: the residual reads sub, diag, sup
+        _, _, _, x, info = dgtsv(sub, diag, sup, x, 0, 0, 0, 1)
         if info != 0:
             raise SingularError(f"tridiagonal solve failed: gtsv info {info}")
     mag = np.abs(x)
@@ -205,9 +206,10 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
     r[:-1] += sup * x[1:]
     np.abs(r, r)
     resid = float(r[r.argmax()])
-    if resid > _RESIDUAL_RTOL * (norm * x_norm + rhs_norm):
+    # a NaN residual or an overflowed bound proves nothing and is refused
+    if not resid <= _RESIDUAL_RTOL * (norm * x_norm + rhs_norm) < math.inf:
         raise StepError(
-            f"solver residual {resid:.3e} exceeds {_RESIDUAL_RTOL} * "
+            f"solver residual {resid:.3e} not within a finite {_RESIDUAL_RTOL} * "
             "(||A|| ||x|| + ||b||)"
         )
     return x
@@ -227,9 +229,12 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     margin.  Rows left of lo then have rhs 0 and zero neighbours, so the
     zero-padded solution solves the whole half with the window's residual,
     and the window's all-zero rows carry the dominance margin of those rows.
-    The next state is trimmed to one zero node before its first non-zero node
-    (keeping nodes mid-2..mid) on the same grid.  Its time is state.t + tau_n,
-    summed with compensation (``t_comp``), and it carries its sup norm.
+    A negative solved entry within roundoff is clamped to 0, a larger one
+    refused; a rising window (see :func:`_solve_frozen_signs`) has none and
+    peaks at its last node.  The next state is trimmed to one zero node
+    before its first non-zero node (keeping nodes mid-2..mid) on the same
+    grid.  Its time is state.t + tau_n, summed with compensation
+    (``t_comp``), and it carries its sup norm.
 
     Raises StepError if the state holds more than the grid.mid + 1 values
     of the left half, is non-finite, or is already at ``blow_threshold``.
@@ -261,19 +266,22 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
             w[start - lo :] = u
         else:
             w = u
-        # rows lo+1..mid: the source right-hand side u_j + tau_n*(u_j)^p
+        # rows lo+1..mid: the source right-hand side u_j + tau_n*(u_j)^p, whose
+        # inf-norm is its maximum as states are nonnegative
         inner = w[1:]
         rhs = inner + tau_n * inner**p
-        mag = np.abs(rhs)
-        # rows lo+1..mid-1: gamma_j = tau_n (2h)^(-q) |u_{j+1} - u_{j-1}|^(q-1),
-        # one number for q = 1 (the power is 1), and the frozen signs
+        # rows lo+1..mid-1: the current differences d_j = u_{j+1} - u_{j-1}
+        # and gamma_j = tau_n (2h)^(-q) |d_j|^(q-1), tau_n/(2h) for q = 1
         diffs = w[2:] - w[:-2]
-        gamma = tau_n * (2.0 * h) ** (-q)
-        if q != 1.0:
-            gamma = gamma * np.abs(diffs) ** (q - 1.0)
+        c = tau_n * (2.0 * h) ** (-q)
+        if q == 1.0:
+            gamma = np.empty(diffs.size)
+            gamma.fill(c)
+        else:
+            gamma = c * np.abs(diffs) ** (q - 1.0)
         try:
-            new, iters, flips = _solve_frozen_signs(
-                rhs, float(mag[mag.argmax()]), h, tau_n, gamma, np.sign(diffs), q
+            new, iters, flips, rise = _solve_frozen_signs(
+                rhs, float(rhs[rhs.argmax()]), h, tau_n, gamma, diffs, q
             )
         except StiffError as exc:
             if halvings == _MAX_TAU_HALVINGS:
@@ -287,14 +295,15 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
             break
         margin *= 2
 
-    clamp_tol = _CLAMP_RTOL * max(1.0, sup)
-    low = float(new[new.argmin()])
-    if low < -clamp_tol:
-        raise NegativeSolutionError(
-            f"negative entry {low:.3e} beyond roundoff tolerance {clamp_tol:.3e}"
-        )
-    if low < 0.0:
-        np.clip(new, 0.0, None, out=new)
+    if rise is None:  # a rising window starts at its held +0: none is negative
+        clamp_tol = _CLAMP_RTOL * max(1.0, sup)
+        low = float(new[new.argmin()])
+        if low < -clamp_tol:
+            raise NegativeSolutionError(
+                f"negative entry {low:.3e} beyond roundoff tolerance {clamp_tol:.3e}"
+            )
+        if low < 0.0:
+            np.clip(new, 0.0, None, out=new)
 
     if lo > 0 or new[1] == 0.0:
         # new[0] is the held zero, so argmax finds 0 only in an all-zero window
@@ -302,14 +311,17 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         cut = max(0, min(first - 1, new.size - 3))
         new = new[cut:]
 
+    # a rising window peaks at its last node (unless all zero, where the
+    # index read returns the first zero, of either sign)
+    top = new[-1] if rise is not None and new[-1] > 0.0 else new[new.argmax()]
     # t is a compensated (Kahan) sum of the increments
     y = tau_n - state.t_comp
     t = state.t + y
     next_state = SolutionState(
         u=new, t=t, n=state.n + 1, tau_last=tau_n, t_comp=(t - state.t) - y,
-        sup_norm=float(new[new.argmax()]),
+        sup_norm=float(top),
     )
-    return StepResult(next_state, iters, flips)
+    return StepResult(next_state, iters, flips, rise)
 
 
 def _solve_frozen_signs(
@@ -317,49 +329,47 @@ def _solve_frozen_signs(
     rhs_norm: float,
     h: float,
     tau_n: float,
-    gamma: np.ndarray | float,
-    signs: np.ndarray,
+    gamma: np.ndarray,
+    diffs: np.ndarray,
     q: float,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int, int, float | None]:
     """Frozen-sign solve with a posteriori verification and Picard fallback.
 
     Works on rows lo+1..mid-1 of a window u_lo..u_mid, the rows whose
-    gradient term survives the fold: ``gamma`` holds gamma_j >= 0 (one
-    number for q = 1) and ``signs`` the frozen signs s_j in {-1, 0, 1}, 0
-    only where the current difference is 0.  Returns the new values
-    u'_lo..u'_mid with u'_lo = 0 from the first solve that contradicts none
-    of its frozen signs (re-freezing would then solve the same system
-    again), the iteration count and the sign flips, counting both halves.
+    gradient term survives the fold: ``gamma`` holds gamma_j >= 0 and
+    ``diffs`` the current differences d_j, whose signs s_j are frozen.
+    Returns the new values u'_lo..u'_mid with u'_lo = 0 from the first
+    solve that contradicts none of its frozen signs (re-freezing would then
+    solve the same system again), the iteration count, the sign flips
+    (counting both halves) and the smallest adjacent difference of the
+    window when the one-pass route accepted it, else None.
 
-    A frozen sign is contradicted where the row is active (gamma > 0) and
-    the new difference d' is nonzero with a sign s' != s; an exactly zero
-    difference satisfies either sign.  That is where gamma*s'*(s' - s) is
-    nonzero.  A prefilter marks a superset of those rows without np.sign,
-    and only when it marks one does the exact test run:
-
-    * q = 1: |d'| > d'*s holds exactly where d' != 0 and s' != s;
-    * q > 1: d'*s < 0 holds where s and s' are nonzero and opposite.  The
-      rows it leaves out have s = 0, hence a zero current difference and
-      gamma = 0 (0^(q-1) = 0); re-freezing only ever sets a nonzero s'.
-
-    d'*s is +-d' or +-0 exactly, so neither test rounds.
+    A frozen sign is contradicted where gamma*s'*(s' - s) != 0, s' the sign
+    of the new difference d'.  The one-pass route needs no np.sign: if
+    min d > 0 (q = 1) every s is +1, and if min d >= 0 (q > 1) no s is -1
+    and s = 0 only where d = 0, so gamma = 0 (0^(q-1) = 0); either way
+    gamma*s = gamma.  If the solved window then rises, min(u'_{j+1} - u'_j)
+    >= 0, every d' >= 0 (rounding is monotone), so s' is +1 or 0 and
+    contradicts no s.  Any other minimum, negative or NaN, takes the exact test.
     """
+    low = diffs[diffs.argmin()] if diffs.size else 1.0
+    signs = None if (low > 0.0 if q == 1.0 else low >= 0.0) else np.sign(diffs)
     total_flips = 0
     for iteration in range(1, _MAX_PICARD_ITERS + 1):
-        x = solve_tridiag(assemble(rhs, rhs_norm, h, tau_n, gamma * signs))
-        new = x.base  # u'_lo .. u'_mid, the solve's buffer led by u'_lo = 0
-        nd = new[2:] - new[:-2]
-        if q == 1.0:
-            marked = np.count_nonzero(np.abs(nd) > nd * signs)
-        else:
-            marked = np.count_nonzero(nd * signs < 0.0)
-        if not marked:
-            return new, iteration, total_flips
-        new_signs = np.sign(nd)
+        signed = gamma if signs is None else gamma * signs
+        # u'_lo .. u'_mid, the solve's buffer led by u'_lo = 0
+        new = solve_tridiag(assemble(rhs, rhs_norm, h, tau_n, signed)).base
+        if signs is None:
+            rises = new[1:] - new[:-1]
+            rise = float(rises[rises.argmin()])
+            if rise >= 0.0:
+                return new, iteration, 0, rise
+            signs = np.sign(diffs)
+        new_signs = np.sign(new[2:] - new[:-2])
         contradiction = gamma * new_signs * (new_signs - signs)
         flips = 2 * np.count_nonzero(contradiction)
         if flips == 0:
-            return new, iteration, total_flips
+            return new, iteration, total_flips, None
         total_flips += flips
         signs = np.where(contradiction != 0.0, new_signs, signs)
     raise PicardError(
@@ -369,8 +379,9 @@ def _solve_frozen_signs(
 
 
 class StepResult(NamedTuple):
-    """Outcome of one accepted step."""
+    """One accepted step; ``min_rise``: see :func:`_solve_frozen_signs`."""
 
     next: SolutionState
     picard_iters: int
     sign_flips: int
+    min_rise: float | None

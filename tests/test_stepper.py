@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cwblowup import SimParams, assemble, build_grid, solve_tridiag, step
+from cwblowup import InitialData, SimParams, assemble, build_grid, run, solve_tridiag, step
 from cwblowup.grid import build_grid_by_count, compute_tau
 from cwblowup.simulator import RunHistory
 from cwblowup.state import SolutionState, mirrored
@@ -20,7 +22,9 @@ from cwblowup.stepper import (
     _ZERO_EDGE,
     NegativeSolutionError,
     StepError,
+    StepResult,
     StiffError,
+    TriDiagSystem,
 )
 
 from conftest import (
@@ -238,6 +242,26 @@ class TestSolveTridiag:
         else:
             with pytest.raises(StepError, match="residual"):
                 solve_tridiag(sys)
+
+    def test_overflowed_bound_refused(self):
+        # ||A|| overflows, so rtol * (||A|| ||x|| + ||b||) is inf; gtsv returns
+        # x = [1.5, 0], whose row-1 residual 1.5e308 only an infinite bound passes
+        sys = TriDiagSystem(
+            sub=np.array([-1e308]),
+            diag=np.array([1e308, 1e308]),
+            sup=np.array([1e308]),
+            rhs=np.array([1.5e308, 1.0]),
+            norm=np.inf,
+            rhs_norm=1.5e308,
+        )
+        with pytest.raises(StepError, match=r"residual 1\.500e\+308 not within a finite"):
+            solve_tridiag(sys)
+
+    def test_nan_residual_refused(self):
+        # diag = inf: x = 1/inf = 0 is finite, but its residual inf*0 is NaN
+        sys = TriDiagSystem(np.empty(0), np.array([np.inf]), np.empty(0), np.ones(1), np.inf, 1.0)
+        with np.errstate(invalid="ignore"), pytest.raises(StepError, match="residual nan"):
+            solve_tridiag(sys)
 
     def test_large_lambda_solve_accepted(self):
         # lambda_n = 6.4e4: the residual scales with ||A|| ||x||, not with
@@ -576,6 +600,21 @@ class TestStep:
         gap = np.max(np.abs(mirrored(result.next, grid.mid) - oracle))
         assert gap <= 1e-10 * max(1.0, np.max(u))
 
+    def test_rough_window_takes_the_exact_path(self):
+        # falling differences freeze negative signs, so the exact test decides
+        # every solve; the next state and the counts are pinned bit for bit
+        grid = build_grid_by_count(12)
+        params = SimParams(p=3.214, q=1.0, tau=1.963, h=grid.h, blow_threshold=1e15)
+        result = step(_state(_ROUGH), grid, params)
+        assert result.min_rise is None
+        assert (result.picard_iters, result.sign_flips) == (3, 6)
+        assert result.next.u.tobytes().hex() == (
+            "0000000000000000" "75ef62687d690640" "87a2b79082730540" "2238994757fc0540"
+            "0e4ef7636dc01040" "f6378f7b3aa52040" "f182eeb06c742440"
+        )
+        assert result.next.sup_norm.hex() == "0x1.4746cb0ee82f1p+3"
+        assert result.next.tau_last.hex() == "0x1.6e1e77e8186ffp-5"
+
     def test_picard_iteration_cap(self, monkeypatch):
         from cwblowup import PicardError, stepper
 
@@ -616,7 +655,7 @@ class TestFrozenSignCheck:
 
         monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
         rows = scheme_rows(np.asarray(u, float), 0.5, 2.0, q, 0.01)
-        _, iters, flips = stepper._solve_frozen_signs(*rows[:2], 0.5, 0.01, *rows[2:], q)
+        _, iters, flips, _ = stepper._solve_frozen_signs(*rows[:2], 0.5, 0.01, *rows[2:], q)
         assert len(calls) == iters
         return iters, flips
 
@@ -651,32 +690,87 @@ class TestFrozenSignCheck:
         assert self._level(monkeypatch, [0.0, 1.0, 0.0, 1.0], 1.5, [0, 1, -1, 2]) == (1, 0)
 
 
+# values of a nonnegative window: signed zeros, the smallest subnormal, a
+# tiny normal and O(1) values
+_WINDOW_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300]), st.floats(0.01, 10.0)
+)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the StepError it raised."""
+    try:
+        return fn(*args)
+    except StepError as exc:
+        return type(exc)
+
+
+def _exact_path(state, grid, params):
+    """A whole-half window's step by the exact sign test alone.
+
+    The frozen signs are np.sign of the current differences, and each solve
+    is checked by gamma*s'*(s' - s); the clamp scans the window's minimum and
+    the sup norm is its maximum, both read by index.  The time increment is
+    the step's first tau_n (no halving).  Returns the next state and the Picard
+    iterations and flips.
+    """
+    from cwblowup import stepper
+
+    u, sup = state.u, state.sup_norm
+    tau_n = compute_tau(params, sup)
+    rhs, rhs_norm, gamma, signs = scheme_rows(u, grid.h, params.p, params.q, tau_n)
+    flips = 0
+    for iters in range(1, stepper._MAX_PICARD_ITERS + 1):
+        new = solve_tridiag(assemble(rhs, rhs_norm, grid.h, tau_n, gamma * signs)).base
+        new_signs = np.sign(new[2:] - new[:-2])
+        contradiction = gamma * new_signs * (new_signs - signs)
+        if not np.count_nonzero(contradiction):
+            break
+        flips += 2 * np.count_nonzero(contradiction)
+        signs = np.where(contradiction != 0.0, new_signs, signs)
+    else:
+        raise stepper.PicardError("no sign fixed point")
+    low = new[new.argmin()]
+    if low < -stepper._CLAMP_RTOL * max(1.0, sup):
+        raise NegativeSolutionError(f"negative entry {low}")
+    if low < 0.0:
+        np.clip(new, 0.0, None, out=new)
+    if new[1] == 0.0:
+        first = int((new != 0.0).argmax()) or new.size
+        new = new[max(0, min(first - 1, new.size - 3)) :]
+    next_state = SolutionState(new, tau_n, 1, tau_n, sup_norm=float(new[new.argmax()]))
+    return next_state, iters, flips
+
+
 class TestSignPrefilter:
-    """The Picard loop's sign prefilter passes a solve only where the exact test would.
+    """The Picard loop's one-pass route accepts a solve only where the exact test would.
 
     The exact test marks row j contradicted where gamma_j*s'*(s' - s) != 0,
     s the frozen and s' the new sign.  A step's frozen sign is 0 only where
-    the current difference is 0, so for q > 1 such a row has gamma = 0.
+    the current difference is 0, so for q > 1 such a row has gamma = 0.  The
+    route is taken when the current differences have minimum > 0 (q = 1) or
+    >= 0 (q > 1), and it accepts a solve whose window rises.
     """
 
     @staticmethod
-    def _check(monkeypatch, q, s, nd, g):
-        """Picard counts of one row with frozen sign s, new difference nd and gamma g."""
+    def _check(monkeypatch, q, d, first, g):
+        """Picard counts and returned rise of one row with current difference
+        d and gamma g, whose first solve is the window ``first``."""
         from cwblowup import stepper
 
         calls = []
 
         def prescribed(sys):
-            # the first solve has nd on the row, the second 0, which no sign contradicts
+            # the second solve is all zero, which no sign contradicts
             calls.append(sys)
-            return np.array([0.0, 1.0, nd if len(calls) == 1 else 0.0])[1:]
+            return np.array(first if len(calls) == 1 else [0.0, 0.0, 0.0])[1:]
 
         monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
-        _, iters, flips = stepper._solve_frozen_signs(
-            np.ones(2), 1.0, 0.5, 0.01, np.array([g]), np.array([s]), q
+        _, iters, flips, rise = stepper._solve_frozen_signs(
+            np.ones(2), 1.0, 0.5, 0.01, np.array([g]), np.array([d]), q
         )
         assert len(calls) == iters
-        return iters, flips
+        return iters, flips, rise
 
     @pytest.mark.parametrize(
         "q, s, nd, g",
@@ -690,11 +784,29 @@ class TestSignPrefilter:
         ],
     )
     def test_no_mark_means_no_contradiction(self, monkeypatch, q, s, nd, g):
-        # a row the prefilter leaves unmarked is accepted on the first solve;
-        # a contradicted row flips once (2 flips for both halves)
+        # the current difference is s itself; the first solve [0, 0, nd] has
+        # the new difference nd and rises when nd >= 0.  A row the route
+        # accepts is accepted on the first solve, as by the exact test; a
+        # contradicted row flips once (2 flips for both halves)
         exact = g * np.sign(nd) * (np.sign(nd) - s)
         expected = (2, 2) if exact != 0.0 else (1, 0)
-        assert self._check(monkeypatch, q, s, nd, g) == expected
+        iters, flips, rise = self._check(monkeypatch, q, s, [0.0, 0.0, nd], g)
+        assert (iters, flips) == expected
+        route = (s > 0.0 if q == 1.0 else s >= 0.0) and nd >= 0.0
+        assert (rise is not None) == route
+
+    @pytest.mark.parametrize(
+        "d, first, expected",
+        [
+            (np.nan, [0.0, 0.0, 1.0], (2, 2)),  # NaN current minimum: sign(NaN) flips
+            (-1.0, [0.0, 0.0, 1.0], (2, 2)),  # negative current minimum
+            (1.0, [0.0, np.nan, -1.0], (2, 2)),  # NaN rise over a contradicted row
+            (1.0, [0.0, 1.0, 0.5], (1, 0)),  # negative rise, no contradiction
+        ],
+    )
+    def test_negative_or_nan_minimum_takes_the_exact_path(self, monkeypatch, d, first, expected):
+        iters, flips, rise = self._check(monkeypatch, 1.0, d, first, 0.25)
+        assert (iters, flips, rise) == (*expected, None)
 
     def test_underflowed_gamma_row_is_accepted(self, monkeypatch):
         # tau_n (2h)^(-q) |d|^(q-1) underflows to 0 on row 1, where the
@@ -720,6 +832,81 @@ class TestSignPrefilter:
         result = step(_state(u), grid, params)
         assert (len(calls), result.picard_iters, result.sign_flips) == (1, 1, 0)
         assert result.next.u.tolist() == [0.0, 0.5, 0.0, 1.0]
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        head=st.sampled_from([0.0, -0.0]),
+        rest=st.lists(_WINDOW_VALUES, min_size=2, max_size=12),
+        rising=st.booleans(),
+        q=st.sampled_from([1.0, 1.5]),
+        p=st.sampled_from([2.0, 3.0]),
+    )
+    # -0 + 0.1*(-0)^3 is -0: the route's all-zero window ends in -0, and its
+    # sup norm is the index read's +0 all the same
+    @example(head=0.0, rest=[-0.0, -0.0], rising=False, q=1.5, p=3.0)
+    def test_route_matches_exact_path(self, head, rest, rising, q, p):
+        # a nonnegative whole-half window, sorted half the time so that the
+        # route is taken; the step equals the exact path bit for bit, and a
+        # solve the route accepts contradicts no frozen sign
+        u = np.array([head] + (sorted(rest) if rising else rest))
+        grid = build_grid_by_count(2 * (u.size - 1))
+        params = SimParams(p=p, q=q, tau=0.1, h=grid.h)
+        state = _state(u)
+        got, want = _outcome(step, state, grid, params), _outcome(_exact_path, state, grid, params)
+        if not isinstance(got, StepResult):
+            assert got == want
+            return
+        exact, exact_iters, exact_flips = want
+        if got.min_rise is not None:
+            # the exact path's first solve is the route's: no contradiction on it
+            assert exact_iters == 1 and got.min_rise >= 0.0
+        assert (got.picard_iters, got.sign_flips) == (exact_iters, exact_flips)
+        assert got.next.u.tobytes() == exact.u.tobytes()
+        assert got.next.sup_norm.hex() == exact.sup_norm.hex()
+        assert got.next.tau_last == exact.tau_last
+        recorded = [RunHistory(), RunHistory()]
+        recorded[0].record(got.next, grid, got.min_rise)
+        recorded[1].record(exact, grid)
+        assert recorded[0].invariant_summary == recorded[1].invariant_summary
+        assert recorded[0].rows.keys() == recorded[1].rows.keys()
+        for name, column in recorded[0].rows.items():
+            assert column.tobytes() == recorded[1].rows[name].tobytes()
+
+
+class TestOnePassTraffic:
+    """Every solve of the benchmark scenarios takes the one-pass route."""
+
+    @pytest.mark.parametrize("case", ["fixed-q1", "refine-q136", "table"])
+    def test_every_solve_takes_the_route(self, monkeypatch, case):
+        from cwblowup import stepper
+
+        initial = None
+        if case == "fixed-q1":
+            params = SimParams(p=2.0, q=1.0, tau=0.001, h=0.05, lam=7.0, max_steps=500)
+        elif case == "refine-q136":
+            params = SimParams(p=3.0, q=1.36, tau=0.1, h=0.05, lam=10.0)
+        else:  # table data that is not bit-symmetric, at the default parameters
+            params = SimParams()
+            x = np.array([-1.0 + 2.0 * i / 200 for i in range(201)])
+            u = 16.0 * np.cos(0.5 * np.pi * x) ** 1.5
+            u[0] = u[-1] = 0.0
+            initial = InitialData.from_table(x, u)
+        real = stepper._solve_frozen_signs
+        rises = []
+
+        def spy(*args):
+            result = real(*args)
+            rises.append(result[3])
+            return result
+
+        monkeypatch.setattr(stepper, "_solve_frozen_signs", spy)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*large amplitude", UserWarning)
+            outcome, _ = run(params, initial)
+        # the route accepts only a first solve, so each call solved once
+        assert len(rises) >= outcome.n_final > 100
+        assert all(rise is not None for rise in rises)
 
 
 class TestWindow:
