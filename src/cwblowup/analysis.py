@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from cwblowup.grid import interval_count_for
-from cwblowup.params import InitialData, SimParams
+from cwblowup.params import ConfigError, InitialData, SimParams
 from cwblowup.simulator import RunHistory, RunOutcome, RunStatus, run
 from cwblowup.state import mirrored
 from cwblowup.stepper import StepError
@@ -29,6 +29,7 @@ _BOUNDED_DRIFT = 0.01              # relative drift below this means saturated
 _TREND_DRIFT = 0.05                # sustained growth needs at least this drift
 _TREND_PERSISTENCE = 0.5           # late increments must keep >= half the early pace
 _WINDOW_GROWTH_FACTOR = 100.0      # window = trailing steps with 100x peak growth
+CLASSIFY_MIN_ROWS = 3              # history rows classify_blowup_set needs
 # Ratio diagnostics windows (see peak_ratio_diagnostics), in trailing steps.
 _RATIO_WINDOW = 50                 # steps averaged for the two limits
 _RATIO_TAIL_WINDOW = 200           # steps over which the ratio must decrease
@@ -143,7 +144,7 @@ def classify_blowup_set(history: RunHistory, params: SimParams) -> BlowupReport:
     It is bounded if it drifted by less than 1% across the window.
     """
     u_m = history.column("u_m")
-    if len(u_m) < 3:
+    if len(u_m) < CLASSIFY_MIN_ROWS:
         raise ValueError("history too short to classify")
     sup = history.column("sup_norm")
     if sup[-1] < params.blow_threshold:
@@ -332,13 +333,13 @@ def _solution_at_time(
     outcome, history = run(params, initial, t_stop=t_check)
     _raise_on_solver_error(outcome, params.h)
     if outcome.status is not RunStatus.TIME_LIMIT:
-        raise ValueError(
+        raise ConfigError(
             f"run at h={params.h} ended with {outcome.status.value} before "
             f"t_check={t_check}; pick a smaller t_check"
         )
     h_n = history.column("h_n")
     if h_n.size > 1 and h_n[-1] != h_n[-2]:
-        raise ValueError("grid changed across t_check; pick a smaller t_check")
+        raise ConfigError("grid changed across t_check; pick a smaller t_check")
     after = history.latest
     before = history.previous or after
     mid = outcome.final_grid.mid
@@ -361,12 +362,12 @@ def compare_to_reference(
 ) -> float:
     """Max nodal error over indices 1..mid-upto_offset at shared nodes."""
     if k_ref % k_level != 0:
-        raise ValueError(f"grids are not nested: {k_ref} vs {k_level} intervals")
+        raise ConfigError(f"grids are not nested: {k_ref} vs {k_level} intervals")
     stride = k_ref // k_level
     mid = k_level // 2
     top = mid - upto_offset
     if top < 1:
-        raise ValueError("grid too coarse for the compared index range")
+        raise ConfigError("grid too coarse for the compared index range")
     j = np.arange(1, top + 1)
     return float(np.max(np.abs(u_level[j] - u_ref[j * stride])))
 
@@ -386,22 +387,29 @@ def convergence_study(
     slope of log(error) against log(h).  The expected order is 2 for q = 1
     (errors compared over indices 1..mid-1) and 3-q in the damped case
     p > 2, q < 2(p-1)/p (indices 1..mid-2).  Raises StepError, carrying the
-    run's error, when a run it needs ends with SolverError.
+    run's error, when a run it needs ends with SolverError, and ConfigError
+    for a study it cannot make: among others, a spacing outside (0, 2], or
+    a level whose error is 0, which leaves no order to fit.
     """
     if t_check is not None and not t_check > 0.0:
-        raise ValueError(f"t_check must be > 0, got {t_check!r}")
+        raise ConfigError(f"t_check must be > 0, got {t_check!r}")
     if len(grid_levels) < 3:
-        raise ValueError("need at least 3 grid levels")
+        raise ConfigError("need at least 3 grid levels")
+    if reference_h is None:
+        reference_h = grid_levels[-1] / 4.0
+    for h in (*grid_levels, reference_h):
+        if not 0.0 < h <= 2.0:
+            raise ConfigError(f"grid spacings must lie in (0, 2], got {h!r}")
     counts = [interval_count_for(h) for h in grid_levels]
     for a, b in zip(counts, counts[1:]):
         if b != 2 * a:
-            raise ValueError(f"levels must halve h: got interval counts {counts}")
+            raise ConfigError(f"levels must halve h: got interval counts {counts}")
     if params.q == 1.0:
         upto, expected = 1, 2.0
     elif params.regime() == "single-point":
         upto, expected = 2, 3.0 - params.q
     else:
-        raise ValueError(
+        raise ConfigError(
             "no proven convergence order for this (p, q); need q = 1 or "
             "p > 2 with q < 2(p-1)/p"
         )
@@ -410,15 +418,13 @@ def convergence_study(
         coarse, _ = run(dc_replace(params, h=grid_levels[0]), initial)
         _raise_on_solver_error(coarse, grid_levels[0])
         if coarse.status is not RunStatus.BLEW_UP:
-            raise ValueError("coarse run did not blow up; cannot pick t_check")
+            raise ConfigError("coarse run did not blow up; cannot pick t_check")
         t_check = 0.5 * coarse.t_num
 
-    if reference_h is None:
-        reference_h = grid_levels[-1] / 4.0
     k_fine = interval_count_for(grid_levels[-1])
     k_ref = interval_count_for(reference_h)
     if k_ref < 4 * k_fine or k_ref % k_fine != 0:
-        raise ValueError("reference grid must be a nested refinement >= 4x the finest level")
+        raise ConfigError("reference grid must be a nested refinement >= 4x the finest level")
 
     u_ref, k_ref = _solution_at_time(
         dc_replace(params, h=reference_h), t_check, initial
@@ -432,6 +438,11 @@ def convergence_study(
         )
         snapped.append(2.0 / k_lvl)
         errors.append(compare_to_reference(u_lvl, k_lvl, u_ref, k_ref, upto))
+    if 0.0 in errors:
+        raise ConfigError(
+            f"the error at h={snapped[errors.index(0.0)]!r} is 0 at t_check={t_check!r}, "
+            "so there is no order to fit; pick a larger t_check"
+        )
 
     slope = float(np.polyfit(np.log(snapped), np.log(errors), 1)[0])
     return ConvergenceReport(

@@ -4,8 +4,9 @@ Verbs: run, classify, time-table, figures, converge, diagnostics.  All
 outputs are CSV/JSON files whose first line records the resolved parameter
 set; repeated invocations with the same config produce byte-identical files.
 
-Exit codes: 0 ok, 2 configuration error, 3 solver error, 4 diagnostics
-check failure.
+Exit codes: 0 ok, 2 configuration error, 3 solver error (or a classify run
+that gives nothing to classify), 4 diagnostics check failure.  Any other
+exception is a defect and ends in a traceback, exit code 1.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from cwblowup.analysis import (
+    CLASSIFY_MIN_ROWS,
     amplitude_lower_bound,
     blowup_time_bounds,
     classify_blowup_set,
@@ -142,8 +144,9 @@ def cmd_classify(
 ) -> int:
     outcome, history = run(params, initial)
     _write_run(out, params_header(params, initial), outcome, history)
-    if outcome.status is not RunStatus.BLEW_UP:
-        print(f"cannot classify: run ended with {outcome.status.value}", file=sys.stderr)
+    if outcome.status is not RunStatus.BLEW_UP or len(history) < CLASSIFY_MIN_ROWS:
+        ended = f"{outcome.status.value} after {outcome.n_final} steps"
+        print(f"cannot classify: run ended with {ended}", file=sys.stderr)
         return 3
     report = classify_blowup_set(history, params)
     _write_json(out / "blowup_report.json", report.to_dict())
@@ -352,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params, initial = _resolve_setup(args)
         return args.func(args, params, initial, _output_dir(args))
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StepError as exc:  # a run inside a study ended with SolverError

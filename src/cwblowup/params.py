@@ -121,12 +121,22 @@ def validate(params: SimParams) -> ValidationReport:
         f"q must lie in [1, 2p/(p+1)] = [1, {q_hi}], got {q}",
     )
     add("tau_positive", params.tau > 0.0, f"tau must be positive, got {params.tau}")
+    add("tau_finite", math.isfinite(params.tau), f"tau must be finite, got {params.tau}")
+    # r = (1+tau)^(1-p) < 1 for tau > 0 and p > 1, but it can round to 1,
+    # and the tail of a blown-up run's time sum divides by 1 - r
+    add(
+        "tail_ratio_below_1",
+        not (p > 1.0 and params.tau > 0.0) or tail_ratio(params) < 1.0,
+        f"(1+tau)^(1-p) rounds to 1 at tau={params.tau}, p={p}, so the blow-up "
+        "time's geometric tail is undefined; choose a larger tau or p",
+    )
     add(
         "h_range",
         0.0 < params.h <= 2.0,
         f"h must lie in (0, 2], got {params.h}",
     )
     add("lambda_positive", params.lam > 0.0, f"lambda must be positive, got {params.lam}")
+    add("lambda_finite", math.isfinite(params.lam), f"lambda must be finite, got {params.lam}")
     add(
         "blow_threshold_range",
         params.blow_threshold > 1.0,
@@ -143,6 +153,11 @@ def validate(params: SimParams) -> ValidationReport:
     )
     add("max_steps_nonnegative", params.max_steps >= 0, "max_steps must be >= 0")
     return ValidationReport(checks=tuple(checks))
+
+
+def tail_ratio(params: SimParams) -> float:
+    """The ratio r of :func:`cwblowup.simulator.tail_estimate`'s series."""
+    return (1.0 + params.tau) ** (-(params.p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -178,14 +193,9 @@ class InitialData:
     @classmethod
     def from_csv(cls, path: str | Path) -> "InitialData":
         path = Path(path)
-        if not path.is_file():
-            raise InitialDataError(f"initial data file not found or not a file: {path}")
         rows = []
-        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
+        for lineno, raw in _text_lines(path, "initial data file", InitialDataError):
+            parts = raw.replace(",", " ").split()
             if parts[0].lower() == "x":
                 continue
             if len(parts) != 2:
@@ -276,38 +286,39 @@ def make_initial(
     return state
 
 
+def _text_lines(path: Path, what: str, error: type[ConfigError]) -> list[tuple[int, str]]:
+    """(line number, line) for each line of a UTF-8 text file that is neither
+    blank nor a ``#`` comment; a missing or undecodable file raises ``error``."""
+    if not path.is_file():
+        raise error(f"{what} not found or not a file: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    return [(n, raw) for n, raw in enumerate(lines, 1) if raw.strip()[:1] not in ("", "#")]
+
+
+def _pair(where: str, raw: str) -> tuple[str, str]:
+    """Split a ``key=value`` string whose key is a config key."""
+    key, eq, value = raw.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"{where}: expected key=value, got: {raw!r}")
+    if key not in _FIELDS and key != "initial":
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, value.strip()
+
+
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a flat key=value config file into a raw string mapping."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found or not a file: {path}")
-    mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got: {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _FIELDS and key != "initial":
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        mapping[key] = value
-    return mapping
+    lines = _text_lines(path, "config file", ConfigError)
+    return dict(_pair(f"{path}:{lineno}", raw) for lineno, raw in lines)
 
 
 def apply_overrides(mapping: dict[str, str], overrides: list[str]) -> dict[str, str]:
     """Apply key=value override strings on top of a config mapping."""
-    out = dict(mapping)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got: {item!r}")
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _FIELDS and key != "initial":
-            raise ConfigError(f"unknown override key {key!r}")
-        out[key] = value
-    return out
+    return {**mapping, **dict(_pair("override", item) for item in overrides)}
 
 
 def build_params(

@@ -10,6 +10,7 @@ many tiny geometric terms.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -28,6 +29,7 @@ from cwblowup.params import (
     InitialData,
     SimParams,
     make_initial,
+    tail_ratio,
     validate,
 )
 from cwblowup.state import SolutionState, mirrored
@@ -194,7 +196,7 @@ def tail_estimate(outcome: RunOutcome, params: SimParams) -> float:
     r = (1+tau)^(1-p); the tail is tau_last * r / (1 - r).  Reported
     separately from the partial sum, never silently added.
     """
-    r = (1.0 + params.tau) ** (-(params.p - 1.0))
+    r = tail_ratio(params)
     return outcome.final_state.tau_last * r / (1.0 - r)
 
 
@@ -217,12 +219,12 @@ def run(
     Returns the outcome together with the per-step history, which also
     counts invariant violations (:class:`RunHistory`).  Step failures
     are reported through the outcome status, not raised.  An initial grid of
-    more than ``_INITIAL_MAX_INTERVALS`` intervals raises :class:`ConfigError`
-    before the profile is sampled on it.  With
-    ``snapshot_every > 0`` a grid of more than ``_SNAPSHOT_MAX_INTERVALS``
-    intervals raises :class:`ConfigError` when it is reached, since each
-    snapshot lists all K+1 nodes; a negative ``snapshot_every`` raises
-    :class:`ConfigError`.
+    more than ``_INITIAL_MAX_INTERVALS`` intervals, or of a spacing that
+    underflows, raises :class:`ConfigError` before the profile is sampled on
+    it.  With ``snapshot_every > 0`` a grid of more than
+    ``_SNAPSHOT_MAX_INTERVALS`` intervals raises :class:`ConfigError` when it
+    is reached, since each snapshot lists all K+1 nodes; a negative
+    ``snapshot_every`` raises :class:`ConfigError`.
     """
     if snapshot_every < 0:
         raise ConfigError(f"snapshot_every must be >= 0, got {snapshot_every}")
@@ -231,13 +233,19 @@ def run(
         raise ConfigError("invalid parameters: " + "; ".join(report.failures()))
 
     initial = initial if initial is not None else InitialData.sine()
-    grid = build_grid(compute_h(params, initial.sup_estimate(params)))
-    if grid.interval_count > _INITIAL_MAX_INTERVALS:
-        raise ConfigError(
-            f"the initial grid needs K = {grid.interval_count} intervals, above the "
-            f"limit of {_INITIAL_MAX_INTERVALS} for sampling the initial profile; "
-            "choose a smaller lambda or q"
+    h0 = compute_h(params, initial.sup_estimate(params))
+    if not h0 * _INITIAL_MAX_INTERVALS >= 2.0:
+        # K is given for a normal spacing only: 2/h0 overflows below 1.1e-308
+        needs = (
+            f"K = {interval_count_for(h0)} intervals, above the limit of "
+            if h0 >= sys.float_info.min
+            else f"spacing h = {h0!r}, below the limit of 2/"
         )
+        raise ConfigError(
+            f"the initial grid needs {needs}{_INITIAL_MAX_INTERVALS} for sampling "
+            "the initial profile; choose a smaller lambda or q"
+        )
+    grid = build_grid(h0)
     if snapshot_every > 0:
         _refuse_snapshot_grid(grid.interval_count)
     state = make_initial(params, grid, initial)

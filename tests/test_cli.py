@@ -1,6 +1,7 @@
 """CLI behaviour: dispatch, exit codes, file outputs, reproducibility."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -595,3 +596,58 @@ class TestDiagnosticsVerb:
         assert not payload["ratio_diagnostics"]["applicable"]
         assert payload["failures"] == ["1 monotonicity violations"]
         assert payload["invariants"]["worst_monotonicity_defect"] < 0.0
+
+
+class TestExitCodes:
+    """A refused input exits 2, and a run that leaves nothing to classify 3;
+    any other exception is a defect and is not caught."""
+
+    def test_value_error_inside_a_run_is_not_exit_2(self, tmp_path, monkeypatch):
+        from cwblowup import simulator
+
+        def boom(*args, **kwargs):
+            raise ValueError("synthetic defect")
+
+        monkeypatch.setattr(simulator, "step", boom)
+        with pytest.raises(ValueError, match="synthetic defect"):
+            main(["run", "--output-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "argv, code, names",
+        [
+            (["run", "--set", "tau=1e-17", "--set", "blow_threshold=5"], 2, "tau=1e-17"),
+            (
+                ["run", "--set", f"p={math.nextafter(1.0, 2.0)!r}", "--set", "q=1",
+                 "--set", "blow_threshold=5"],
+                2,
+                "p=1.0000000000000002",
+            ),
+            (["run", "--set", "lambda=inf", "--set", "q=1.2"], 2, "lambda must be finite"),
+            (["run", "--set", "tau=inf"], 2, "tau must be finite"),
+            (
+                ["run", "--set", "p=1000", "--set", "q=1.998", "--set", "blow_threshold=1.99"],
+                2,
+                "spacing h = 0.0",
+            ),
+            (["converge", "--levels", "4,2,1"], 2, "(0, 2], got 4.0"),
+            (["converge", "--ref-h", "3"], 2, "(0, 2], got 3.0"),
+            (["converge", "--set", "q=1", "--t-check", "1e-300"], 2, "t_check=1e-300"),
+            (["classify", "--set", "lambda=1e13"], 3, "BlewUp after 0 steps"),
+        ],
+    )
+    def test_repro_exit_code(self, argv, code, names, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--output-dir", str(out)]) == code
+        assert names in capsys.readouterr().err
+        if code == 2:
+            assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--config", "--set"])
+    def test_undecodable_file_exits_2(self, option, tmp_path, capsys):
+        binary = tmp_path / "binary.dat"
+        binary.write_bytes(b"p=3\n\xff\xfe\n")
+        value = str(binary) if option == "--config" else f"initial=file:{binary}"
+        out = tmp_path / "out"
+        assert main(["run", option, value, "--output-dir", str(out)]) == 2
+        assert f"{binary} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,5 +1,7 @@
 """Parameter validation, config parsing, and initial data."""
 
+import itertools
+import math
 import re
 from dataclasses import fields
 
@@ -48,10 +50,19 @@ class TestValidate:
             {"lam": -1.0},
             {"blow_threshold": 0.5},
             {"max_steps": -1},
+            {"tau": math.inf},
+            {"lam": math.inf},
+            {"tau": 1e-17},  # 1 + tau rounds to 1, so (1+tau)^(1-p) does
+            {"p": math.nextafter(1.0, 2.0), "q": 1.0},  # (1+tau)^(1-p) rounds to 1
         ],
     )
     def test_rejections(self, kwargs):
         assert not validate(SimParams(**kwargs)).ok
+
+    def test_total_on_any_float(self):
+        # the tail ratio is not taken where it would be complex or overflow
+        for p, tau in itertools.product((-1e3, 0.5, math.nan), (-2.0, math.nan, 1e300)):
+            assert not validate(SimParams(p=p, tau=tau)).ok
 
     def test_blow_threshold_overflow_guard(self):
         assert not validate(SimParams(p=5.0, blow_threshold=1e70)).ok
@@ -186,7 +197,7 @@ class TestConfig:
         assert params.lam == 20.0 and params.q == 1.1
 
     def test_override_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown override"):
+        with pytest.raises(ConfigError, match="override: unknown key"):
             apply_overrides({}, ["nope=1"])
 
     def test_inadmissible_combination_raises(self):
@@ -249,6 +260,15 @@ class TestConfig:
             InitialData.from_csv(tmp_path)
         with pytest.raises(InitialDataError, match="not a file"):
             build_params({"initial": "file:."}, base_dir=tmp_path)
+
+    def test_undecodable_file_refused(self, tmp_path):
+        binary = tmp_path / "binary.dat"
+        binary.write_bytes(b"p=3\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match=re.escape(f"config file {binary} is not UTF-8")):
+            load_config(binary)
+        where = re.escape(f"initial data file {binary} is not UTF-8")
+        with pytest.raises(InitialDataError, match=where):
+            InitialData.from_csv(binary)
 
     def test_table_non_numeric_cell_names_path_and_line(self, tmp_path):
         table = tmp_path / "bump.csv"

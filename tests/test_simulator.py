@@ -286,6 +286,31 @@ class TestErrorContract:
         assert ends["ConfigError"] == 4 * 3 * 2 * 3  # every lambda = 0.5 draw
         assert ends["BlewUp"] and ends["BudgetExhausted"]
 
+    def test_scan_of_extreme_parameters(self):
+        # extreme exponents, increments, amplitudes and thresholds at the
+        # default h; any exception but ConfigError fails the test.  Once,
+        # 1 - (1+tau)^(1-p) = 0 let a ZeroDivisionError out of the tail
+        # estimate, and an infinite lambda or a spacing that underflows let
+        # out a ValueError from the initial grid
+        ends: dict[str, int] = {}
+        for p, q, tau, lam, threshold in itertools.product(
+            (math.nextafter(1.0, 2.0), 1.5, 3.0, 1000.0), (1.0, None),
+            (1e-300, 1e-17, 1e-3, 1e300, math.inf), (10.0, 1e300, math.inf), (1.99, 1e12),
+        ):
+            params = SimParams(p=p, tau=tau, lam=lam, blow_threshold=threshold, max_steps=50)
+            params = replace(params, q=q or params.q_max)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    end = run(params)[0].status.value
+                except ConfigError:
+                    end = "ConfigError"
+            # 1 + tau rounds to 1 below tau = 1.1e-16, and an infinity is refused
+            if tau < 1e-16 or math.inf in (tau, lam):
+                assert end == "ConfigError", params
+            ends[end] = ends.get(end, 0) + 1
+        assert set(ends) == {"ConfigError", "BlewUp", "BudgetExhausted", "SolverError"}
+
 
 class TestCarriedSupNorm:
     """Every state a run builds carries sup_norm == u.max(), bit for bit."""
