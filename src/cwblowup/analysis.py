@@ -18,7 +18,13 @@ import numpy as np
 
 from cwblowup.grid import interval_count_for
 from cwblowup.params import ConfigError, InitialData, SimParams
-from cwblowup.simulator import RunHistory, RunOutcome, RunStatus, run
+from cwblowup.simulator import (
+    RunHistory,
+    RunOutcome,
+    RunStatus,
+    refuse_initial_spacing,
+    run,
+)
 from cwblowup.state import mirrored
 from cwblowup.stepper import StepError
 
@@ -258,8 +264,14 @@ def peak_ratio_diagnostics(history: RunHistory, params: SimParams) -> RatioDiagn
 
 
 def amplitude_lower_bound(p: float, lam: float) -> float:
-    """Classical lower bound 1/((p-1) * lam^(p-1)) on the blow-up time."""
-    return 1.0 / ((p - 1.0) * lam ** (p - 1.0))
+    """Classical lower bound 1/((p-1) * lam^(p-1)) on the blow-up time.
+
+    Where lam^(p-1) overflows the bound underflows, and is 0.0.
+    """
+    try:
+        return 1.0 / ((p - 1.0) * lam ** (p - 1.0))
+    except OverflowError:
+        return 0.0
 
 
 def geometric_upper_bound(params: SimParams, peak0: float) -> float | None:
@@ -268,14 +280,25 @@ def geometric_upper_bound(params: SimParams, peak0: float) -> float | None:
     Derived from the per-step lower growth bound of the peak: the time
     increments are dominated by a geometric series whose ratio involves
     eps0 = tau * 2^(-q/(2-q)) * peak0^((-2p + q(1+p))/(2-q)).  Returns None
-    when the series ratio is not below 1 (amplitude too small for the bound).
+    when the series ratio is not below 1 (amplitude too small for the bound)
+    or a power in it overflows, and when peak0^(p-1) underflows to 0, where
+    the bound overflows.  Where peak0^(p-1) overflows the bound underflows,
+    and is 0.0, as :func:`amplitude_lower_bound`'s is.
     """
     p, q, tau = params.p, params.q, params.tau
-    eps0 = tau * 2.0 ** (-q / (2.0 - q)) * peak0 ** ((-2.0 * p + q * (1.0 + p)) / (2.0 - q))
-    ratio = ((1.0 + eps0) / (1.0 + tau)) ** (p - 1.0)
+    try:
+        eps0 = tau * 2.0 ** (-q / (2.0 - q)) * peak0 ** ((-2.0 * p + q * (1.0 + p)) / (2.0 - q))
+        ratio = ((1.0 + eps0) / (1.0 + tau)) ** (p - 1.0)
+    except OverflowError:
+        return None
     if ratio >= 1.0:
         return None
-    return (tau / peak0 ** (p - 1.0)) / (1.0 - ratio)
+    try:
+        return (tau / peak0 ** (p - 1.0)) / (1.0 - ratio)
+    except OverflowError:
+        return 0.0
+    except ZeroDivisionError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -388,8 +411,10 @@ def convergence_study(
     (errors compared over indices 1..mid-1) and 3-q in the damped case
     p > 2, q < 2(p-1)/p (indices 1..mid-2).  Raises StepError, carrying the
     run's error, when a run it needs ends with SolverError, and ConfigError
-    for a study it cannot make: among others, a spacing outside (0, 2], or
-    a level whose error is 0, which leaves no order to fit.
+    for a study it cannot make: among others, a spacing outside (0, 2] or
+    too fine for ``run()`` to sample the initial profile on, a coarse run
+    that blows up at once (the default t_check would be 0), or a level
+    whose error is 0, which leaves no order to fit.
     """
     if t_check is not None and not t_check > 0.0:
         raise ConfigError(f"t_check must be > 0, got {t_check!r}")
@@ -400,6 +425,7 @@ def convergence_study(
     for h in (*grid_levels, reference_h):
         if not 0.0 < h <= 2.0:
             raise ConfigError(f"grid spacings must lie in (0, 2], got {h!r}")
+        refuse_initial_spacing(h, f"choose a grid spacing coarser than {h!r}")
     counts = [interval_count_for(h) for h in grid_levels]
     for a, b in zip(counts, counts[1:]):
         if b != 2 * a:
@@ -420,6 +446,12 @@ def convergence_study(
         if coarse.status is not RunStatus.BLEW_UP:
             raise ConfigError("coarse run did not blow up; cannot pick t_check")
         t_check = 0.5 * coarse.t_num
+        if not t_check > 0.0:
+            raise ConfigError(
+                f"coarse run at h={grid_levels[0]!r} blew up at once (lambda="
+                f"{params.lam!r}, blow_threshold={params.blow_threshold!r}), so "
+                "there is no time before blow-up to compare at; choose a smaller lambda"
+            )
 
     k_fine = interval_count_for(grid_levels[-1])
     k_ref = interval_count_for(reference_h)

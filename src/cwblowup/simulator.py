@@ -64,6 +64,23 @@ _SNAPSHOT_MAX_INTERVALS = 2**22
 _INITIAL_MAX_INTERVALS = 2**24
 
 
+def refuse_initial_spacing(h0: float, remedy: str) -> None:
+    """Raise ConfigError for a first grid of spacing h0 that ``run()`` cannot
+    sample: more than ``_INITIAL_MAX_INTERVALS`` intervals, or an underflowing
+    h0.  ``remedy`` ends the message."""
+    if not h0 * _INITIAL_MAX_INTERVALS >= 2.0:
+        # K is given for a normal spacing only: 2/h0 overflows below 1.1e-308
+        needs = (
+            f"K = {interval_count_for(h0)} intervals, above the limit of "
+            if h0 >= sys.float_info.min
+            else f"spacing h = {h0!r}, below the limit of 2/"
+        )
+        raise ConfigError(
+            f"the initial grid needs {needs}{_INITIAL_MAX_INTERVALS} for sampling "
+            f"the initial profile; {remedy}"
+        )
+
+
 def _refuse_snapshot_grid(k: int) -> None:
     if k > _SNAPSHOT_MAX_INTERVALS:
         raise ConfigError(
@@ -234,17 +251,7 @@ def run(
 
     initial = initial if initial is not None else InitialData.sine()
     h0 = compute_h(params, initial.sup_estimate(params))
-    if not h0 * _INITIAL_MAX_INTERVALS >= 2.0:
-        # K is given for a normal spacing only: 2/h0 overflows below 1.1e-308
-        needs = (
-            f"K = {interval_count_for(h0)} intervals, above the limit of "
-            if h0 >= sys.float_info.min
-            else f"spacing h = {h0!r}, below the limit of 2/"
-        )
-        raise ConfigError(
-            f"the initial grid needs {needs}{_INITIAL_MAX_INTERVALS} for sampling "
-            "the initial profile; choose a smaller lambda or q"
-        )
+    refuse_initial_spacing(h0, "choose a smaller lambda or q")
     grid = build_grid(h0)
     if snapshot_every > 0:
         _refuse_snapshot_grid(grid.interval_count)

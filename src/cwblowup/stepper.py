@@ -95,7 +95,12 @@ class TriDiagSystem(NamedTuple):
 
     ``norm`` and ``rhs_norm`` are ||A||_inf and ||b||_inf, supplied by the
     code that forms the system (:func:`assemble` knows both); :meth:`norm_inf`
-    recomputes ||A||_inf row by row.
+    recomputes ||A||_inf row by row.  ``stencil`` is set by :func:`assemble`
+    on a constant band of at least 3 rows: the row (sub, diag, sup) that
+    every row but the last one follows, the last row being (sub[-1],
+    diag[-1]).  It and the three bands are views of one buffer, and
+    :func:`solve_tridiag` reads it only while they still are, so a system
+    whose band is replaced (``_replace(sup=...)``) is checked row by row.
     """
 
     sub: np.ndarray   # length n-1
@@ -104,6 +109,7 @@ class TriDiagSystem(NamedTuple):
     rhs: np.ndarray   # length n
     norm: float
     rhs_norm: float
+    stencil: np.ndarray | None = None  # length 3
 
     @property
     def size(self) -> int:
@@ -130,7 +136,7 @@ def assemble(
     rhs_norm: float,
     h: float,
     tau_n: float,
-    signed_gamma: np.ndarray,
+    signed_gamma: np.ndarray | float,
 ) -> TriDiagSystem:
     """Assemble the linearized step system on a window u_lo..u_mid, rows lo+1..mid.
 
@@ -138,7 +144,8 @@ def assemble(
     (u_{j+1}'-u_{j-1}') = u_j + tau_n*(u_j)^p with lam = tau_n/h^2 and s_j
     the frozen sign of (u_{j+1}' - u_{j-1}'); ``rhs`` holds u_j + tau_n*(u_j)^p
     of rows lo+1..mid and ``rhs_norm`` its inf-norm, and ``signed_gamma``
-    holds gamma_j*s_j for rows lo+1..mid-1.  Row lo+1 uses u_lo' = 0 (the
+    holds gamma_j*s_j for rows lo+1..mid-1, or is one float g shared by them
+    all (q = 1 with every s_j = +1).  Row lo+1 uses u_lo' = 0 (the
     boundary when lo = 0), and the reflection u_{mid+1}' = u_{mid-1}' folds
     the peak row into (1+2*lam)u_mid' - 2*lam*u_{mid-1}' = rhs (its gradient
     term cancels).
@@ -146,34 +153,61 @@ def assemble(
     Every row has the diagonal d = 1 + 2*lam > 0, so with the largest
     off-diagonal row sum o the dominance margin is d - o and ||A||_inf is
     d + o; rounding is monotone, so both equal the row-wise minimum and
-    maximum bit for bit.
+    maximum bit for bit.  With one float g and at least 3 rows the band is
+    constant, (-lam-g, d, -lam+g) on every row but the folded one, and o is
+    the larger of two row sums, formed as the row-wise ones are: an
+    interior row's (never below the first row's) and the folded row's.
 
     Raises StiffError if the rows are not strictly diagonally dominant.
     """
     m = rhs.size
     lam = tau_n / (h * h)
     d = 1.0 + 2.0 * lam
-    # band = [0, sub..., sup..., 0]: row r's off-diagonal coefficients are
-    # band[r] (of u_{r-1}', 0 in the first row) and band[m + r] (of u_{r+1}',
-    # 0 in the last row).  The folded peak row's -2*lam lands on band[m - 1],
-    # which is the padding band[0] when m = 1, so the padding is written last.
-    band = np.empty(2 * m)
-    band[m - 1] = -2.0 * lam
-    band[0] = band[-1] = 0.0
-    np.subtract(-lam, signed_gamma[1:], band[1 : m - 1])  # rows lo+2..mid-1
-    np.add(-lam, signed_gamma, band[m:-1])  # rows lo+1..mid-1
-    abs_band = np.abs(band)
-    row_off = abs_band[:m] + abs_band[m:]
-    off = float(row_off[row_off.argmax()])
+    stencil = None
+    if m < 3 and isinstance(signed_gamma, float):  # np.float64 included
+        # no interior row: the row-wise sums below serve
+        signed_gamma = np.full(m - 1, signed_gamma)
+    if isinstance(signed_gamma, float):
+        below, above = -lam - signed_gamma, -lam + signed_gamma
+        # band = [below.., -2*lam, below, d, above.., d..]: the sub band (m-1
+        # entries, ending in the folded row's -2*lam), the stencil (below, d,
+        # above), the sup band (m-1 entries, the first of them the stencil's)
+        # and the diagonal (m entries), all views of one buffer
+        band = np.empty(3 * m)
+        band.fill(below)
+        band[m - 2] = -2.0 * lam
+        band[m] = d
+        band[m + 1 : 2 * m] = above
+        band[2 * m :] = d
+        sub, diag, sup = band[: m - 1], band[2 * m :], band[m + 1 : 2 * m]
+        stencil = band[m - 1 : m + 2]
+        # an interior row's sum (never below the first row's 0 + |above|),
+        # then the folded row's |-2*lam| + 0: a NaN leads, as the index read
+        # of the row-wise sums finds it first
+        off = max(abs(below) + abs(above), 2.0 * lam)
+    else:
+        # band = [0, sub..., sup..., 0]: row r's off-diagonal coefficients are
+        # band[r] (of u_{r-1}', 0 in the first row) and band[m + r] (of u_{r+1}',
+        # 0 in the last row).  The folded peak row's -2*lam lands on band[m - 1],
+        # which is the padding band[0] when m = 1, so the padding is written last.
+        band = np.empty(2 * m)
+        band[m - 1] = -2.0 * lam
+        band[0] = band[-1] = 0.0
+        np.subtract(-lam, signed_gamma[1:], band[1 : m - 1])  # rows lo+2..mid-1
+        np.add(-lam, signed_gamma, band[m:-1])  # rows lo+1..mid-1
+        abs_band = np.abs(band)
+        row_off = abs_band[:m] + abs_band[m:]
+        off = float(row_off[row_off.argmax()])
+        sub, sup = band[1:m], band[m:-1]
+        diag = np.empty(m)
+        diag.fill(d)
     margin = d - off
     if margin <= 0.0:
         raise StiffError(
             f"diagonal dominance lost (margin {margin:.3e}); "
             "the gradient coefficient exceeds the diffusion weight"
         )
-    diag = np.empty(m)
-    diag.fill(d)
-    return TriDiagSystem(band[1:m], diag, band[m:-1], rhs, d + off, rhs_norm)
+    return TriDiagSystem(sub, diag, sup, rhs, d + off, rhs_norm, stencil)
 
 
 def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
@@ -181,11 +215,14 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
 
     A 1x1 system is x = rhs/diag.  The solve is accepted when
     ||A x - b|| <= rtol * (||A|| ||x|| + ||b||) < inf in the inf-norm, which
-    every backward-stable solve meets whatever the conditioning of A.  The
-    returned x is a view of a buffer led by one zero, ``x.base`` = [0, x],
-    which is the new window u'_lo..u'_mid of a step.
+    every backward-stable solve meets whatever the conditioning of A; a
+    system whose stencil still shares its buffer with the bands forms A x by
+    one correlation with it, the folded last row set apart (its rows sum in
+    another order than the row-wise residual's).  The returned x is a view
+    of a buffer led by one zero, ``x.base`` = [0, x], which is the new
+    window u'_lo..u'_mid of a step.
     """
-    sub, diag, sup, rhs, norm, rhs_norm = sys
+    sub, diag, sup, rhs, norm, rhs_norm, stencil = sys
     buf = np.zeros(diag.size + 1)
     x = buf[1:]
     if diag.size == 1:
@@ -200,10 +237,17 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
     x_norm = float(mag[mag.argmax()])
     if not math.isfinite(x_norm):  # argmax finds the first NaN, and |+-inf| is the max
         raise SingularError("tridiagonal solve produced non-finite values")
-    r = diag * x
-    r -= rhs
-    r[1:] += sub * x[:-1]
-    r[:-1] += sup * x[1:]
+    band = None if stencil is None else stencil.base
+    if band is not None and sub.base is band and diag.base is band and sup.base is band:
+        # "same" pads x with zeros: the last row alone has its own stencil
+        r = np.correlate(x, stencil, "same")
+        r[-1] = sub[-1] * x[-2] + diag[-1] * x[-1]
+        r -= rhs
+    else:
+        r = diag * x
+        r -= rhs
+        r[1:] += sub * x[:-1]
+        r[:-1] += sup * x[1:]
     np.abs(r, r)
     resid = float(r[r.argmax()])
     # a NaN residual or an overflowed bound proves nothing and is refused
@@ -269,16 +313,14 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         # rows lo+1..mid: the source right-hand side u_j + tau_n*(u_j)^p, whose
         # inf-norm is its maximum as states are nonnegative
         inner = w[1:]
-        rhs = inner + tau_n * inner**p
+        rhs = inner**p
+        rhs *= tau_n
+        rhs += inner
         # rows lo+1..mid-1: the current differences d_j = u_{j+1} - u_{j-1}
-        # and gamma_j = tau_n (2h)^(-q) |d_j|^(q-1), tau_n/(2h) for q = 1
+        # and gamma_j = tau_n (2h)^(-q) |d_j|^(q-1), one float tau_n/(2h) for q = 1
         diffs = w[2:] - w[:-2]
         c = tau_n * (2.0 * h) ** (-q)
-        if q == 1.0:
-            gamma = np.empty(diffs.size)
-            gamma.fill(c)
-        else:
-            gamma = c * np.abs(diffs) ** (q - 1.0)
+        gamma = c if q == 1.0 else c * np.abs(diffs) ** (q - 1.0)
         try:
             new, iters, flips, rise = _solve_frozen_signs(
                 rhs, float(rhs[rhs.argmax()]), h, tau_n, gamma, diffs, q
@@ -329,15 +371,16 @@ def _solve_frozen_signs(
     rhs_norm: float,
     h: float,
     tau_n: float,
-    gamma: np.ndarray,
+    gamma: np.ndarray | float,
     diffs: np.ndarray,
     q: float,
 ) -> tuple[np.ndarray, int, int, float | None]:
     """Frozen-sign solve with a posteriori verification and Picard fallback.
 
     Works on rows lo+1..mid-1 of a window u_lo..u_mid, the rows whose
-    gradient term survives the fold: ``gamma`` holds gamma_j >= 0 and
-    ``diffs`` the current differences d_j, whose signs s_j are frozen.
+    gradient term survives the fold: ``gamma`` holds gamma_j >= 0 (one
+    float for q = 1, which the sign products broadcast) and ``diffs`` the
+    current differences d_j, whose signs s_j are frozen.
     Returns the new values u'_lo..u'_mid with u'_lo = 0 from the first
     solve that contradicts none of its frozen signs (re-freezing would then
     solve the same system again), the iteration count, the sign flips

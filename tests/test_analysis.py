@@ -16,6 +16,7 @@ from cwblowup import (
 )
 from cwblowup.analysis import _solution_at_time, compare_to_reference
 from cwblowup.grid import build_grid_by_count
+from cwblowup.params import ConfigError
 from cwblowup.simulator import RunHistory, RunStatus
 from cwblowup.state import SolutionState
 
@@ -141,6 +142,19 @@ class TestTimeBounds:
         params = SimParams(p=3.0, q=1.0, tau=0.1)
         assert geometric_upper_bound(params, 0.5) is None
 
+    @pytest.mark.parametrize("p", [3.0, 5.0])
+    def test_overflowing_powers(self, p):
+        # lam^(p-1) overflows a float: g and the upper bound, tau / lam^(p-1)
+        # over 1 - ratio, both underflow to 0.0
+        assert amplitude_lower_bound(p, 1e300) == 0.0
+        assert geometric_upper_bound(SimParams(p=p, q=1.0), 1e300) == 0.0
+        # eps0's power overflows (a tiny amplitude at q = 1), or peak0^(p-1)
+        # underflows to 0 (at q = 1.5 and p = 3 eps0 is a constant): no bound
+        assert geometric_upper_bound(SimParams(p=p, q=1.0), 1e-300) is None
+        assert geometric_upper_bound(SimParams(p=3.0, q=1.5), 1e-300) is None
+        # where the powers are finite the expressions are today's
+        assert amplitude_lower_bound(p, 1e30) == 1.0 / ((p - 1.0) * 1e30 ** (p - 1.0))
+
     def test_bounds_require_blowup(self):
         params = SimParams(p=3.0, q=1.0, blow_threshold=1e8)
         outcome, _ = run(SimParams(p=3.0, q=1.0, max_steps=3))
@@ -174,6 +188,35 @@ class TestConvergence:
     def test_levels_must_halve(self):
         with pytest.raises(ValueError, match="halve"):
             convergence_study(SimParams(p=2.0, q=1.0), grid_levels=(0.1, 0.05, 0.03))
+
+    @pytest.mark.parametrize(
+        "levels, reference_h, names",
+        [
+            ((4e-320, 2e-320, 1e-320), None, "spacing h = 4e-320"),
+            ((1e-7, 5e-8, 2.5e-8), None, "K = 20000000 intervals"),
+            # the reference spacing is checked too
+            ((0.1, 0.05, 0.025), 1e-8, "K = 200000000 intervals"),
+        ],
+    )
+    def test_spacing_run_cannot_sample_refused_before_any_run(
+        self, monkeypatch, levels, reference_h, names
+    ):
+        from cwblowup import analysis
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("convergence_study ran before refusing")
+
+        monkeypatch.setattr(analysis, "run", no_run)
+        with pytest.raises(ConfigError, match=names):
+            convergence_study(
+                SimParams(p=2.0, q=1.0), grid_levels=levels, reference_h=reference_h
+            )
+
+    def test_immediate_blowup_names_lambda(self):
+        # the coarse run starts above the threshold: the default t_check is 0
+        params = SimParams(p=2.0, q=1.0, lam=1e13)
+        with pytest.raises(ConfigError, match=r"blew up at once \(lambda=10000000000000\.0"):
+            convergence_study(params)
 
     def test_unproven_regime_refused(self):
         with pytest.raises(ValueError, match="order"):

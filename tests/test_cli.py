@@ -1,7 +1,9 @@
 """CLI behaviour: dispatch, exit codes, file outputs, reproducibility."""
 
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +313,15 @@ class TestTimeTableVerb:
             ]
         )
         assert rc == 2
+
+    def test_overflowing_bounds(self, tmp_path):
+        # lambda^(p-1) overflows: g(lambda) and the upper bound underflow to
+        # 0.0, and T_num = 0 lies in [0, 0]
+        out = tmp_path / "tt"
+        assert main(["time-table", "--set", "q=1", "--lambdas", "1e300",
+                     "--output-dir", str(out)]) == 0
+        _, rows = _read_rows(out / "time_table.csv")
+        assert rows == [["1e+300", "0.0", "0.0", "0.0", "0.0", "true", "BlewUp"]]
 
     def test_empty_lambda_list(self, fast_config, tmp_path):
         out = tmp_path / "tt0"
@@ -633,6 +644,15 @@ class TestExitCodes:
             (["converge", "--ref-h", "3"], 2, "(0, 2], got 3.0"),
             (["converge", "--set", "q=1", "--t-check", "1e-300"], 2, "t_check=1e-300"),
             (["classify", "--set", "lambda=1e13"], 3, "BlewUp after 0 steps"),
+            # subnormal levels: 2/h overflows, and run() could not sample the grid
+            (["converge", "--levels", "4e-320,2e-320,1e-320"], 2, "spacing h = 4e-320"),
+            (["converge", "--levels", "1e-7,5e-8,2.5e-8"], 2, "coarser than 1e-07"),
+            # the coarse run starts above the threshold, so the default t_check is 0
+            (
+                ["converge", "--set", "q=1", "--set", "lambda=1e13"],
+                2,
+                "blew up at once (lambda=10000000000000.0",
+            ),
         ],
     )
     def test_repro_exit_code(self, argv, code, names, tmp_path, capsys):
@@ -651,3 +671,45 @@ class TestExitCodes:
         assert main(["run", option, value, "--output-dir", str(out)]) == 2
         assert f"{binary} is not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
+
+
+# The exit codes README documents for each verb: 0 ok, 2 configuration
+# error, 3 solver error (for classify also nothing to classify), 4 a failed
+# diagnostics check; time-table reports a failed run in its row.
+_VERB_EXIT_CODES = {
+    "run": {0, 2, 3},
+    "classify": {0, 2, 3},
+    "time-table": {0, 2},
+    "diagnostics": {0, 2, 3, 4},
+    "converge": {0, 2, 3},
+}
+
+
+def test_scan_of_extreme_cli_settings(tmp_path):
+    # 240 argv: five verbs over p, q in {1, q_max}, an ordinary and a huge
+    # lambda, a low and the default threshold, and two base increments.  No
+    # exception may leave main, and each exit code is one its verb documents
+    # (time-table takes the amplitude from --lambdas).
+    escapes = []
+    settings = itertools.product(
+        _VERB_EXIT_CODES, (1.5, 3.0, 5.0), (False, True), (10.0, 1e300), (5.0, 1e12), (0.1, 1.0)
+    )
+    for i, (verb, p, at_q_max, lam, threshold, tau) in enumerate(settings):
+        q = 2.0 * p / (p + 1.0) if at_q_max else 1.0
+        argv = [verb]
+        for key, value in (("p", p), ("q", q), ("lambda", lam), ("blow_threshold", threshold),
+                           ("tau", tau)):
+            argv += ["--set", f"{key}={value!r}"]
+        if verb == "time-table":
+            argv += ["--lambdas", repr(lam)]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                code = main([*argv, "--output-dir", str(tmp_path / f"out{i}")])
+        except Exception as exc:  # every escape is reported
+            escapes.append((argv, type(exc).__name__, str(exc)))
+            continue
+        if code not in _VERB_EXIT_CODES[verb]:
+            escapes.append((argv, "exit code", code))
+    assert i == 239
+    assert escapes == []

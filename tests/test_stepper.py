@@ -112,7 +112,8 @@ class TestAssemble:
     @pytest.mark.parametrize("q", [1.0, 1.2])
     def test_step_assembles_the_scheme_rows(self, rng, monkeypatch, q):
         # the right-hand side, its norm and gamma_j*s_j the step hands to
-        # assemble are the scheme's formulas, bit for bit
+        # assemble are the scheme's formulas, bit for bit; for q = 1 the
+        # step hands one float, the coefficient of every row
         state, grid, params = random_symmetric_monotone_state(rng)
         params = replace(params, q=q)
         calls, result = _assembled(monkeypatch, state, grid, params)
@@ -120,7 +121,9 @@ class TestAssemble:
         ref = scheme_rows(state.u, grid.h, params.p, q, result.next.tau_last)
         assert (h, tau_n) == (grid.h, result.next.tau_last)
         assert rhs.tobytes() == ref[0].tobytes() and rhs_norm == ref[1]
-        assert signed_gamma.tobytes() == (ref[2] * ref[3]).tobytes()
+        assert isinstance(signed_gamma, float) == (q == 1.0)
+        signed_rows = np.broadcast_to(signed_gamma, ref[2].shape)
+        assert signed_rows.tobytes() == (ref[2] * ref[3]).tobytes()
 
     def test_single_interior_node(self):
         grid = build_grid_by_count(2)  # nodes -1, 0, 1
@@ -159,6 +162,175 @@ class TestAssemble:
         rhs, rhs_norm, gamma, signs = scheme_rows(u, grid.h, params.p, params.q, 0.01)
         with pytest.raises(StiffError, match="dominance"):
             assemble(rhs, rhs_norm, grid.h, 0.01, gamma * signs)
+
+
+def _assembled_or_refused(*args):
+    """assemble(*args), or the message of the StiffError it raised."""
+    try:
+        return assemble(*args)
+    except StiffError as exc:
+        return str(exc)
+
+
+class TestConstantBand:
+    """q = 1 hands assemble one float gamma: a constant band whose margin,
+    norm and residual need no per-row arrays, and the same system bit for bit."""
+
+    @staticmethod
+    def _row_wise(m, lam, g):
+        """The window's rows from their definition, with the row-wise oracles."""
+        sub = np.full(m - 1, -lam - g)
+        sub[-1] = -2.0 * lam
+        sup = np.full(m - 1, -lam + g)
+        diag = np.full(m, 1.0 + 2.0 * lam)
+        return TriDiagSystem(sub, diag, sup, np.ones(m), np.nan, 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 20])
+    @pytest.mark.parametrize("h, tau_n", [(0.05, 0.001), (0.05, 0.1), (0.00125, 0.1)])
+    def test_same_system_as_a_filled_gamma(self, m, h, tau_n):
+        # lambda = 0.4, 40 and 6.4e4; gamma from 0 to beyond lambda + 1/2,
+        # both signs, and the floats next to the boundary lambda + 1/2 of the
+        # interior rows' dominance
+        rhs = np.linspace(1.0, 2.0, m)
+        lam = tau_n / (h * h)
+        edge = lam + 0.5
+        gammas = [0.0, tau_n / (2.0 * h), 0.5 * lam, lam, lam + 0.25, 2.0 * lam + 1.0,
+                  np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+        if (h, tau_n) == (0.05, 0.1):
+            # (lam + g) + (lam - g) rounds below 2*lam: the folded row's sum
+            # is the largest
+            gammas.append(35.682673887096584)
+            assert abs(-lam - gammas[-1]) + abs(-lam + gammas[-1]) < 2.0 * lam
+        for g in gammas + [-g for g in gammas]:
+            filled = np.full(max(m - 1, 0), g)
+            want = _assembled_or_refused(rhs, 2.0, h, tau_n, filled)
+            for scalar in (float(g), np.float64(g)):
+                got = _assembled_or_refused(rhs, 2.0, h, tau_n, scalar)
+                oracle = self._row_wise(m, lam, float(g)) if m > 1 else None
+                if isinstance(want, str):
+                    # the same margin, to the message's digits, and a row-wise
+                    # margin that is not positive
+                    assert got == want
+                    assert oracle.dominance_margin() <= 0.0
+                    continue
+                if m > 2 and abs(g) > edge:
+                    pytest.fail(f"gamma {g!r} > lambda + 1/2 = {edge!r} was accepted")
+                for name in ("sub", "diag", "sup", "rhs"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert got.norm == want.norm == got.norm_inf()
+                assert got.rhs_norm == 2.0
+                assert got.dominance_margin() > 0.0
+                if oracle is not None:
+                    assert oracle.dominance_margin() == got.dominance_margin()
+                assert want.stencil is None
+                if m > 2:
+                    # the stencil is (sub, diag, sup) of an interior row, held
+                    # in the bands' one buffer
+                    assert got.stencil.tolist() == [got.sub[0], got.diag[0], got.sup[0]]
+                    band = got.stencil.base
+                    assert got.sub.base is band and got.diag.base is band
+                    assert got.sup.base is band
+                else:
+                    assert got.stencil is None
+
+    @pytest.mark.parametrize("m", [2, 3, 20])
+    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma_as_a_filled_gamma(self, m, g):
+        # a NaN row sum is the maximum, as the index read of the row sums
+        # finds it first, so the NaN margin passes and ||A|| is NaN
+        h, tau_n = 0.05, 0.1
+        want = _assembled_or_refused(np.ones(m), 1.0, h, tau_n, np.full(m - 1, g))
+        got = _assembled_or_refused(np.ones(m), 1.0, h, tau_n, g)
+        if isinstance(want, str):
+            assert got == want
+            return
+        for name in ("sub", "diag", "sup"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert float(got.norm).hex() == float(want.norm).hex() == "nan"
+
+    @pytest.mark.parametrize("m", [3, 20])
+    def test_beyond_half_above_lambda_is_stiff(self, m):
+        h, tau_n = 0.05, 0.1
+        lam = tau_n / (h * h)
+        with pytest.raises(StiffError, match="dominance"):
+            assemble(np.ones(m), 1.0, h, tau_n, lam + 0.5 + 1e-9)
+
+    @pytest.mark.parametrize("k", [0, 24, 49])
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 1.1, 2.0])
+    def test_stencil_residual_agrees_with_row_wise(self, monkeypatch, fraction, k):
+        # test_residual_bound_holds_row_by_row's moved entry on a constant
+        # band (lambda = 1e4, gamma = 50): the first row, an interior one and
+        # the folded one, below and above the bound; the stencil residual
+        # accepts exactly where the row-wise one does
+        from cwblowup import stepper
+
+        h, tau_n, n = 0.01, 1.0, 50
+        sys = assemble(np.ones(n), 1.0, h, tau_n, tau_n / (2.0 * h))
+        x_true = np.sin(0.5 * np.pi * np.arange(1, n + 1) / n)
+        rhs = tridiag_dense(sys.sub, sys.diag, sys.sup) @ x_true
+        sys = sys._replace(rhs=rhs, rhs_norm=float(np.max(np.abs(rhs))))
+        assert sys.stencil is not None and sys.norm == sys.norm_inf()
+        bound = 1e-12 * (sys.norm * np.max(x_true) + sys.rhs_norm)
+        real = stepper.dgtsv
+
+        def moved(*args, **kwargs):
+            du2, d, du, x, info = real(*args, **kwargs)
+            x[k] += fraction * bound / sys.diag[k]
+            return du2, d, du, x, info
+
+        monkeypatch.setattr(stepper, "dgtsv", moved)
+        for system in (sys, sys._replace(stencil=None)):
+            if fraction < 1.0:
+                solve_tridiag(system)
+            else:
+                with pytest.raises(StepError, match="residual"):
+                    solve_tridiag(system)
+
+    @pytest.mark.parametrize("name", ["sub", "diag", "sup"])
+    def test_replaced_band_is_checked_row_by_row(self, name):
+        # a band replaced after assemble makes another matrix, which the
+        # stencil no longer describes: the residual is the new matrix's, so
+        # the solve is accepted and equals the row-wise check's bit for bit
+        h, tau_n, n = 0.01, 1.0, 20
+        sys = assemble(np.linspace(1.0, 2.0, n), 2.0, h, tau_n, tau_n / (2.0 * h))
+        changed = sys._replace(**{name: 0.5 * getattr(sys, name)})
+        changed = changed._replace(norm=changed.norm_inf())
+        x = solve_tridiag(changed)
+        assert x.tobytes() == solve_tridiag(changed._replace(stencil=None)).tobytes()
+
+    def test_q_one_picard_route_matches_scheme_rows(self, monkeypatch):
+        # random non-monotone windows at q = 1: the step hands one float gamma
+        # to the Picard loop, whose sign products broadcast it, and the next
+        # state is the exact path's (gamma * sign from scheme_rows) bit for bit
+        from cwblowup import stepper
+
+        real = stepper._solve_frozen_signs
+        gammas = []
+
+        def spy(*args):
+            gammas.append(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(stepper, "_solve_frozen_signs", spy)
+        rng = np.random.default_rng(21)
+        picard = 0
+        for _ in range(150):
+            m = int(rng.integers(3, 21))
+            u = np.concatenate([[0.0], rng.uniform(0.0, 5.0, m)])
+            grid = build_grid_by_count(2 * m)
+            params = SimParams(
+                p=float(rng.uniform(1.5, 4.0)), q=1.0, tau=float(rng.uniform(0.01, 2.0)),
+                h=grid.h, blow_threshold=1e15,
+            )
+            got = step(_state(u), grid, params)
+            exact, iters, flips = _exact_path(_state(u), grid, params)
+            picard += got.min_rise is None
+            assert (got.picard_iters, got.sign_flips) == (iters, flips)
+            assert got.next.u.tobytes() == exact.u.tobytes()
+            assert got.next.sup_norm.hex() == exact.sup_norm.hex()
+            assert got.next.tau_last == exact.tau_last
+        assert all(type(g) is float for g in gammas)
+        assert picard > 100
 
 
 class TestSolveTridiag:
