@@ -25,7 +25,7 @@ from cwblowup.simulator import (
     refuse_initial_spacing,
     run,
 )
-from cwblowup.state import mirrored
+from cwblowup.state import left_half
 from cwblowup.stepper import StepError
 
 # Classifier thresholds (see classify_blowup_set): chosen so the classes
@@ -347,9 +347,9 @@ def _solution_at_time(
     t_check: float,
     initial: InitialData | None,
 ) -> tuple[np.ndarray, int]:
-    """Run to t_check and interpolate the node values linearly in time.
+    """Run to t_check and interpolate the left half's values linearly in time.
 
-    Returns (values, interval_count).  The run must reach t_check before
+    Returns (u_0..u_mid, interval_count).  The run must reach t_check before
     blowing up or exhausting its budget; it stops at the first state with
     t >= t_check, and the state recorded before it lies before t_check.
     """
@@ -366,7 +366,7 @@ def _solution_at_time(
     after = history.latest
     before = history.previous or after
     mid = outcome.final_grid.mid
-    u0, u1 = mirrored(before, mid), mirrored(after, mid)
+    u0, u1 = left_half(before, mid), left_half(after, mid)
     t0, t1 = before.t, after.t
     if t1 == t0:
         u = u1

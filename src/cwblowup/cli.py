@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import replace
@@ -65,7 +64,7 @@ def _output_dir(args: argparse.Namespace) -> Path:
     A path that could never be created, because it or its nearest existing
     ancestor is not a directory, is refused here, before any run.
     """
-    out = Path(os.environ.get("CW_OUTPUT_DIR") or args.output_dir)
+    out = Path(args.output_dir)
     existing = next(d for d in (out, *out.parents) if d.exists())
     if not existing.is_dir():
         raise ConfigError(f"output directory {out}: {existing} is not a directory")
@@ -306,11 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
-        p.add_argument(
-            "--output-dir",
-            default="cw_out",
-            help="output directory (env CW_OUTPUT_DIR overrides)",
-        )
+        p.add_argument("--output-dir", default="cw_out", help="output directory")
 
     p_run = sub.add_parser("run", help="simulate and write history/outcome")
     common(p_run)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from cwblowup.state import SolutionState, mirrored
+from cwblowup.state import SolutionState
 
 if TYPE_CHECKING:  # pragma: no cover
     from cwblowup.grid import GridState
@@ -187,7 +187,11 @@ class InitialData:
             raise InitialDataError("table needs matching 1-d x and u0 with >= 3 rows")
         order = np.argsort(x)
         x, u0 = x[order], u0[order]
-        _check_profile(x, u0, context="table")
+        if not np.allclose(x, -x[::-1], atol=1e-9):
+            raise InitialDataError("table: sample points are not symmetric about 0")
+        peak = _check_left_half(u0[: (x.size + 1) // 2], context="table")
+        if not (np.abs(u0 - u0[::-1]) <= 1e-12 * peak).all():
+            raise InitialDataError("table: values are not symmetric about x = 0")
         return cls(table=np.column_stack([x, u0]))
 
     @classmethod
@@ -237,39 +241,34 @@ class InitialData:
         return left
 
 
-def _check_profile(x: np.ndarray, u: np.ndarray, *, context: str) -> None:
-    """Enforce the bump-profile requirements on sampled values."""
-    scale = float(np.max(np.abs(u))) if u.size else 0.0
-    tol = 1e-12 * max(scale, 1.0)
-    if np.any(~np.isfinite(u)):
+def _check_left_half(u: np.ndarray, *, context: str) -> float:
+    """Enforce the bump-profile requirements on u_0..u_mid, the values at
+    x <= 0 of a profile whose right half is their mirror image; returns the
+    sup norm u_mid, which strict increase makes the largest value."""
+    if not np.isfinite(u).all():
         raise InitialDataError(f"{context}: non-finite values")
-    if np.any(u < -tol):
+    lo, hi = float(u.min()), float(u.max())
+    tol = 1e-12 * max(-lo, hi, 1.0)
+    if lo < -tol:
         raise InitialDataError(f"{context}: negative values (profile must be nonnegative)")
-    if scale <= 0.0 or np.all(np.abs(u - u[0]) <= tol):
+    if max(hi - u[0], u[0] - lo) <= tol:
         raise InitialDataError(f"{context}: profile must be nonconstant")
-    if abs(u[0]) > tol or abs(u[-1]) > tol:
+    if abs(u[0]) > tol:
         raise InitialDataError(f"{context}: profile must vanish at x = -1 and x = 1")
-    # Symmetry: every sampled x must have a mirror partner with equal value.
-    order = np.argsort(-x)
-    if not np.allclose(x, -x[order], atol=1e-9):
-        raise InitialDataError(f"{context}: sample points are not symmetric about 0")
-    if np.max(np.abs(u - u[order])) > tol:
-        raise InitialDataError(f"{context}: values are not symmetric about x = 0")
-    # Strict monotonicity on [-1, 0].
-    left = u[x <= 1e-15]
-    if np.any(np.diff(left) <= 0.0):
+    if not (u[1:] > u[:-1]).all():
         raise InitialDataError(f"{context}: profile must increase strictly on [-1, 0]")
-    if scale <= 1.0:
+    if hi <= 1.0:
         raise InitialDataError(
-            f"{context}: sup norm {scale} <= 1; such a run decays and ends in a "
+            f"{context}: sup norm {hi} <= 1; such a run decays and ends in a "
             "solver error once u is subnormal"
         )
-    if scale < 10.0:
+    if hi < 10.0:
         warnings.warn(
-            f"{context}: sup norm {scale} < 10; the blow-up asymptotics assume a "
+            f"{context}: sup norm {hi} < 10; the blow-up asymptotics assume a "
             "large amplitude",
             stacklevel=3,
         )
+    return hi
 
 
 def make_initial(
@@ -277,13 +276,11 @@ def make_initial(
     grid: "GridState",
     initial: InitialData | None = None,
 ) -> SolutionState:
-    """Sample the initial profile on a grid and wrap it as the t = 0 state."""
+    """Sample and check the initial profile on a grid's left half: the t = 0 state."""
     initial = initial if initial is not None else InitialData.sine()
-    state = SolutionState(
-        u=initial.sample(params, grid.nodes, grid.mid), t=0.0, n=0, tau_last=0.0
-    )
-    _check_profile(grid.nodes, mirrored(state, grid.mid), context=initial.kind)
-    return state
+    u = initial.sample(params, grid.nodes, grid.mid)
+    peak = _check_left_half(u, context=initial.kind)
+    return SolutionState(u=u, t=0.0, n=0, tau_last=0.0, sup_norm=peak)
 
 
 def _text_lines(path: Path, what: str, error: type[ConfigError]) -> list[tuple[int, str]]:

@@ -59,8 +59,9 @@ _COLUMN_INDEX.update(
 
 # A snapshot holds all K+1 coordinates and values: about 67 MB at this K.
 _SNAPSHOT_MAX_INTERVALS = 2**22
-# The initial profile is sampled on all K+1 nodes of the first grid: at this
-# K the left half alone holds 8.4M values.
+# The initial profile is sampled on the first grid's left half, read from
+# its K+1 node coordinates: at this K those take 134 MB, and the sampled
+# values 67 MB.
 _INITIAL_MAX_INTERVALS = 2**24
 
 

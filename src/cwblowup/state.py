@@ -16,7 +16,8 @@ class SolutionState:
     length: on a grid with middle index mid it starts at node
     mid + 1 - u.size, and every node left of it is exactly 0.  The window
     always holds the nodes mid-2..mid (all nodes when mid < 2), and a window
-    of mid + 1 values is the whole left half u_0..u_mid.  :func:`mirrored`
+    of mid + 1 values is the whole left half u_0..u_mid.  :func:`left_half`
+    pads a window to u_0..u_mid, and :func:`mirrored`, for snapshots only,
     builds all K+1 nodes.  ``t`` is the accumulated time, ``n`` the step
     count, and ``tau_last`` the time increment that produced this state (0
     for the initial one).  ``t_comp`` is the compensation term of the
@@ -50,9 +51,15 @@ class SolutionState:
         d["sup_norm"] = float(u.max()) if sup_norm is None else sup_norm
 
 
+def left_half(state: SolutionState, mid: int) -> np.ndarray:
+    """u_0..u_mid of a grid with middle index ``mid``: the window padded
+    with zeros on the left (the window itself when it is the whole half)."""
+    pad = mid + 1 - state.u.size
+    return np.concatenate((np.zeros(pad), state.u)) if pad else state.u
+
+
 def mirrored(state: SolutionState, mid: int) -> np.ndarray:
     """Full node vector u_0..u_K of a grid with middle index ``mid``: the
-    window padded with zeros to u_0..u_mid, then mirrored."""
-    pad = mid + 1 - state.u.size
-    left = np.concatenate((np.zeros(pad), state.u)) if pad else state.u
+    left half, then its mirror image."""
+    left = left_half(state, mid)
     return np.concatenate([left, left[-2::-1]])

@@ -188,16 +188,6 @@ class TestRunVerb:
         assert (out_a / "history.csv").read_bytes() == (out_b / "history.csv").read_bytes()
         assert (out_a / "outcome.json").read_bytes() == (out_b / "outcome.json").read_bytes()
 
-    def test_env_var_overrides_output_dir(self, fast_config, tmp_path, monkeypatch):
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv("CW_OUTPUT_DIR", str(env_dir))
-        rc = main(
-            ["run", "--config", str(fast_config), "--output-dir", str(tmp_path / "flag")]
-        )
-        assert rc == 0
-        assert (env_dir / "outcome.json").exists()
-        assert not (tmp_path / "flag").exists()
-
 
 class TestClassifyVerb:
     def test_writes_report(self, fast_config, tmp_path):

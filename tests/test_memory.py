@@ -10,8 +10,8 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from cwblowup import SimParams, compute_h, run
-from cwblowup.grid import interval_count_for
+from cwblowup import SimParams, compute_h, make_initial, run
+from cwblowup.grid import build_grid_by_count, interval_count_for
 from cwblowup.simulator import _INITIAL_MAX_INTERVALS, _SNAPSHOT_MAX_INTERVALS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +28,21 @@ def test_run_peak_memory_is_bounded():
     assert outcome.status.value == "BlewUp"
     assert outcome.final_grid.interval_count > 3 * 10**6
     assert peak < 5e6
+
+
+def test_make_initial_holds_less_than_two_node_vectors():
+    # make_initial samples and checks u_0..u_mid, so beyond the grid's own
+    # coordinates it never holds two K+1 node vectors at once
+    grid = build_grid_by_count(2**20)
+    grid.nodes
+    tracemalloc.start()
+    try:
+        state = make_initial(SimParams(lam=100.0), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.u.size == grid.mid + 1
+    assert peak < 2 * 8 * (grid.interval_count + 1)
 
 
 # The address-space limit binds only the child: a state that grew with K

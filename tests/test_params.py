@@ -163,6 +163,17 @@ class TestInitialData:
         # sampled on the left half only
         assert state.u.size == grid.mid + 1
 
+    def test_flat_top_table_refused_on_a_grid_that_samples_the_top(self):
+        # no row at x = 0, so the table is flat on (-1/9, 1/9): the grid
+        # h = 0.25 has no node inside, h = 0.05 has -0.1, -0.05 and 0
+        x = np.linspace(-1, 1, 10)
+        u = 20.0 * np.cos(0.5 * np.pi * x)
+        u[0] = u[-1] = 0.0
+        data = InitialData.from_table(x, u)
+        make_initial(SimParams(lam=20.0), build_grid(0.25), data)
+        with pytest.raises(InitialDataError, match="increase strictly"):
+            make_initial(SimParams(lam=20.0), build_grid(0.05), data)
+
 
 class TestConfig:
     def test_roundtrip(self, tmp_path):

@@ -24,7 +24,8 @@ out=$(cd "$3" && pwd)
 case $out in
   *[[:space:]]*) echo "OUT_DIR must not contain whitespace: $out" >&2; exit 2 ;;
 esac
-# the CLI would write every output there instead of --output-dir
+# a base checkout whose CLI still reads it would write every output there
+# instead of --output-dir
 unset CW_OUTPUT_DIR
 rm -rf "$out/base" "$out/head"
 

@@ -15,7 +15,10 @@ scenarios on both sides, in alternating order (BASE first on even rounds):
 A run's time is the wall time of ``run()``.  The two sides' history digests
 (every history column, byte for byte) must be equal; the script exits 1 when
 one differs.  It prints, per scenario, each side's median microseconds per
-accepted step and how many of the rounds HEAD was faster.  One process
+accepted step, the median over rounds of the round's BASE/HEAD time ratio,
+and how many of the rounds HEAD was faster.  A ratio taken within a round
+holds when the host's speed changes during the run; a ratio of the two
+sides' medians does not.  One process
 alternating both sides sees the same host speed state for each pair, which
 separate fresh-process benchmark runs do not.
 """
@@ -101,10 +104,11 @@ def main(argv: list[str] | None = None) -> int:
     for name in SCENARIOS:
         b, h = times[name, "base"], times[name, "head"]
         wins = sum(x < y for x, y in zip(h, b))
-        mb, mh = statistics.median(b), statistics.median(h)
+        ratio = statistics.median(x / y for x, y in zip(b, h))
         print(
-            f"{name}: base {mb:.2f} us/step, head {mh:.2f} us/step "
-            f"({mb / mh:.3f}x), head won {wins}/{len(h)}"
+            f"{name}: base {statistics.median(b):.2f} us/step, head "
+            f"{statistics.median(h):.2f} us/step, median per-round base/head "
+            f"{ratio:.3f}x, head won {wins}/{len(h)}"
         )
     return 0
 
