@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +23,8 @@ class GridState:
 
     K is the one field.  The spacing ``h`` = 2/K and the index ``mid`` = K/2
     of the node at x = 0 are plain attributes computed once when the grid is
-    built, since a step reads both; the node coordinates are built only when
-    first read (sampling and snapshots).
+    built, since a step reads both; ``nodes``, the left half x_0..x_mid, is
+    built on each read (sampling and snapshots) and never kept.
     """
 
     interval_count: int
@@ -35,11 +34,11 @@ class GridState:
         k = interval_count
         self.__dict__.update(interval_count=k, h=2.0 / k, mid=k // 2)
 
-    @cached_property
+    @property
     def nodes(self) -> np.ndarray:
-        # (2j - K)/K makes x_0 = -1, x_mid = 0 and x_K = 1 exact floats
+        # (2j - K)/K makes x_0 = -1 and x_mid = 0 exact, and x_(K-j) = -x_j
         k = self.interval_count
-        return (2.0 * np.arange(k + 1) - k) / k
+        return (2.0 * np.arange(self.mid + 1) - k) / k
 
 
 def interval_count_for(h_target: float) -> int:

@@ -226,7 +226,7 @@ class InitialData:
     def sample(self, params: SimParams, nodes: np.ndarray, mid: int) -> np.ndarray:
         """Evaluate the profile on the left half, returning u_0..u_mid with u_0 = 0.
 
-        ``nodes`` spans the whole grid, so a table is checked to cover [-1, 1].
+        ``nodes`` is x_0..x_mid; a table must cover [-1, 1], with x_K = -x_0 = 1.
         """
         left_nodes = nodes[: mid + 1]
         if self.table is None:
@@ -234,7 +234,7 @@ class InitialData:
             left = params.lam * np.cos(0.5 * np.pi * left_nodes)
         else:
             x, u0 = self.table[:, 0], self.table[:, 1]
-            if x[0] > nodes[0] or x[-1] < nodes[-1]:
+            if x[0] > nodes[0] or x[-1] < -nodes[0]:
                 raise InitialDataError("initial data table must cover [-1, 1]")
             left = np.interp(left_nodes, x, u0)
         left[0] = 0.0

@@ -59,9 +59,8 @@ _COLUMN_INDEX.update(
 
 # A snapshot holds all K+1 coordinates and values: about 67 MB at this K.
 _SNAPSHOT_MAX_INTERVALS = 2**22
-# The initial profile is sampled on the first grid's left half, read from
-# its K+1 node coordinates: at this K those take 134 MB, and the sampled
-# values 67 MB.
+# The initial profile is sampled on the first grid's left half: at this K
+# its mid+1 node coordinates take 67 MB, and the sampled values 67 MB.
 _INITIAL_MAX_INTERVALS = 2**24
 
 
@@ -176,7 +175,9 @@ class RunHistory:
             self.invariant_summary["sup_norm_at_middle"] = False
 
     def add_snapshot(self, state: SolutionState, grid: GridState) -> None:
-        self.snapshots.append((state.n, state.t, grid.nodes.copy(), mirrored(state, grid.mid)))
+        # the one place a right half is built, with x_(K-j) = -x_j
+        x, u = grid.nodes, mirrored(state, grid.mid)
+        self.snapshots.append((state.n, state.t, np.concatenate((x, -x[-2::-1])), u))
 
 
 @dataclass(frozen=True)
@@ -302,9 +303,7 @@ def run(
         if snapshot_every > 0 and state.n % snapshot_every == 0:
             history.add_snapshot(state, grid)
 
-    if snapshot_every > 0 and (
-        not history.snapshots or history.snapshots[-1][0] != state.n
-    ):
+    if snapshot_every > 0 and history.snapshots[-1][0] != state.n:
         history.add_snapshot(state, grid)
 
     outcome = RunOutcome(status=status, final_state=state, final_grid=grid, error=error)

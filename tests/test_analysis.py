@@ -59,6 +59,32 @@ class TestClassify:
         assert a.verdicts == b.verdicts
         assert a.to_dict() == b.to_dict()
 
+    def test_refuses_short_history(self):
+        hist = RunHistory()
+        grid = build_grid_by_count(6)
+        for n in range(2):
+            u = np.array([0.0, 1.0, 2.0, 1e13])
+            hist.record(SolutionState(u=u, t=0.1 * n, n=n, tau_last=0.1 * n), grid)
+        params = SimParams(p=2.0, q=1.0, blow_threshold=1e12)
+        with pytest.raises(ValueError, match="history too short to classify"):
+            classify_blowup_set(hist, params)
+
+    def test_undetermined_first_neighbours(self):
+        # the benchmark's refine-q136 reference at lambda = 10: the peak
+        # blows up, the first neighbours grow without a verdict and the
+        # second stay bounded
+        params = SimParams(p=3.0, q=1.36, tau=0.1, h=0.05, lam=10.0)
+        outcome, hist = run(params)
+        assert outcome.status is RunStatus.BLEW_UP
+        report = classify_blowup_set(hist, params)
+        assert report.verdicts == {
+            -2: Verdict.BOUNDED,
+            -1: Verdict.UNDETERMINED,
+            0: Verdict.BLOWS_UP,
+            1: Verdict.UNDETERMINED,
+            2: Verdict.BOUNDED,
+        }
+
     def test_refuses_unfinished_run(self):
         params = SimParams(p=2.0, q=1.0, blow_threshold=1e30)
         with pytest.raises(ValueError, match="blow_threshold"):
@@ -180,6 +206,29 @@ class TestConvergence:
         v = np.zeros(9)
         with pytest.raises(ValueError, match="nested"):
             compare_to_reference(u, 6, v, 8, 1)
+
+    def test_grid_too_coarse_for_compared_range(self):
+        u = np.array([0.0, 1.0, 0.0])
+        with pytest.raises(ConfigError, match="grid too coarse for the compared index range"):
+            compare_to_reference(u, 2, u, 2, 1)
+
+    def test_coarse_run_without_blowup_refused(self):
+        params = SimParams(p=2.0, q=1.0, max_steps=5)
+        with pytest.raises(ConfigError, match="coarse run did not blow up"):
+            convergence_study(params)
+
+    @pytest.mark.parametrize("reference_h", [0.0125, 0.025 / 4.5], ids=["2x", "not-nested"])
+    def test_reference_not_a_4x_nested_refinement_refused(self, monkeypatch, reference_h):
+        from cwblowup import analysis
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("convergence_study ran before refusing")
+
+        monkeypatch.setattr(analysis, "run", no_run)
+        with pytest.raises(ConfigError, match="nested refinement >= 4x the finest level"):
+            convergence_study(
+                SimParams(p=2.0, q=1.0), t_check=0.01, reference_h=reference_h
+            )
 
     def test_needs_three_levels(self):
         with pytest.raises(ValueError, match="3 grid levels"):

@@ -572,6 +572,35 @@ class TestDiagnosticsVerb:
         assert payload["ratio_diagnostics"]["applicable"]
         assert payload["failures"] == ["peak growth deviates 50.000% from 1+tau"]
 
+    @pytest.mark.parametrize(
+        "change, failure",
+        [
+            ({"ratio_change_deviation": 0.5},
+             "neighbour ratio change deviates 50.000% from 1/(1+tau)"),
+            ({"strictly_decreasing_tail": False},
+             "neighbour-to-peak ratio not strictly decreasing in the tail"),
+        ],
+        ids=["ratio-change", "not-decreasing"],
+    )
+    def test_failed_neighbour_limit_exits_4(self, tmp_path, monkeypatch, change, failure):
+        # as above, a clean run's report is altered to fail one neighbour check
+        from dataclasses import replace
+
+        from cwblowup import cli
+
+        real = cli.peak_ratio_diagnostics
+        monkeypatch.setattr(
+            cli,
+            "peak_ratio_diagnostics",
+            lambda history, params: replace(real(history, params), **change),
+        )
+        out = tmp_path / "diag_bad"
+        argv = ["diagnostics", "--set", "q=1.2", "--set", "blow_threshold=1e9"]
+        rc = main([*argv, "--output-dir", str(out)])
+        assert rc == 4
+        payload = json.loads((out / "diagnostics.json").read_text())
+        assert payload["failures"] == [failure]
+
     def test_monotonicity_violation_exits_4(self, tmp_path, monkeypatch):
         # no run is known to record a non-monotone window, so a dented copy of
         # the final window is recorded after a multi-point run, where the

@@ -82,23 +82,31 @@ class TestBuildGrid:
         assert (g.interval_count, g.mid) == (5000, 2500)
 
     def test_nodes_uniform_and_anchored(self):
+        # nodes is the left half x_0..x_mid
         g = build_grid(0.07)
-        assert g.nodes[0] == -1.0 and g.nodes[-1] == 1.0
-        assert g.nodes[g.mid] == 0.0
+        assert g.nodes.size == g.mid + 1
+        assert g.nodes[0] == -1.0 and g.nodes[-1] == 0.0
         assert np.max(np.abs(np.diff(g.nodes) - g.h)) < 1e-15
         assert g.interval_count * g.h == pytest.approx(2.0, rel=1e-15)
 
     def test_nodes_built_on_demand(self):
         # the interval count is the whole grid; h and mid are computed once
-        # when the grid is built, the K+1 coordinates on first read and then
-        # kept
+        # when the grid is built, and the left half's coordinates on each
+        # read, which stores nothing on the grid
         g = build_grid_by_count(6)
         assert [f.name for f in fields(g)] == ["interval_count"]
         assert (vars(g)["h"], vars(g)["mid"]) == (2.0 / 6, 3)
         assert replace(g, interval_count=8).h == 0.25
-        assert "nodes" not in vars(g)
-        assert g.nodes is g.nodes
-        assert g.nodes.size == 7
+        before = dict(vars(g))
+        first = g.nodes
+        assert vars(g) == before
+        assert g.nodes is not first and np.array_equal(g.nodes, first)
+        assert first.size == 4
+
+    @pytest.mark.parametrize("k", [7, 0, -4])
+    def test_odd_or_small_count_refused(self, k):
+        with pytest.raises(ValueError, match=f"even and >= 2, got {k}"):
+            build_grid_by_count(k)
 
     def test_interval_count_floating_safety(self):
         # 2/h computing to 4.000000000000001 must still give 4

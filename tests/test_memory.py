@@ -31,10 +31,9 @@ def test_run_peak_memory_is_bounded():
 
 
 def test_make_initial_holds_less_than_two_node_vectors():
-    # make_initial samples and checks u_0..u_mid, so beyond the grid's own
-    # coordinates it never holds two K+1 node vectors at once
+    # make_initial builds and samples x_0..x_mid on a cold grid, so it never
+    # holds two K+1 node vectors at once, and the grid keeps no coordinates
     grid = build_grid_by_count(2**20)
-    grid.nodes
     tracemalloc.start()
     try:
         state = make_initial(SimParams(lam=100.0), grid)
@@ -43,6 +42,7 @@ def test_make_initial_holds_less_than_two_node_vectors():
         tracemalloc.stop()
     assert state.u.size == grid.mid + 1
     assert peak < 2 * 8 * (grid.interval_count + 1)
+    assert set(vars(grid)) == {"interval_count", "h", "mid"}
 
 
 # The address-space limit binds only the child: a state that grew with K

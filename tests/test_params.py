@@ -100,7 +100,8 @@ class TestInitialData:
         assert state.u.size == grid.mid + 1
         full = mirrored(state, grid.mid)
         assert np.array_equal(full, full[::-1])
-        assert np.allclose(full, 25.0 * np.cos(0.5 * np.pi * grid.nodes), atol=1e-13)
+        # the grid's nodes are x_0..x_mid, where the sampled half lives
+        assert np.allclose(state.u, 25.0 * np.cos(0.5 * np.pi * grid.nodes), atol=1e-13)
 
     def test_zero_profile_rejected(self):
         x = np.linspace(-1, 1, 11)
@@ -173,6 +174,36 @@ class TestInitialData:
         make_initial(SimParams(lam=20.0), build_grid(0.25), data)
         with pytest.raises(InitialDataError, match="increase strictly"):
             make_initial(SimParams(lam=20.0), build_grid(0.05), data)
+
+
+    _BUMP = [0.0, 7.0, 20.0, 7.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "x, u0, message",
+        [
+            ([-1.0, -0.5, 0.0, 0.5, 1.0], _BUMP[:4], "matching 1-d x and u0"),
+            ([-1.0, 1.0], [0.0, 0.0], "matching 1-d x and u0 with >= 3 rows"),
+            ([-1.0, -0.3, 0.0, 0.5, 1.0], _BUMP, "sample points are not symmetric"),
+            ([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, np.nan, 20.0, np.nan, 0.0],
+             "table: non-finite values"),
+        ],
+        ids=["shapes-differ", "two-rows", "x-not-symmetric", "nan-in-left-half"],
+    )
+    def test_malformed_table_refused(self, x, u0, message):
+        with pytest.raises(InitialDataError, match=re.escape(message)):
+            InitialData.from_table(np.array(x), np.array(u0))
+
+    @pytest.mark.parametrize(
+        "x",
+        [[-0.999995, -0.5, 0.0, 0.5, 1.0], [-1.0, -0.5, 0.0, 0.5, 0.999995]],
+        ids=["short-of-minus-1", "short-of-1"],
+    )
+    def test_table_short_of_an_end_refused(self, x):
+        # the symmetry test lets both through (relative tolerance 1e-5), and
+        # sampling reads x_K as -x_0 = 1, so both ends are checked
+        data = InitialData.from_table(np.array(x), np.array(self._BUMP))
+        with pytest.raises(InitialDataError, match=re.escape("must cover [-1, 1]")):
+            make_initial(SimParams(lam=20.0), build_grid(0.25), data)
 
 
 class TestConfig:
@@ -263,6 +294,25 @@ class TestConfig:
         for text in ("1e3", "1000.0"):
             params, _ = build_params({"max_steps": text})
             assert params.max_steps == 1000 and type(params.max_steps) is int
+
+    def test_line_without_equals_refused(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=3\nlambda 10\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:2: expected key=value")):
+            load_config(cfg)
+        args = build_parser().parse_args(["run", "--set", "lambda"])
+        with pytest.raises(ConfigError, match="override: expected key=value, got: 'lambda'"):
+            _resolve_setup(args)
+
+    def test_unknown_initial_refused(self):
+        with pytest.raises(ConfigError, match="initial must be 'sine' or 'file:PATH', got 'foo'"):
+            build_params({"initial": "foo"})
+
+    def test_table_of_two_rows_refused(self, tmp_path):
+        table = tmp_path / "bump.csv"
+        table.write_text("x,u0\n-1,0\n1,0\n")
+        with pytest.raises(InitialDataError, match="needs at least 3 rows"):
+            InitialData.from_csv(table)
 
     def test_directory_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="not a file"):

@@ -54,7 +54,9 @@ def test_grid_invariants(h_target):
     g = build_grid(h_target)
     assert g.interval_count % 2 == 0
     assert g.mid == g.interval_count // 2
-    assert g.nodes[0] == -1.0 and g.nodes[-1] == 1.0 and g.nodes[g.mid] == 0.0
+    # nodes is the left half x_0..x_mid
+    assert g.nodes.size == g.mid + 1
+    assert g.nodes[0] == -1.0 and g.nodes[-1] == 0.0
     assert g.interval_count * g.h == pytest.approx(2.0, rel=1e-12)
     assert np.max(np.abs(np.diff(g.nodes) - g.h)) < 1e-14
 

@@ -231,7 +231,8 @@ class TestRun:
         n, _, x, u = history.snapshots[-1]
         assert n == outcome.n_final
         assert x.size == u.size == grid.interval_count + 1
-        assert np.array_equal(x, grid.nodes)
+        k = grid.interval_count
+        assert np.array_equal(x, (2.0 * np.arange(k + 1) - k) / k)
         assert np.array_equal(u, u[::-1])
         assert np.all(u[: start + 1] == 0.0)
         assert np.array_equal(u[start : grid.mid + 1], state.u)

@@ -29,8 +29,9 @@ esac
 unset CW_OUTPUT_DIR
 rm -rf "$out/base" "$out/head"
 
-# table initial data that is not bit-symmetric (the full-width solve),
-# written once from the head checkout's benchmark inputs and read by both
+# table initial data that is not bit-symmetric (read as its left half and
+# solved there, like the sine), written once from the head checkout's
+# benchmark inputs and read by both
 table="$out/table.csv"
 python -c 'import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); import workloads; workloads.write_table(Path(sys.argv[2]), 0)' \
   "$head/perfbench" "$table"
