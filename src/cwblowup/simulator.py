@@ -142,11 +142,8 @@ class RunHistory:
     def __len__(self) -> int:
         return self._filled
 
-    def record(self, state: SolutionState, grid: GridState, min_rise=None) -> None:
-        """Append the state's row, keep the state and check its invariants.
-
-        ``min_rise`` is ``StepResult.min_rise``, a lower bound of the window's
-        adjacent differences; left out, their minimum is computed here."""
+    def record(self, state: SolutionState, grid: GridState) -> None:
+        """Append the state's row, keep the state and check its invariants."""
         self.previous, self.latest = self.latest, state
         k = self._filled
         if k == self._block.shape[0]:
@@ -155,8 +152,7 @@ class RunHistory:
             self._block = grown
         # the window runs from a zero node u[0] to the peak node u[-1] and
         # holds mid-2..mid
-        u = state.u
-        sup = state.sup_norm
+        u, sup, min_rise = state.u, state.sup_norm, state.min_rise
         # with mid = 1 there is no second neighbour; u[-3] would wrap to the peak
         second = u[-3] if grid.mid >= 2 else 0.0
         self._block[k] = (
@@ -164,9 +160,6 @@ class RunHistory:
         )
         self._filled = k + 1
 
-        if min_rise is None:
-            diffs = u[1:] - u[:-1]
-            min_rise = float(diffs[diffs.argmin()])
         if min_rise < -1e-12 * max(sup, 1.0):
             inv = self.invariant_summary
             inv["monotonicity_violations"] += 1
@@ -292,14 +285,14 @@ def run(
             grid = new_grid
 
         try:
-            state, _, _, min_rise = step(state, grid, params)
+            state = step(state, grid, params).next
         except StepError as exc:
             status = RunStatus.SOLVER_ERROR
             error = f"{type(exc).__name__}: {exc}"
             logger.warning("step %d failed: %s", state.n, error)
             break
 
-        history.record(state, grid, min_rise)
+        history.record(state, grid)
         if snapshot_every > 0 and state.n % snapshot_every == 0:
             history.add_snapshot(state, grid)
 

@@ -25,10 +25,11 @@ class SolutionState:
     increments keeps ``t`` accurate.
 
     ``sup_norm`` is the largest node value, ||u||_inf as states are
-    nonnegative.  Whatever builds a state and already holds that maximum
-    passes it in; left out, it is computed as ``u.max()``.
-    ``dataclasses.replace`` never copies it, so a replaced state computes
-    its own.
+    nonnegative, and ``min_rise`` the smallest u[j+1] - u[j] or a lower bound
+    of it (a step passes its solve's, taken before the trim).  Whatever
+    builds a state and holds either passes it in; left out, they are
+    ``u.max()`` and an index read of the differences, where a NaN shows.
+    ``dataclasses.replace`` copies neither, so a replaced state reads its own.
     """
 
     u: np.ndarray
@@ -37,8 +38,9 @@ class SolutionState:
     tau_last: float
     t_comp: float = 0.0
     sup_norm: float = field(init=False)
+    min_rise: float = field(init=False)
 
-    def __init__(self, u, t, n, tau_last, t_comp=0.0, sup_norm=None) -> None:
+    def __init__(self, u, t, n, tau_last, t_comp=0.0, sup_norm=None, min_rise=None) -> None:
         # The instance dict is written directly: a frozen dataclass's own
         # __init__ sets each field through object.__setattr__, about twice
         # the cost, and every step builds a state.
@@ -49,6 +51,10 @@ class SolutionState:
         d["tau_last"] = tau_last
         d["t_comp"] = t_comp
         d["sup_norm"] = float(u.max()) if sup_norm is None else sup_norm
+        if min_rise is None:
+            rises = u[1:] - u[:-1]
+            min_rise = float(rises[rises.argmin()])
+        d["min_rise"] = min_rise
 
 
 def left_half(state: SolutionState, mid: int) -> np.ndarray:

@@ -278,7 +278,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     peaks at its last node.  The next state is trimmed to one zero node
     before its first non-zero node (keeping nodes mid-2..mid) on the same
     grid.  Its time is state.t + tau_n, summed with compensation
-    (``t_comp``), and it carries its sup norm.
+    (``t_comp``), and it carries its sup norm and the one-pass route's rise.
 
     Raises StepError if the state holds more than the grid.mid + 1 values
     of the left half, is non-finite, or is already at ``blow_threshold``.
@@ -289,11 +289,11 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         raise StepError(
             f"state holds {u.size} values, more than the {mid + 1} of the left half"
         )
-    # Every state a run hands over came out of a checked step, so the carried
-    # sup norm (NaN or +inf) and the minimum (-inf) suffice to refuse a
-    # non-finite one, before any arithmetic on it.
+    # The carried facts refuse a non-finite state before any arithmetic: NaN
+    # or +inf shows in the sup norm, -inf in the smallest rise (as -inf or
+    # NaN) or in u[0], the held node, where it makes the first rise +inf.
     sup = state.sup_norm
-    if not (sup < math.inf and u[u.argmin()] > -math.inf):
+    if not (sup < math.inf and u[0] > -math.inf and state.min_rise > -math.inf):
         raise StepError("state contains non-finite values")
     if sup >= params.blow_threshold:
         raise StepError(
@@ -302,6 +302,13 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
 
     h, p, q = grid.h, params.p, params.q
     tau_n = compute_tau(params, sup)
+    # below this bound x**p is under 2^-1100, which rounds to +0 (-0 for a
+    # -0 and an odd integer p, as x*0 gives); a rising window's zero-padded
+    # values are sorted, so its underflowing prefix is found by one search
+    # and left out of the power (unless u[1] is above the bound, when the
+    # prefix is the zero margin alone)
+    tiny = 2.0 ** (-1100.0 / p)
+    skip = state.min_rise >= 0.0 and u[1] < tiny
     halvings, margin = 0, _WINDOW_MARGIN
     while True:
         lo = max(0, start - margin)
@@ -313,7 +320,12 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         # rows lo+1..mid: the source right-hand side u_j + tau_n*(u_j)^p, whose
         # inf-norm is its maximum as states are nonnegative
         inner = w[1:]
-        rhs = inner**p
+        if skip:
+            k = int(inner.searchsorted(tiny))
+            rhs = inner * 0.0 if p % 2.0 == 1.0 else np.zeros(inner.size)
+            rhs[k:] = inner[k:] ** p
+        else:
+            rhs = inner**p
         rhs *= tau_n
         rhs += inner
         # rows lo+1..mid-1: the current differences d_j = u_{j+1} - u_{j-1}
@@ -361,9 +373,9 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     t = state.t + y
     next_state = SolutionState(
         u=new, t=t, n=state.n + 1, tau_last=tau_n, t_comp=(t - state.t) - y,
-        sup_norm=float(top),
+        sup_norm=float(top), min_rise=rise,
     )
-    return StepResult(next_state, iters, flips, rise)
+    return StepResult(next_state, iters, flips)
 
 
 def _solve_frozen_signs(
@@ -422,9 +434,8 @@ def _solve_frozen_signs(
 
 
 class StepResult(NamedTuple):
-    """One accepted step; ``min_rise``: see :func:`_solve_frozen_signs`."""
+    """One accepted step: the next state, the solves it took and the sign flips."""
 
     next: SolutionState
     picard_iters: int
     sign_flips: int
-    min_rise: float | None

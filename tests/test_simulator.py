@@ -356,6 +356,51 @@ class TestCarriedSupNorm:
             assert 0.0 < min(st.sup_norm for st in states) < 1e-300
 
 
+class TestCarriedMinRise:
+    """A state's ``min_rise`` is a lower bound of its smallest adjacent
+    difference, and that difference itself where no step passed it."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(p=2.0, q=1.0, tau=0.001, h=0.05, lam=7.0, max_steps=3000),
+            dict(p=3.0, q=1.36, tau=0.1, h=0.05, lam=10.0),
+            dict(p=3.0, q=1.2, lam=10.0),
+        ],
+        ids=["fixed-q1", "refine-q136", "p3-q1.2"],
+    )
+    def test_recorded_rise_bounds_the_window(self, monkeypatch, kwargs):
+        recorded = []
+        real = RunHistory.record
+
+        def keep(history, state, grid):
+            recorded.append(state)
+            real(history, state, grid)
+
+        monkeypatch.setattr(RunHistory, "record", keep)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*large amplitude", UserWarning)
+            outcome, history = run(SimParams(**kwargs))
+        assert len(recorded) == len(history) == outcome.n_final + 1 > 100
+        for st in recorded:
+            rises = st.u[1:] - st.u[:-1]
+            assert st.min_rise <= rises.min()
+        initial = recorded[0]
+        assert initial.min_rise == (initial.u[1:] - initial.u[:-1]).min()
+
+    def test_state_computes_its_own(self):
+        state = SolutionState(u=np.array([0.0, 1.0, 1.5, 4.0]), t=0.0, n=0, tau_last=0.0)
+        assert state.min_rise == 0.5
+        with_nan = SolutionState(u=np.array([0.0, 1.0, np.nan, 4.0]), t=0.0, n=0, tau_last=0.0)
+        assert math.isnan(with_nan.min_rise)
+        given = SolutionState(
+            u=np.array([0.0, 1.0, 1.5, 4.0]), t=0.0, n=0, tau_last=0.0, min_rise=0.25
+        )
+        assert given.min_rise == 0.25
+        # replace passes no min_rise, so the new window's is computed
+        assert replace(given, u=np.array([0.0, 3.0, 2.0, 4.0])).min_rise == -1.0
+
+
 class TestRecord:
     def test_one_node_spike_window(self):
         # a window far from the boundary: the peak and its neighbours are the

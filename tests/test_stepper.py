@@ -305,11 +305,13 @@ class TestConstantBand:
         from cwblowup import stepper
 
         real = stepper._solve_frozen_signs
-        gammas = []
+        gammas, rises = [], []
 
         def spy(*args):
             gammas.append(args[4])
-            return real(*args)
+            result = real(*args)
+            rises.append(result[3])
+            return result
 
         monkeypatch.setattr(stepper, "_solve_frozen_signs", spy)
         rng = np.random.default_rng(21)
@@ -324,7 +326,7 @@ class TestConstantBand:
             )
             got = step(_state(u), grid, params)
             exact, iters, flips = _exact_path(_state(u), grid, params)
-            picard += got.min_rise is None
+            picard += rises[-1] is None
             assert (got.picard_iters, got.sign_flips) == (iters, flips)
             assert got.next.u.tobytes() == exact.u.tobytes()
             assert got.next.sup_norm.hex() == exact.sup_norm.hex()
@@ -778,7 +780,9 @@ class TestStep:
         grid = build_grid_by_count(12)
         params = SimParams(p=3.214, q=1.0, tau=1.963, h=grid.h, blow_threshold=1e15)
         result = step(_state(_ROUGH), grid, params)
-        assert result.min_rise is None
+        # the exact path leaves the rise to the state, which reads its own
+        rises = result.next.u[1:] - result.next.u[:-1]
+        assert result.next.min_rise == rises.min()
         assert (result.picard_iters, result.sign_flips) == (3, 6)
         assert result.next.u.tobytes().hex() == (
             "0000000000000000" "75ef62687d690640" "87a2b79082730540" "2238994757fc0540"
@@ -1030,15 +1034,16 @@ class TestSignPrefilter:
             assert got == want
             return
         exact, exact_iters, exact_flips = want
-        if got.min_rise is not None:
-            # the exact path's first solve is the route's: no contradiction on it
-            assert exact_iters == 1 and got.min_rise >= 0.0
+        if got.next.min_rise != exact.min_rise:
+            # only the route passes a rise, its solve's: the exact path's first
+            # solve is that one, with no contradiction on it
+            assert exact_iters == 1 and 0.0 <= got.next.min_rise <= exact.min_rise
         assert (got.picard_iters, got.sign_flips) == (exact_iters, exact_flips)
         assert got.next.u.tobytes() == exact.u.tobytes()
         assert got.next.sup_norm.hex() == exact.sup_norm.hex()
         assert got.next.tau_last == exact.tau_last
         recorded = [RunHistory(), RunHistory()]
-        recorded[0].record(got.next, grid, got.min_rise)
+        recorded[0].record(got.next, grid)
         recorded[1].record(exact, grid)
         assert recorded[0].invariant_summary == recorded[1].invariant_summary
         assert recorded[0].rows.keys() == recorded[1].rows.keys()
@@ -1174,3 +1179,58 @@ class TestWindow:
         # the trimmed window starts one zero before the spread support
         assert result.next.u[1] > 0.0
         assert window_start(result.next, grid) < window_start(state, grid)
+
+
+class TestUnderflowSkip:
+    """A rising window's values below 2^(-1100/p) are left out of the power:
+    their p-th power is a zero, +0 (-0 for a -0 and an odd integer p)."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+    def test_power_below_the_bound_is_plus_zero(self, p):
+        # each binade below the bound by its ends and random values inside it,
+        # the subnormal binades included, and the largest double below the bound
+        bound = 2.0 ** (-1100.0 / p)
+        rng = np.random.default_rng(25)
+        top = int(np.floor(np.log2(bound)))
+        low = 2.0 ** np.arange(-1074, top + 1)
+        x = np.concatenate((
+            [0.0, np.nextafter(bound, 0.0)],
+            low, np.nextafter(2.0 * low, 0.0), low * rng.uniform(1.0, 2.0, low.size),
+        ))
+        x = x[x < bound]
+        assert x.size > 3 * (top + 1074)
+        powered = x**p
+        assert not np.count_nonzero(powered)
+        assert not np.signbit(powered).any()
+        # a -0 gives -0 for an odd integer p only, as -0 * 0 does
+        assert np.signbit(np.array([-0.0]) ** p)[0] == (p % 2.0 == 1.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("q", [1.0, 1.2])
+    @pytest.mark.parametrize("pad", [0, 20, 50])
+    @pytest.mark.parametrize(
+        "u",
+        [
+            [0.0, 5e-324] + np.logspace(-320.0, 1.3, 24).tolist(),
+            [-0.0, -0.0, 0.0, 5e-324] + np.logspace(-320.0, 1.3, 24).tolist(),
+            [0.0, -0.0, -0.0],  # solves to zeros, whose signs the powers set
+        ],
+        ids=["straddling", "straddling-signed-zeros", "signed-zeros"],
+    )
+    def test_skip_matches_the_plain_power(self, p, q, pad, u):
+        # a rising window holding values below the bound, whole or with pad
+        # zero nodes left of it (50 puts the solve's held zero inside the
+        # half), steps to the same bytes as the state that claims no rise,
+        # which takes the plain power
+        u = np.array(u)
+        grid = build_grid_by_count(2 * (u.size - 1 + pad))
+        params = SimParams(p=p, q=q, tau=0.01, h=grid.h)
+        rising = _state(u)
+        assert rising.min_rise >= 0.0 and u[1] < 2.0 ** (-1100.0 / p)
+        claims_none = SolutionState(u=u, t=0.0, n=0, tau_last=0.0, min_rise=-1.0)
+        got, plain = step(rising, grid, params), step(claims_none, grid, params)
+        assert got.next.u.tobytes() == plain.next.u.tobytes()
+        assert got.next.sup_norm.hex() == plain.next.sup_norm.hex()
+        assert got.next.min_rise == plain.next.min_rise
+        assert got[1:] == plain[1:]
+        assert got.next.tau_last == plain.next.tau_last
