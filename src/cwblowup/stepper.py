@@ -302,13 +302,6 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
 
     h, p, q = grid.h, params.p, params.q
     tau_n = compute_tau(params, sup)
-    # below this bound x**p is under 2^-1100, which rounds to +0 (-0 for a
-    # -0 and an odd integer p, as x*0 gives); a rising window's zero-padded
-    # values are sorted, so its underflowing prefix is found by one search
-    # and left out of the power (unless u[1] is above the bound, when the
-    # prefix is the zero margin alone)
-    tiny = 2.0 ** (-1100.0 / p)
-    skip = state.min_rise >= 0.0 and u[1] < tiny
     halvings, margin = 0, _WINDOW_MARGIN
     while True:
         lo = max(0, start - margin)
@@ -320,12 +313,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         # rows lo+1..mid: the source right-hand side u_j + tau_n*(u_j)^p, whose
         # inf-norm is its maximum as states are nonnegative
         inner = w[1:]
-        if skip:
-            k = int(inner.searchsorted(tiny))
-            rhs = inner * 0.0 if p % 2.0 == 1.0 else np.zeros(inner.size)
-            rhs[k:] = inner[k:] ** p
-        else:
-            rhs = inner**p
+        rhs = inner**p
         rhs *= tau_n
         rhs += inner
         # rows lo+1..mid-1: the current differences d_j = u_{j+1} - u_{j-1}

@@ -1179,58 +1179,3 @@ class TestWindow:
         # the trimmed window starts one zero before the spread support
         assert result.next.u[1] > 0.0
         assert window_start(result.next, grid) < window_start(state, grid)
-
-
-class TestUnderflowSkip:
-    """A rising window's values below 2^(-1100/p) are left out of the power:
-    their p-th power is a zero, +0 (-0 for a -0 and an odd integer p)."""
-
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
-    def test_power_below_the_bound_is_plus_zero(self, p):
-        # each binade below the bound by its ends and random values inside it,
-        # the subnormal binades included, and the largest double below the bound
-        bound = 2.0 ** (-1100.0 / p)
-        rng = np.random.default_rng(25)
-        top = int(np.floor(np.log2(bound)))
-        low = 2.0 ** np.arange(-1074, top + 1)
-        x = np.concatenate((
-            [0.0, np.nextafter(bound, 0.0)],
-            low, np.nextafter(2.0 * low, 0.0), low * rng.uniform(1.0, 2.0, low.size),
-        ))
-        x = x[x < bound]
-        assert x.size > 3 * (top + 1074)
-        powered = x**p
-        assert not np.count_nonzero(powered)
-        assert not np.signbit(powered).any()
-        # a -0 gives -0 for an odd integer p only, as -0 * 0 does
-        assert np.signbit(np.array([-0.0]) ** p)[0] == (p % 2.0 == 1.0)
-
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
-    @pytest.mark.parametrize("q", [1.0, 1.2])
-    @pytest.mark.parametrize("pad", [0, 20, 50])
-    @pytest.mark.parametrize(
-        "u",
-        [
-            [0.0, 5e-324] + np.logspace(-320.0, 1.3, 24).tolist(),
-            [-0.0, -0.0, 0.0, 5e-324] + np.logspace(-320.0, 1.3, 24).tolist(),
-            [0.0, -0.0, -0.0],  # solves to zeros, whose signs the powers set
-        ],
-        ids=["straddling", "straddling-signed-zeros", "signed-zeros"],
-    )
-    def test_skip_matches_the_plain_power(self, p, q, pad, u):
-        # a rising window holding values below the bound, whole or with pad
-        # zero nodes left of it (50 puts the solve's held zero inside the
-        # half), steps to the same bytes as the state that claims no rise,
-        # which takes the plain power
-        u = np.array(u)
-        grid = build_grid_by_count(2 * (u.size - 1 + pad))
-        params = SimParams(p=p, q=q, tau=0.01, h=grid.h)
-        rising = _state(u)
-        assert rising.min_rise >= 0.0 and u[1] < 2.0 ** (-1100.0 / p)
-        claims_none = SolutionState(u=u, t=0.0, n=0, tau_last=0.0, min_rise=-1.0)
-        got, plain = step(rising, grid, params), step(claims_none, grid, params)
-        assert got.next.u.tobytes() == plain.next.u.tobytes()
-        assert got.next.sup_norm.hex() == plain.next.sup_norm.hex()
-        assert got.next.min_rise == plain.next.min_rise
-        assert got[1:] == plain[1:]
-        assert got.next.tau_last == plain.next.tau_last
