@@ -399,30 +399,27 @@ def convergence_study(
     params: SimParams,
     t_check: float | None = None,
     grid_levels: tuple[float, ...] = (0.1, 0.05, 0.025),
-    reference_h: float | None = None,
     initial: InitialData | None = None,
 ) -> ConvergenceReport:
     """Measure the scheme's spatial convergence order by grid refinement.
 
     Runs each level to ``t_check`` (default: half the coarsest level's
     blow-up time estimate; a given value must be > 0), compares against a
-    reference run at least 4x finer than the finest level, and fits the
+    reference run on exactly 4x the finest level's intervals, and fits the
     slope of log(error) against log(h).  The expected order is 2 for q = 1
     (errors compared over indices 1..mid-1) and 3-q in the damped case
     p > 2, q < 2(p-1)/p (indices 1..mid-2).  Raises StepError, carrying the
     run's error, when a run it needs ends with SolverError, and ConfigError
-    for a study it cannot make: among others, a spacing outside (0, 2] or
-    too fine for ``run()`` to sample the initial profile on, a coarse run
-    that blows up at once (the default t_check would be 0), or a level
-    whose error is 0, which leaves no order to fit.
+    for a study it cannot make: among others, a spacing outside (0, 2], a
+    level or reference too fine for ``run()`` to sample the initial profile
+    on, a coarse run that blows up at once (the default t_check would be 0),
+    or a level whose error is 0, which leaves no order to fit.
     """
     if t_check is not None and not t_check > 0.0:
         raise ConfigError(f"t_check must be > 0, got {t_check!r}")
     if len(grid_levels) < 3:
         raise ConfigError("need at least 3 grid levels")
-    if reference_h is None:
-        reference_h = grid_levels[-1] / 4.0
-    for h in (*grid_levels, reference_h):
+    for h in grid_levels:
         if not 0.0 < h <= 2.0:
             raise ConfigError(f"grid spacings must lie in (0, 2], got {h!r}")
         refuse_initial_spacing(h, f"choose a grid spacing coarser than {h!r}")
@@ -430,6 +427,12 @@ def convergence_study(
     for a, b in zip(counts, counts[1:]):
         if b != 2 * a:
             raise ConfigError(f"levels must halve h: got interval counts {counts}")
+    k_ref = 4 * counts[-1]
+    refuse_initial_spacing(
+        2.0 / k_ref,
+        f"choose a finest level coarser than {grid_levels[-1]!r} (the reference "
+        "has 4x its intervals)",
+    )
     if params.q == 1.0:
         upto, expected = 1, 2.0
     elif params.regime() == "single-point":
@@ -453,14 +456,7 @@ def convergence_study(
                 "there is no time before blow-up to compare at; choose a smaller lambda"
             )
 
-    k_fine = interval_count_for(grid_levels[-1])
-    k_ref = interval_count_for(reference_h)
-    if k_ref < 4 * k_fine or k_ref % k_fine != 0:
-        raise ConfigError("reference grid must be a nested refinement >= 4x the finest level")
-
-    u_ref, k_ref = _solution_at_time(
-        dc_replace(params, h=reference_h), t_check, initial
-    )
+    u_ref, k_ref = _solution_at_time(dc_replace(params, h=2.0 / k_ref), t_check, initial)
 
     snapped = []
     errors = []

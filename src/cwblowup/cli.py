@@ -228,11 +228,7 @@ def cmd_converge(
     args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
 ) -> int:
     report = convergence_study(
-        params,
-        t_check=args.t_check,
-        grid_levels=tuple(args.levels),
-        reference_h=args.ref_h,
-        initial=initial,
+        params, t_check=args.t_check, grid_levels=tuple(args.levels), initial=initial
     )
     _write_json(out / "convergence.json", report.to_dict())
     _write_csv(
@@ -334,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("converge", help="grid-refinement order study")
     common(p_cv)
     p_cv.add_argument("--levels", type=_float_list, default=[0.1, 0.05, 0.025])
-    p_cv.add_argument("--ref-h", type=float, default=None)
     p_cv.add_argument("--t-check", type=float, default=None)
     p_cv.set_defaults(func=cmd_converge)
 

@@ -16,6 +16,11 @@ import numpy as np
 from cwblowup.params import SimParams
 from cwblowup.state import SolutionState
 
+# The largest first grid: the initial profile is sampled on its left half,
+# whose mid+1 node coordinates take 67 MB at this K, and the sampled values
+# 67 MB.  No step solves a window of more nodes than that left half.
+_INITIAL_MAX_INTERVALS = 2**24
+
 
 @dataclass(frozen=True, init=False)
 class GridState:

@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from cwblowup.grid import (
+    _INITIAL_MAX_INTERVALS,
     GridState,
     build_grid,
     build_grid_by_count,
@@ -59,9 +60,6 @@ _COLUMN_INDEX.update(
 
 # A snapshot holds all K+1 coordinates and values: about 67 MB at this K.
 _SNAPSHOT_MAX_INTERVALS = 2**22
-# The initial profile is sampled on the first grid's left half: at this K
-# its mid+1 node coordinates take 67 MB, and the sampled values 67 MB.
-_INITIAL_MAX_INTERVALS = 2**24
 
 
 def refuse_initial_spacing(h0: float, remedy: str) -> None:

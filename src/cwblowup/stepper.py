@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cwblowup.grid import GridState, compute_tau
+from cwblowup.grid import _INITIAL_MAX_INTERVALS, GridState, compute_tau
 from cwblowup.params import SimParams
 from cwblowup.state import SolutionState
 
@@ -61,7 +61,8 @@ _RESIDUAL_RTOL = 1e-12
 _CLAMP_RTOL = 1e-12
 # A windowed step solves from 32 zero nodes left of the window and accepts
 # the solve once the 8 nodes next to its held-zero edge come out exactly 0;
-# otherwise the margin doubles.
+# otherwise the margin doubles, up to a window of _INITIAL_MAX_INTERVALS//2 + 1
+# nodes.
 _WINDOW_MARGIN = 32
 _ZERO_EDGE = 8
 # Maxima and minima on the step path are read by index, a[a.argmax()]: on
@@ -281,7 +282,9 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     (``t_comp``), and it carries its sup norm and the one-pass route's rise.
 
     Raises StepError if the state holds more than the grid.mid + 1 values
-    of the left half, is non-finite, or is already at ``blow_threshold``.
+    of the left half, is non-finite, or is already at ``blow_threshold``,
+    and when a doubled margin would make the solve window hold more nodes
+    than the left half of the largest first grid ``run()`` samples.
     """
     u, mid = state.u, grid.mid
     start = mid + 1 - u.size
@@ -336,6 +339,12 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         if lo == 0 or not np.count_nonzero(new[1 : _ZERO_EDGE + 1]):
             break
         margin *= 2
+        nodes = mid + 1 - max(0, start - margin)
+        if nodes > _INITIAL_MAX_INTERVALS // 2 + 1:
+            raise StepError(
+                f"the solve window would hold {nodes} nodes, above the limit of "
+                f"{_INITIAL_MAX_INTERVALS // 2 + 1} (the largest first grid's left half)"
+            )
 
     if rise is None:  # a rising window starts at its held +0: none is negative
         clamp_tol = _CLAMP_RTOL * max(1.0, sup)

@@ -161,7 +161,6 @@ def test_criterion_4_convergence_orders():
     case_b = convergence_study(
         SimParams(p=2.0, q=1.0, tau=0.1, h=0.1, lam=10.0, blow_threshold=1e12),
         grid_levels=(0.1, 0.05, 0.025),
-        reference_h=0.00625,
     )
     halving = [
         case_b.errors[i] / case_b.errors[i + 1] for i in range(len(case_b.errors) - 1)
@@ -169,7 +168,6 @@ def test_criterion_4_convergence_orders():
     case_a = convergence_study(
         SimParams(p=3.0, q=1.2, tau=0.1, h=0.1, lam=10.0, blow_threshold=1e12),
         grid_levels=(0.1, 0.05, 0.025),
-        reference_h=0.00625,
     )
     b_ok = case_b.fitted_order >= 1.8 and all(3.2 <= r <= 5.0 for r in halving)
     a_ok = case_a.fitted_order >= 1.6 and case_a.compared_upto == "mid-2"

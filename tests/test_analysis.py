@@ -217,19 +217,6 @@ class TestConvergence:
         with pytest.raises(ConfigError, match="coarse run did not blow up"):
             convergence_study(params)
 
-    @pytest.mark.parametrize("reference_h", [0.0125, 0.025 / 4.5], ids=["2x", "not-nested"])
-    def test_reference_not_a_4x_nested_refinement_refused(self, monkeypatch, reference_h):
-        from cwblowup import analysis
-
-        def no_run(*args, **kwargs):
-            raise AssertionError("convergence_study ran before refusing")
-
-        monkeypatch.setattr(analysis, "run", no_run)
-        with pytest.raises(ConfigError, match="nested refinement >= 4x the finest level"):
-            convergence_study(
-                SimParams(p=2.0, q=1.0), t_check=0.01, reference_h=reference_h
-            )
-
     def test_needs_three_levels(self):
         with pytest.raises(ValueError, match="3 grid levels"):
             convergence_study(SimParams(p=2.0, q=1.0), grid_levels=(0.1, 0.05))
@@ -239,16 +226,16 @@ class TestConvergence:
             convergence_study(SimParams(p=2.0, q=1.0), grid_levels=(0.1, 0.05, 0.03))
 
     @pytest.mark.parametrize(
-        "levels, reference_h, names",
+        "levels, names",
         [
-            ((4e-320, 2e-320, 1e-320), None, "spacing h = 4e-320"),
-            ((1e-7, 5e-8, 2.5e-8), None, "K = 20000000 intervals"),
-            # the reference spacing is checked too
-            ((0.1, 0.05, 0.025), 1e-8, "K = 200000000 intervals"),
+            ((4e-320, 2e-320, 1e-320), "spacing h = 4e-320"),
+            ((1e-7, 5e-8, 2.5e-8), "K = 20000000 intervals"),
+            # the levels take K = 4M..16M, but the reference 4 x 16M
+            ((5e-7, 2.5e-7, 1.25e-7), "K = 64000000 intervals"),
         ],
     )
     def test_spacing_run_cannot_sample_refused_before_any_run(
-        self, monkeypatch, levels, reference_h, names
+        self, monkeypatch, levels, names
     ):
         from cwblowup import analysis
 
@@ -257,9 +244,17 @@ class TestConvergence:
 
         monkeypatch.setattr(analysis, "run", no_run)
         with pytest.raises(ConfigError, match=names):
-            convergence_study(
-                SimParams(p=2.0, q=1.0), grid_levels=levels, reference_h=reference_h
-            )
+            convergence_study(SimParams(p=2.0, q=1.0), grid_levels=levels)
+
+    def test_reference_has_four_times_the_finest_intervals(self):
+        # these levels snap to the default study's K = 20, 40, 80, whose h/4
+        # snaps to 316 intervals; the reference is derived from the snapped K
+        default = convergence_study(SimParams(p=2.0, q=1.0))
+        snapped = convergence_study(
+            SimParams(p=2.0, q=1.0), grid_levels=(2 / 19.7, 2 / 39.4, 2 / 78.8)
+        )
+        assert snapped.to_dict() == default.to_dict()
+        assert default.reference_h == 2.0 / 320
 
     def test_immediate_blowup_names_lambda(self):
         # the coarse run starts above the threshold: the default t_check is 0
@@ -283,9 +278,7 @@ class TestConvergence:
 
         monkeypatch.setattr(RunHistory, "add_snapshot", refuse)
         params = SimParams(p=2.0, q=1.0, tau=0.1, h=0.2, lam=10.0, blow_threshold=1e10)
-        report = convergence_study(
-            params, grid_levels=(0.2, 0.1, 0.05), reference_h=0.0125
-        )
+        report = convergence_study(params, grid_levels=(0.2, 0.1, 0.05))
         assert all(e > 0 for e in report.errors)
 
     def test_solution_interpolated_between_the_states_around_t_check(self):
@@ -318,9 +311,7 @@ class TestConvergence:
 
     def test_small_study_runs(self):
         params = SimParams(p=2.0, q=1.0, tau=0.1, h=0.2, lam=10.0, blow_threshold=1e10)
-        report = convergence_study(
-            params, grid_levels=(0.2, 0.1, 0.05), reference_h=0.0125
-        )
+        report = convergence_study(params, grid_levels=(0.2, 0.1, 0.05))
         assert report.expected_order == 2.0
         assert report.compared_upto == "mid-1"
         assert all(e > 0 for e in report.errors)

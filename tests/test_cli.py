@@ -449,8 +449,6 @@ class TestConvergeVerb:
                 str(cfg),
                 "--levels",
                 "0.2,0.1,0.05",
-                "--ref-h",
-                "0.0125",
                 "--output-dir",
                 str(out),
             ]
@@ -660,7 +658,8 @@ class TestExitCodes:
                 "spacing h = 0.0",
             ),
             (["converge", "--levels", "4,2,1"], 2, "(0, 2], got 4.0"),
-            (["converge", "--ref-h", "3"], 2, "(0, 2], got 3.0"),
+            # the levels' K = 4M..16M fit, but the reference's 4 x 16M does not
+            (["converge", "--levels", "5e-7,2.5e-7,1.25e-7"], 2, "K = 64000000 intervals"),
             (["converge", "--set", "q=1", "--t-check", "1e-300"], 2, "t_check=1e-300"),
             (["classify", "--set", "lambda=1e13"], 3, "BlewUp after 0 steps"),
             # subnormal levels: 2/h overflows, and run() could not sample the grid

@@ -5,6 +5,7 @@ intervals while only about a hundred nodes stay non-zero.  A run must hold
 and step only that window, so its memory does not depend on K.
 """
 
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -49,26 +50,28 @@ def test_make_initial_holds_less_than_two_node_vectors():
 # (15 GB for one left half at K = 3.7e9) fails there with MemoryError
 # instead of exhausting the machine.
 _LIMITED_RUN = """
-import resource, sys
+import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 sys.path.insert(0, sys.argv[1])
 from cwblowup import ConfigError, SimParams, run
 try:
-    outcome, _ = run(
-        SimParams(p=3.0, q=1.45, lam=float(sys.argv[3])), snapshot_every=int(sys.argv[2])
-    )
+    outcome, _ = run(SimParams(**json.loads(sys.argv[3])), snapshot_every=int(sys.argv[2]))
 except ConfigError as exc:
     print("ConfigError", exc)
 else:
-    print(outcome.status.value, outcome.final_grid.interval_count)
+    print(
+        outcome.status.value, outcome.final_grid.interval_count, outcome.final_state.n,
+        outcome.error,
+    )
 """
 
 
-def _limited_run(snapshot_every: int, lam: float = 10.0) -> list[str]:
+def _limited_run(snapshot_every: int, **params: float) -> list[str]:
+    params = {"p": 3.0, "q": 1.45, "lam": 10.0, **params}
     proc = subprocess.run(
         [
             sys.executable, "-c", _LIMITED_RUN, str(ROOT / "src"), str(snapshot_every),
-            repr(lam),
+            json.dumps(params),
         ],
         capture_output=True, text=True, timeout=120,
     )
@@ -77,7 +80,7 @@ def _limited_run(snapshot_every: int, lam: float = 10.0) -> list[str]:
 
 
 def test_huge_grid_runs_in_limited_address_space():
-    status, k = _limited_run(0)
+    status, k, *_ = _limited_run(0)
     assert status == "BlewUp"
     assert int(k) > 3 * 10**9
 
@@ -105,3 +108,19 @@ def test_snapshot_limit_admits_the_largest_refining_run():
     # snapshot runs must keep working
     k = interval_count_for(compute_h(SimParams(p=3.0, q=1.36), 1e12))
     assert _SNAPSHOT_MAX_INTERVALS >= k
+
+
+def test_runaway_window_ends_solver_error_in_limited_address_space():
+    # at q = q_max a large tau spreads each solve over the whole left half
+    # while K grows about 100x per step; the window limit ends the run
+    # before the window's arrays exhaust the address space
+    words = _limited_run(0, p=5.0, q=5.0 / 3.0, tau=1e6)
+    assert words[0] == "SolverError", words
+    assert "solve window would hold" in " ".join(words)
+    assert f"limit of {_INITIAL_MAX_INTERVALS // 2 + 1}" in " ".join(words)
+
+
+def test_largest_seen_window_still_blows_up_in_limited_address_space():
+    # this run's windows reach 2.4M nodes, below the limit
+    status, _, steps, _ = _limited_run(0, tau=1e8)
+    assert (status, steps) == ("BlewUp", "4")

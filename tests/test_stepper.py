@@ -1179,3 +1179,15 @@ class TestWindow:
         # the trimmed window starts one zero before the spread support
         assert result.next.u[1] > 0.0
         assert window_start(result.next, grid) < window_start(state, grid)
+
+    def test_window_limit_ends_the_run(self, monkeypatch):
+        # at q = q_max a large tau spreads each solve over the whole left half
+        # while K grows about 100x per step; a doubled margin beyond the
+        # limit (here made small) ends the run instead of being allocated
+        from cwblowup import stepper
+
+        monkeypatch.setattr(stepper, "_INITIAL_MAX_INTERVALS", 2**10)
+        outcome, _ = run(SimParams(p=3.0, q=1.5, tau=100.0))
+        assert outcome.status.value == "SolverError"
+        assert "StepError: the solve window would hold" in outcome.error
+        assert "above the limit of 513" in outcome.error
