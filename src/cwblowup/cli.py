@@ -155,14 +155,16 @@ def cmd_classify(
 
 
 def _amplitude_table(
-    params: SimParams, initial: InitialData, lambdas: Iterable[float]
+    params: SimParams, initial: InitialData, lambdas: Sequence[float]
 ) -> dict[str, list]:
     """Run each amplitude once, in order; the ``_TIME_TABLE_COLUMNS`` by name.
 
     A run that did not blow up has empty ``T_num``, ``tail`` and
     ``T_star_star`` cells.  Every run ends before any file is written, so a
-    refused amplitude leaves no output behind.
+    refused amplitude, or an empty list of them, leaves no output behind.
     """
+    if not lambdas:
+        raise ConfigError("no amplitudes given; --lambdas needs at least one value")
     if initial.kind != "sine":
         raise ConfigError(
             "time-table and figures require the sine initial profile (the "
@@ -210,7 +212,7 @@ def cmd_figures(
     args: argparse.Namespace, params: SimParams, initial: InitialData, out: Path
 ) -> int:
     sweep = replace(params, p=3.0)
-    table = _amplitude_table(sweep, initial, args.lambdas or _FIGURE_LAMBDAS)
+    table = _amplitude_table(sweep, initial, _FIGURE_LAMBDAS)
     # Scenario pins: the single-point damped case, and the multi-point case
     # tracked at the first and second neighbours (one run, two files).
     _figure_series(replace(params, p=4.0, q=1.3), out, "neighbor_bounded.csv")
@@ -324,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figures", help="emit the standard scenario time series")
     common(p_fig)
-    p_fig.add_argument("--lambdas", type=_float_list, default=None)
     p_fig.set_defaults(func=cmd_figures)
 
     p_cv = sub.add_parser("converge", help="grid-refinement order study")

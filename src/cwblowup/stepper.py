@@ -263,8 +263,9 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
 def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResult":
     """Advance one time level of a window state u_start..u_mid.
 
-    Freezes the gradient-term signs from the current level, solves the
-    tridiagonal system with a reflection at the peak, verifies the signs a
+    Freezes the gradient-term signs from the current level (all +1 where the
+    carried ``min_rise``, trusted like ``sup_norm``, certifies them), solves
+    the tridiagonal system with a reflection at the peak, verifies the signs a
     posteriori, and re-freezes contradicted signs (Picard) until a solve keeps all.
     Diagonal-dominance loss is retried with a halved time increment up to 20
     times.  The window starts at node start = grid.mid + 1 - state.u.size.
@@ -276,10 +277,10 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     and the window's all-zero rows carry the dominance margin of those rows.
     A negative solved entry within roundoff is clamped to 0, a larger one
     refused; a rising window (see :func:`_solve_frozen_signs`) has none and
-    peaks at its last node.  The next state is trimmed to one zero node
-    before its first non-zero node (keeping nodes mid-2..mid) on the same
-    grid.  Its time is state.t + tau_n, summed with compensation
-    (``t_comp``), and it carries its sup norm and the one-pass route's rise.
+    peaks at its last node.  The next state, trimmed to one zero node before
+    its first non-zero node (keeping nodes mid-2..mid) on the same grid, has
+    time state.t + tau_n, summed with compensation (``t_comp``), and carries
+    its sup norm and the one-pass route's rise.
 
     Raises StepError if the state holds more than the grid.mid + 1 values
     of the left half, is non-finite, or is already at ``blow_threshold``,
@@ -295,8 +296,8 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     # The carried facts refuse a non-finite state before any arithmetic: NaN
     # or +inf shows in the sup norm, -inf in the smallest rise (as -inf or
     # NaN) or in u[0], the held node, where it makes the first rise +inf.
-    sup = state.sup_norm
-    if not (sup < math.inf and u[0] > -math.inf and state.min_rise > -math.inf):
+    sup, low = state.sup_norm, state.min_rise
+    if not (sup < math.inf and u[0] > -math.inf and low > -math.inf):
         raise StepError("state contains non-finite values")
     if sup >= params.blow_threshold:
         raise StepError(
@@ -304,6 +305,9 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         )
 
     h, p, q = grid.h, params.p, params.q
+    # certified: every d_j > 0 (a strictly rising left half), or for q > 1
+    # every d_j >= 0, zero padding included; gamma_j = 0 wherever d_j = 0
+    certified = start == 0 and low > 0.0 if q == 1.0 else low >= 0.0 and u[0] >= 0.0
     tau_n = compute_tau(params, sup)
     halvings, margin = 0, _WINDOW_MARGIN
     while True:
@@ -314,19 +318,20 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         else:
             w = u
         # rows lo+1..mid: the source right-hand side u_j + tau_n*(u_j)^p, whose
-        # inf-norm is its maximum as states are nonnegative
+        # inf-norm is its maximum (a certified window's last entry)
         inner = w[1:]
         rhs = inner**p
         rhs *= tau_n
         rhs += inner
-        # rows lo+1..mid-1: the current differences d_j = u_{j+1} - u_{j-1}
-        # and gamma_j = tau_n (2h)^(-q) |d_j|^(q-1), one float tau_n/(2h) for q = 1
-        diffs = w[2:] - w[:-2]
+        # rows lo+1..mid-1: gamma_j = tau_n (2h)^(-q) |d_j|^(q-1) of the current
+        # differences d_j = u_{j+1} - u_{j-1}, one float tau_n/(2h) for q = 1
         c = tau_n * (2.0 * h) ** (-q)
+        diffs = None if certified and q == 1.0 else w[2:] - w[:-2]
         gamma = c if q == 1.0 else c * np.abs(diffs) ** (q - 1.0)
+        signs = None if certified else np.sign(diffs)
         try:
             new, iters, flips, rise = _solve_frozen_signs(
-                rhs, float(rhs[rhs.argmax()]), h, tau_n, gamma, diffs, q
+                rhs, rhs[-1] if certified else rhs[rhs.argmax()], h, tau_n, gamma, signs
             )
         except StiffError as exc:
             if halvings == _MAX_TAU_HALVINGS:
@@ -381,31 +386,26 @@ def _solve_frozen_signs(
     h: float,
     tau_n: float,
     gamma: np.ndarray | float,
-    diffs: np.ndarray,
-    q: float,
+    signs: np.ndarray | None,
 ) -> tuple[np.ndarray, int, int, float | None]:
     """Frozen-sign solve with a posteriori verification and Picard fallback.
 
     Works on rows lo+1..mid-1 of a window u_lo..u_mid, the rows whose
     gradient term survives the fold: ``gamma`` holds gamma_j >= 0 (one
-    float for q = 1, which the sign products broadcast) and ``diffs`` the
-    current differences d_j, whose signs s_j are frozen.
+    float for q = 1, which the sign products broadcast) and ``signs`` the
+    frozen signs s_j, or is None when s_j = +1 wherever gamma_j != 0.
     Returns the new values u'_lo..u'_mid with u'_lo = 0 from the first
     solve that contradicts none of its frozen signs (re-freezing would then
     solve the same system again), the iteration count, the sign flips
-    (counting both halves) and the smallest adjacent difference of the
-    window when the one-pass route accepted it, else None.
+    (counting both halves) and, from the one-pass route, the window's
+    smallest adjacent difference, else None.
 
     A frozen sign is contradicted where gamma*s'*(s' - s) != 0, s' the sign
-    of the new difference d'.  The one-pass route needs no np.sign: if
-    min d > 0 (q = 1) every s is +1, and if min d >= 0 (q > 1) no s is -1
-    and s = 0 only where d = 0, so gamma = 0 (0^(q-1) = 0); either way
-    gamma*s = gamma.  If the solved window then rises, min(u'_{j+1} - u'_j)
-    >= 0, every d' >= 0 (rounding is monotone), so s' is +1 or 0 and
-    contradicts no s.  Any other minimum, negative or NaN, takes the exact test.
+    of the new difference d'.  With ``signs`` None a solved window that
+    rises, min(u'_{j+1} - u'_j) >= 0, is accepted in one pass: every d' >= 0
+    (rounding is monotone), so s' is +1 or 0 and contradicts no s.  Any
+    other minimum, negative or NaN, takes the exact test with s = +1.
     """
-    low = diffs[diffs.argmin()] if diffs.size else 1.0
-    signs = None if (low > 0.0 if q == 1.0 else low >= 0.0) else np.sign(diffs)
     total_flips = 0
     for iteration in range(1, _MAX_PICARD_ITERS + 1):
         signed = gamma if signs is None else gamma * signs
@@ -416,7 +416,7 @@ def _solve_frozen_signs(
             rise = float(rises[rises.argmin()])
             if rise >= 0.0:
                 return new, iteration, 0, rise
-            signs = np.sign(diffs)
+            signs = 1.0
         new_signs = np.sign(new[2:] - new[:-2])
         contradiction = gamma * new_signs * (new_signs - signs)
         flips = 2 * np.count_nonzero(contradiction)

@@ -265,8 +265,8 @@ class TestTimeTableVerb:
             assert float(row[2]) >= float(row[1])  # T_num at least g
             assert row[6] == "BlewUp"
 
-    def test_sweep_shared_with_figures(self, fast_config, tmp_path, monkeypatch):
-        # both verbs run each amplitude once, in order, before any other run
+    def test_amplitudes_run_in_order(self, fast_config, tmp_path, monkeypatch):
+        # each amplitude runs once, in the order given
         from cwblowup import cli
 
         calls = []
@@ -277,11 +277,9 @@ class TestTimeTableVerb:
             return real_run(params, initial, **kwargs)
 
         monkeypatch.setattr(cli, "run", recording_run)
-        for verb in ("time-table", "figures"):
-            calls.clear()
-            argv = [verb, "--config", str(fast_config), "--lambdas", "100,10"]
-            assert main(argv + ["--output-dir", str(tmp_path / verb)]) == 0
-            assert calls[:2] == [100.0, 10.0]
+        argv = ["time-table", "--config", str(fast_config), "--lambdas", "100,10"]
+        assert main(argv + ["--output-dir", str(tmp_path / "tt")]) == 0
+        assert calls == [100.0, 10.0]
 
     def test_requires_sine_initial(self, tmp_path):
         table = tmp_path / "bump.csv"
@@ -313,22 +311,20 @@ class TestTimeTableVerb:
         _, rows = _read_rows(out / "time_table.csv")
         assert rows == [["1e+300", "0.0", "0.0", "0.0", "0.0", "true", "BlewUp"]]
 
-    def test_empty_lambda_list(self, fast_config, tmp_path):
+    def test_empty_lambda_list(self, fast_config, tmp_path, capsys, monkeypatch):
+        # an empty amplitude list is refused before any run, and nothing is written
+        from cwblowup import cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run", no_run)
         out = tmp_path / "tt0"
-        rc = main(
-            [
-                "time-table",
-                "--config",
-                str(fast_config),
-                "--lambdas",
-                ",",
-                "--output-dir",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        header, rows = _read_rows(out / "time_table.csv")
-        assert rows == []
+        for lambdas in ("", ","):
+            argv = ["time-table", "--config", str(fast_config), "--lambdas", lambdas]
+            assert main(argv + ["--output-dir", str(out)]) == 2
+            assert "no amplitudes" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestFiguresVerb:
@@ -339,8 +335,6 @@ class TestFiguresVerb:
                 "figures",
                 "--config",
                 str(fast_config),
-                "--lambdas",
-                "10,100",
                 "--output-dir",
                 str(out),
             ]
@@ -407,9 +401,7 @@ class TestFiguresVerb:
         assert rc == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "verb, lambdas", [("time-table", "10,-1"), ("figures", "-1")]
-    )
+    @pytest.mark.parametrize("verb, lambdas", [("time-table", "10,-1")])
     def test_refused_amplitude_leaves_no_output(
         self, verb, lambdas, fast_config, tmp_path, capsys
     ):
@@ -423,15 +415,20 @@ class TestFiguresVerb:
         "overrides, status", [([], "BlewUp"), (["--set", "max_steps=5"], "BudgetExhausted")]
     )
     def test_time_vs_bound_matches_time_table(self, overrides, status, fast_config, tmp_path):
-        argv = ["--config", str(fast_config), *overrides, "--lambdas", "10,100"]
-        assert main(["time-table", *argv, "--output-dir", str(tmp_path / "tt")]) == 0
+        # figures sweeps the nine figure amplitudes at p = 3, as fast_config sets
+        from cwblowup.cli import _FIGURE_LAMBDAS
+
+        argv = ["--config", str(fast_config), *overrides]
+        lambdas = ",".join(map(repr, _FIGURE_LAMBDAS))
+        tt = ["time-table", *argv, "--lambdas", lambdas, "--output-dir", str(tmp_path / "tt")]
+        assert main(tt) == 0
         assert main(["figures", *argv, "--output-dir", str(tmp_path / "fig")]) == 0
         names, table = _read_rows(tmp_path / "tt" / "time_table.csv")
         header, rows = _read_rows(tmp_path / "fig" / "time_vs_bound.csv")
         assert header == ["lambda", "g_lambda", "T_num", "tail", "status"]
         keep = [names.index(name) for name in header]
         assert rows == [[row[k] for k in keep] for row in table]
-        assert [row[-1] for row in rows] == [status, status]
+        assert [row[-1] for row in rows] == [status] * len(_FIGURE_LAMBDAS)
         if status != "BlewUp":
             # a run that did not blow up has no blow-up time
             assert all(row[2] == row[3] == "" for row in rows)

@@ -831,7 +831,7 @@ class TestFrozenSignCheck:
 
         monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
         rows = scheme_rows(np.asarray(u, float), 0.5, 2.0, q, 0.01)
-        _, iters, flips, _ = stepper._solve_frozen_signs(*rows[:2], 0.5, 0.01, *rows[2:], q)
+        _, iters, flips, _ = stepper._solve_frozen_signs(*rows[:2], 0.5, 0.01, *rows[2:])
         assert len(calls) == iters
         return iters, flips
 
@@ -924,14 +924,16 @@ class TestSignPrefilter:
     The exact test marks row j contradicted where gamma_j*s'*(s' - s) != 0,
     s the frozen and s' the new sign.  A step's frozen sign is 0 only where
     the current difference is 0, so for q > 1 such a row has gamma = 0.  The
-    route is taken when the current differences have minimum > 0 (q = 1) or
-    >= 0 (q > 1), and it accepts a solve whose window rises.
+    route is taken when the step passes no signs, which it does when the
+    current differences are all > 0 (q = 1) or >= 0 (q > 1), and it accepts
+    a solve whose window rises.
     """
 
     @staticmethod
     def _check(monkeypatch, q, d, first, g):
         """Picard counts and returned rise of one row with current difference
-        d and gamma g, whose first solve is the window ``first``."""
+        d and gamma g, whose first solve is the window ``first``; the signs
+        are None where d certifies the row and sign(d) otherwise."""
         from cwblowup import stepper
 
         calls = []
@@ -942,8 +944,10 @@ class TestSignPrefilter:
             return np.array(first if len(calls) == 1 else [0.0, 0.0, 0.0])[1:]
 
         monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
+        certified = d > 0.0 if q == 1.0 else d >= 0.0
+        signs = None if certified else np.sign(np.array([d]))
         _, iters, flips, rise = stepper._solve_frozen_signs(
-            np.ones(2), 1.0, 0.5, 0.01, np.array([g]), np.array([d]), q
+            np.ones(2), 1.0, 0.5, 0.01, np.array([g]), signs
         )
         assert len(calls) == iters
         return iters, flips, rise
@@ -1049,6 +1053,77 @@ class TestSignPrefilter:
         assert recorded[0].rows.keys() == recorded[1].rows.keys()
         for name, column in recorded[0].rows.items():
             assert column.tobytes() == recorded[1].rows[name].tobytes()
+
+
+class TestCertifiedWindow:
+    """A step reads its frozen signs' certificate from the carried min_rise."""
+
+    @staticmethod
+    def _certificates(monkeypatch):
+        """A list that gets, per frozen-sign solve, whether it was certified."""
+        from cwblowup import stepper
+
+        real = stepper._solve_frozen_signs
+        passed = []
+
+        def spy(*args):
+            passed.append(args[5] is None)
+            return real(*args)
+
+        monkeypatch.setattr(stepper, "_solve_frozen_signs", spy)
+        return passed
+
+    def test_certified_step_matches_the_exact_test(self, rng, monkeypatch):
+        # random monotone profiles, on their own grid (the whole left half)
+        # and as a window on a grid up to 40 nodes wider (zero padding, part
+        # of it left of the solve's held node); the same state claiming
+        # min_rise = -1 is never certified and takes the exact test.  q = 1
+        # is certified on the whole half only: its padding's zero differences
+        # have sign 0 where gamma > 0
+        passed = self._certificates(monkeypatch)
+        kinds = set()
+        for i in range(60):
+            state, grid, params = random_symmetric_monotone_state(rng)
+            if i % 3 == 0:
+                params = replace(params, q=1.0)
+            pad = int(rng.integers(1, 41))
+            for on in (grid, build_grid_by_count(2 * (grid.mid + pad))):
+                passed.clear()
+                got = step(state, on, params)
+                certified = params.q > 1.0 or on is grid
+                assert passed == [certified] * len(passed)
+                kinds.add((params.q == 1.0, on is grid))
+                passed.clear()
+                claim = SolutionState(
+                    state.u, state.t, state.n, state.tau_last, state.t_comp,
+                    sup_norm=state.sup_norm, min_rise=-1.0,
+                )
+                want = step(claim, on, params)
+                assert not any(passed)
+                assert got.next.u.tobytes() == want.next.u.tobytes()
+                assert got.next.t == want.next.t
+                assert got.next.tau_last == want.next.tau_last
+                assert got.next.sup_norm.hex() == want.next.sup_norm.hex()
+                assert (got.picard_iters, got.sign_flips) == (
+                    want.picard_iters, want.sign_flips
+                )
+        assert len(kinds) == 4
+
+    def test_window_below_zero_is_not_certified(self, monkeypatch):
+        # a window rising from u[0] < 0 meets its zero padding with a falling
+        # difference, sign -1 with gamma > 0: it takes the exact test
+        passed = self._certificates(monkeypatch)
+        u = [-0.25, 1.0, 2.0, 3.0]
+        grid = build_grid_by_count(12)  # mid = 6: nodes 0..2 are padding
+        params = SimParams(p=2.0, q=1.5, tau=0.1, h=grid.h)
+        state = _state(u)
+        assert state.min_rise > 0.0
+        got = step(state, grid, params)
+        assert passed and not any(passed)
+        want, iters, flips = _exact_path(_state(padded_half(state, grid)), grid, params)
+        assert got.next.u.tobytes() == want.u.tobytes()
+        # the falling difference flips once, where the route would pass a rise
+        assert (got.picard_iters, got.sign_flips) == (iters, flips) == (2, 2)
 
 
 class TestOnePassTraffic:
