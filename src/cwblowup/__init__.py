@@ -26,8 +26,6 @@ from cwblowup.grid import (
 )
 from cwblowup.state import SolutionState
 from cwblowup.stepper import (
-    NegativeSolutionError,
-    PicardError,
     SingularError,
     StepError,
     StepResult,
@@ -67,8 +65,6 @@ __all__ = [
     "GridState",
     "InitialData",
     "InitialDataError",
-    "NegativeSolutionError",
-    "PicardError",
     "RatioDiagnostics",
     "RunHistory",
     "RunOutcome",

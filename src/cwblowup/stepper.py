@@ -7,9 +7,11 @@ and the gradient damping with mixed levels:
                          - (2h)^(-q) |u_{j+1} - u_{j-1}|^(q-1) |u_{j+1}' - u_{j-1}'|
 
 where primes denote the new level.  The absolute value at the new level is
-linearized by freezing its sign from the current level, turning the step
-into one tridiagonal solve; the frozen signs are verified a posteriori and
-re-frozen (Picard) in the rare case they disagree.
+linearized by freezing the sign of u_{j+1}' - u_{j-1}' at +1, which turns
+the step into one tridiagonal solve.  That is the scheme on a window that
+rises towards the peak, as every admissible initial profile does on
+[-1, 0]: a step checks that the window rises before the solve and that the
+solution rises after it, and refuses the step (``StepError``) otherwise.
 """
 
 from __future__ import annotations
@@ -54,15 +56,13 @@ dgtsv = _load_dgtsv()
 
 
 _MAX_TAU_HALVINGS = 20
-_MAX_PICARD_ITERS = 50
 _RESIDUAL_RTOL = 1e-12
-# A solved entry below zero by at most this much times max(1, sup) is
-# roundoff and is set to 0; a larger negative entry is refused.
-_CLAMP_RTOL = 1e-12
 # A windowed step solves from 32 zero nodes left of the window and accepts
 # the solve once the 8 nodes next to its held-zero edge come out exactly 0;
-# otherwise the margin doubles, up to a window of _INITIAL_MAX_INTERVALS//2 + 1
-# nodes.
+# otherwise it retries with a margin of at least the window's length (each
+# retry re-solves the whole window, so a smaller margin costs more solves
+# than it saves rows), doubled on each further retry, up to a window of
+# _INITIAL_MAX_INTERVALS//2 + 1 nodes.
 _WINDOW_MARGIN = 32
 _ZERO_EDGE = 8
 # Maxima and minima on the step path are read by index, a[a.argmax()]: on
@@ -81,14 +81,6 @@ class StiffError(StepError):
 
 class SingularError(StepError):
     """Zero pivot during the tridiagonal elimination."""
-
-
-class PicardError(StepError):
-    """The frozen-sign iteration found no sign fixed point."""
-
-
-class NegativeSolutionError(StepError):
-    """The solve produced a negative entry beyond roundoff size."""
 
 
 class TriDiagSystem(NamedTuple):
@@ -261,31 +253,29 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
 
 
 def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResult":
-    """Advance one time level of a window state u_start..u_mid.
+    """Advance one time level of a rising window state u_start..u_mid.
 
-    Freezes the gradient-term signs from the current level (all +1 where the
-    carried ``min_rise``, trusted like ``sup_norm``, certifies them), solves
-    the tridiagonal system with a reflection at the peak, verifies the signs a
-    posteriori, and re-freezes contradicted signs (Picard) until a solve keeps all.
-    Diagonal-dominance loss is retried with a halved time increment up to 20
-    times.  The window starts at node start = grid.mid + 1 - state.u.size.
-    The solve covers rows lo+1..mid with lo = max(0, start - 32) and
-    node lo held at 0; unless lo = 0 it is accepted only when the 8 solved
-    nodes next to lo are exactly 0, and otherwise repeated with a doubled
-    margin.  Rows left of lo then have rhs 0 and zero neighbours, so the
-    zero-padded solution solves the whole half with the window's residual,
-    and the window's all-zero rows carry the dominance margin of those rows.
-    A negative solved entry within roundoff is clamped to 0, a larger one
-    refused; a rising window (see :func:`_solve_frozen_signs`) has none and
-    peaks at its last node.  The next state, trimmed to one zero node before
-    its first non-zero node (keeping nodes mid-2..mid) on the same grid, has
-    time state.t + tau_n, summed with compensation (``t_comp``), and carries
-    its sup norm and the one-pass route's rise.
+    Every frozen sign is +1, as the carried ``min_rise`` (trusted like
+    ``sup_norm``) certifies: a q = 1 window must be the whole left half with
+    min_rise > 0 (a padded window's zeros have d_j = 0, sign 0, where
+    gamma_j > 0), a q > 1 window must have min_rise >= 0 and u[0] >= 0
+    (gamma_j = 0 wherever d_j = 0).  The system, reflected at the peak, is
+    solved once per attempt; dominance loss halves tau_n, up to 20 times.
+    The window starts at node start = grid.mid + 1 - state.u.size, and the
+    solve covers rows lo+1..mid with node lo = max(0, start - margin) held
+    at 0; unless lo = 0 it is accepted only when the 8 solved nodes next to
+    lo are exactly 0, so that it equals the zero-padded whole half's.  The
+    accepted solve must rise, so no new sign contradicts +1, no entry is
+    negative and the sup norm is the last node.  The next state, trimmed to
+    one zero before its first non-zero node (keeping nodes mid-2..mid), has
+    time state.t + tau_n, summed with compensation (``t_comp``), and
+    carries its sup norm and the solve's smallest rise.
 
-    Raises StepError if the state holds more than the grid.mid + 1 values
-    of the left half, is non-finite, or is already at ``blow_threshold``,
-    and when a doubled margin would make the solve window hold more nodes
-    than the left half of the largest first grid ``run()`` samples.
+    Raises StepError for a state longer than the left half, non-finite, at
+    ``blow_threshold`` or not rising as above; for a solve that does not
+    rise (its smallest rise negative or NaN); and for a retried margin whose
+    window would hold more nodes than the left half of the largest first
+    grid ``run()`` samples.
     """
     u, mid = state.u, grid.mid
     start = mid + 1 - u.size
@@ -305,9 +295,11 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         )
 
     h, p, q = grid.h, params.p, params.q
-    # certified: every d_j > 0 (a strictly rising left half), or for q > 1
-    # every d_j >= 0, zero padding included; gamma_j = 0 wherever d_j = 0
-    certified = start == 0 and low > 0.0 if q == 1.0 else low >= 0.0 and u[0] >= 0.0
+    if not (start == 0 and low > 0.0 if q == 1.0 else low >= 0.0 and u[0] >= 0.0):
+        raise StepError(
+            f"window does not rise (smallest rise {low:.3e}, first value {u[0]:.3e}, "
+            f"{start} padding nodes): its frozen signs are not all +1"
+        )
     tau_n = compute_tau(params, sup)
     halvings, margin = 0, _WINDOW_MARGIN
     while True:
@@ -318,7 +310,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         else:
             w = u
         # rows lo+1..mid: the source right-hand side u_j + tau_n*(u_j)^p, whose
-        # inf-norm is its maximum (a certified window's last entry)
+        # inf-norm is its last entry (the window rises)
         inner = w[1:]
         rhs = inner**p
         rhs *= tau_n
@@ -326,13 +318,10 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         # rows lo+1..mid-1: gamma_j = tau_n (2h)^(-q) |d_j|^(q-1) of the current
         # differences d_j = u_{j+1} - u_{j-1}, one float tau_n/(2h) for q = 1
         c = tau_n * (2.0 * h) ** (-q)
-        diffs = None if certified and q == 1.0 else w[2:] - w[:-2]
-        gamma = c if q == 1.0 else c * np.abs(diffs) ** (q - 1.0)
-        signs = None if certified else np.sign(diffs)
+        gamma = c if q == 1.0 else c * np.abs(w[2:] - w[:-2]) ** (q - 1.0)
         try:
-            new, iters, flips, rise = _solve_frozen_signs(
-                rhs, rhs[-1] if certified else rhs[rhs.argmax()], h, tau_n, gamma, signs
-            )
+            # u'_lo .. u'_mid, the solve's buffer led by u'_lo = 0
+            new = solve_tridiag(assemble(rhs, rhs[-1], h, tau_n, gamma)).base
         except StiffError as exc:
             if halvings == _MAX_TAU_HALVINGS:
                 raise StiffError(
@@ -343,7 +332,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
             continue
         if lo == 0 or not np.count_nonzero(new[1 : _ZERO_EDGE + 1]):
             break
-        margin *= 2
+        margin = max(2 * margin, u.size)
         nodes = mid + 1 - max(0, start - margin)
         if nodes > _INITIAL_MAX_INTERVALS // 2 + 1:
             raise StepError(
@@ -351,15 +340,10 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
                 f"{_INITIAL_MAX_INTERVALS // 2 + 1} (the largest first grid's left half)"
             )
 
-    if rise is None:  # a rising window starts at its held +0: none is negative
-        clamp_tol = _CLAMP_RTOL * max(1.0, sup)
-        low = float(new[new.argmin()])
-        if low < -clamp_tol:
-            raise NegativeSolutionError(
-                f"negative entry {low:.3e} beyond roundoff tolerance {clamp_tol:.3e}"
-            )
-        if low < 0.0:
-            np.clip(new, 0.0, None, out=new)
+    rises = new[1:] - new[:-1]
+    rise = float(rises[rises.argmin()])
+    if not rise >= 0.0:  # NaN included
+        raise StepError(f"solved window does not rise (smallest rise {rise:.3e})")
 
     if lo > 0 or new[1] == 0.0:
         # new[0] is the held zero, so argmax finds 0 only in an all-zero window
@@ -367,72 +351,24 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         cut = max(0, min(first - 1, new.size - 3))
         new = new[cut:]
 
-    # a rising window peaks at its last node (unless all zero, where the
-    # index read returns the first zero, of either sign)
-    top = new[-1] if rise is not None and new[-1] > 0.0 else new[new.argmax()]
     # t is a compensated (Kahan) sum of the increments
     y = tau_n - state.t_comp
     t = state.t + y
     next_state = SolutionState(
         u=new, t=t, n=state.n + 1, tau_last=tau_n, t_comp=(t - state.t) - y,
-        sup_norm=float(top), min_rise=rise,
+        sup_norm=float(new[-1]), min_rise=rise,
     )
-    return StepResult(next_state, iters, flips)
-
-
-def _solve_frozen_signs(
-    rhs: np.ndarray,
-    rhs_norm: float,
-    h: float,
-    tau_n: float,
-    gamma: np.ndarray | float,
-    signs: np.ndarray | None,
-) -> tuple[np.ndarray, int, int, float | None]:
-    """Frozen-sign solve with a posteriori verification and Picard fallback.
-
-    Works on rows lo+1..mid-1 of a window u_lo..u_mid, the rows whose
-    gradient term survives the fold: ``gamma`` holds gamma_j >= 0 (one
-    float for q = 1, which the sign products broadcast) and ``signs`` the
-    frozen signs s_j, or is None when s_j = +1 wherever gamma_j != 0.
-    Returns the new values u'_lo..u'_mid with u'_lo = 0 from the first
-    solve that contradicts none of its frozen signs (re-freezing would then
-    solve the same system again), the iteration count, the sign flips
-    (counting both halves) and, from the one-pass route, the window's
-    smallest adjacent difference, else None.
-
-    A frozen sign is contradicted where gamma*s'*(s' - s) != 0, s' the sign
-    of the new difference d'.  With ``signs`` None a solved window that
-    rises, min(u'_{j+1} - u'_j) >= 0, is accepted in one pass: every d' >= 0
-    (rounding is monotone), so s' is +1 or 0 and contradicts no s.  Any
-    other minimum, negative or NaN, takes the exact test with s = +1.
-    """
-    total_flips = 0
-    for iteration in range(1, _MAX_PICARD_ITERS + 1):
-        signed = gamma if signs is None else gamma * signs
-        # u'_lo .. u'_mid, the solve's buffer led by u'_lo = 0
-        new = solve_tridiag(assemble(rhs, rhs_norm, h, tau_n, signed)).base
-        if signs is None:
-            rises = new[1:] - new[:-1]
-            rise = float(rises[rises.argmin()])
-            if rise >= 0.0:
-                return new, iteration, 0, rise
-            signs = 1.0
-        new_signs = np.sign(new[2:] - new[:-2])
-        contradiction = gamma * new_signs * (new_signs - signs)
-        flips = 2 * np.count_nonzero(contradiction)
-        if flips == 0:
-            return new, iteration, total_flips, None
-        total_flips += flips
-        signs = np.where(contradiction != 0.0, new_signs, signs)
-    raise PicardError(
-        f"no sign fixed point within {_MAX_PICARD_ITERS} iterations "
-        f"({total_flips} total sign flips)"
-    )
+    return StepResult(next_state)
 
 
 class StepResult(NamedTuple):
-    """One accepted step: the next state, the solves it took and the sign flips."""
+    """One accepted step: the next state, its frozen-sign solves and sign flips.
+
+    Every frozen sign is +1 and the accepted solve contradicts none, so
+    ``picard_iters`` is always 1 and ``sign_flips`` always 0; the
+    benchmark's tracer (``perfbench/tracer.py``) still reads both.
+    """
 
     next: SolutionState
-    picard_iters: int
-    sign_flips: int
+    picard_iters: int = 1
+    sign_flips: int = 0

@@ -1,4 +1,4 @@
-"""Step assembly, the tridiagonal solve, and the frozen-sign step."""
+"""Step assembly, the tridiagonal solve, and the rising-window step."""
 
 import importlib.machinery
 import os
@@ -20,7 +20,6 @@ from cwblowup.state import SolutionState, mirrored
 from cwblowup.stepper import (
     _WINDOW_MARGIN,
     _ZERO_EDGE,
-    NegativeSolutionError,
     StepError,
     StepResult,
     StiffError,
@@ -62,8 +61,7 @@ def _assembled(monkeypatch, state, grid, params):
     return calls, result
 
 
-# The left half of a rough symmetric profile whose frozen signs flip on the
-# first solve.
+# The left half of a rough symmetric profile, which does not rise.
 _ROUGH = np.array([0.0, 4.0033, 1.9838, 0.7254, 0.5909, 4.973, 5.5202])
 
 
@@ -141,11 +139,11 @@ class TestAssemble:
         assert x[0] == pytest.approx((u1 + tau_n * u1**2) / (1 + 2 * lam))
 
     def test_q_one_gradient_coeff_constant(self, monkeypatch):
-        # a rough left half with sup <= 1, so tau_n = tau = 0.02; every row
+        # a rising left half with sup <= 1, so tau_n = tau = 0.02; every row
         # has a nonzero difference, and |gamma_j*s_j| is tau_n/(2h) on all
         grid = build_grid_by_count(8)
         rng = np.random.default_rng(3)
-        u = np.concatenate([[0.0], rng.uniform(0.2, 1.0, 4)])
+        u = np.concatenate([[0.0], np.sort(rng.uniform(0.2, 1.0, 4))])
         assert np.all(u[2:] != u[:-2])
         params = SimParams(p=3.0, q=1.0, tau=0.02, h=grid.h)
         calls, _ = _assembled(monkeypatch, _state(u), grid, params)
@@ -297,42 +295,6 @@ class TestConstantBand:
         changed = changed._replace(norm=changed.norm_inf())
         x = solve_tridiag(changed)
         assert x.tobytes() == solve_tridiag(changed._replace(stencil=None)).tobytes()
-
-    def test_q_one_picard_route_matches_scheme_rows(self, monkeypatch):
-        # random non-monotone windows at q = 1: the step hands one float gamma
-        # to the Picard loop, whose sign products broadcast it, and the next
-        # state is the exact path's (gamma * sign from scheme_rows) bit for bit
-        from cwblowup import stepper
-
-        real = stepper._solve_frozen_signs
-        gammas, rises = [], []
-
-        def spy(*args):
-            gammas.append(args[4])
-            result = real(*args)
-            rises.append(result[3])
-            return result
-
-        monkeypatch.setattr(stepper, "_solve_frozen_signs", spy)
-        rng = np.random.default_rng(21)
-        picard = 0
-        for _ in range(150):
-            m = int(rng.integers(3, 21))
-            u = np.concatenate([[0.0], rng.uniform(0.0, 5.0, m)])
-            grid = build_grid_by_count(2 * m)
-            params = SimParams(
-                p=float(rng.uniform(1.5, 4.0)), q=1.0, tau=float(rng.uniform(0.01, 2.0)),
-                h=grid.h, blow_threshold=1e15,
-            )
-            got = step(_state(u), grid, params)
-            exact, iters, flips = _exact_path(_state(u), grid, params)
-            picard += rises[-1] is None
-            assert (got.picard_iters, got.sign_flips) == (iters, flips)
-            assert got.next.u.tobytes() == exact.u.tobytes()
-            assert got.next.sup_norm.hex() == exact.sup_norm.hex()
-            assert got.next.tau_last == exact.tau_last
-        assert all(type(g) is float for g in gammas)
-        assert picard > 100
 
 
 class TestSolveTridiag:
@@ -653,24 +615,24 @@ class TestStep:
         assert window_ok(result.next, grid)
 
     def test_positivity_on_random_states(self, rng):
-        from cwblowup import stepper
-
         for _ in range(20):
             state, grid, params = random_symmetric_monotone_state(rng)
             result = step(state, grid, params)
             assert np.min(result.next.u) >= 0.0
-            assert result.picard_iters <= stepper._MAX_PICARD_ITERS
+            assert (result.picard_iters, result.sign_flips) == (1, 0)
 
     def test_tau_halving_recovers_dominance(self):
         # an oversized base increment puts the gradient coefficient above the
         # diffusion weight on a steep interior row; halving tau fixes the
-        # margin since gamma - lam shrinks linearly with the increment
+        # margin since gamma - lam shrinks linearly with the increment.  The
+        # grid is coarser than the adaptive rule's (compute_h gives K = 50).
         grid = build_grid_by_count(6)
-        params = SimParams(p=3.0, q=1.5, tau=1200.0, h=grid.h, blow_threshold=1e15)
-        u = np.array([0.0, 40.0, 50.0, 100.0])
+        params = SimParams(p=3.0, q=1.5, tau=1e4, h=grid.h, blow_threshold=1e15)
+        u = np.array([0.0, 60.0, 90.0, 100.0])
         state = _state(u)
         result = step(state, grid, params)
         assert result.next.tau_last < compute_tau(params, float(np.max(u)))
+        assert result.next.min_rise > 0.0
         oracle = nonlinear_step_oracle(
             mirrored(state, grid.mid), grid.h, params.p, params.q, result.next.tau_last
         )
@@ -707,33 +669,31 @@ class TestStep:
                 step(_state(values), grid, SimParams(p=2.5, q=1.2))
 
     def test_all_zero_window_has_zero_sup_norm(self):
-        # a +-0 window steps to an all-zero window; its sup norm, read by
-        # index, is a zero of either sign, and the history records a zero
+        # for q > 1 a +-0 window steps to an all-zero window; its sup norm,
+        # the last node, is a zero of either sign, and the history records a
+        # zero.  For q = 1 its zero differences have sign 0 where gamma > 0,
+        # so the step refuses it
         windows = [np.zeros(3), np.full(3, -0.0), np.array([0.0, -0.0, -0.0])]
         windows += [np.full(21, -0.0), np.zeros(21), np.full(201, -0.0)]
         for u in windows:
             grid = build_grid_by_count(2 * (u.size - 1))
-            for params in (SimParams(p=2.0, q=1.0), SimParams(p=3.0, q=1.2)):
-                new = step(_state(u), grid, params).next
-                assert not np.any(new.u)
-                assert new.sup_norm == 0.0
-                history = RunHistory()
-                history.record(new, grid)
-                assert history.column("sup_norm")[0] == 0.0
-
-    @pytest.mark.parametrize("value", [-1e-14, -0.0, 0.0])
-    def test_roundoff_negative_entry_clamped(self, monkeypatch, value):
-        # an entry below zero by less than _CLAMP_RTOL * sup is set to 0
-        state, grid, params = self._with_solved_entry(monkeypatch, value)
-        new = step(state, grid, params).next
-        half = padded_half(new, grid)
-        assert half[1] == 0.0 and np.min(half) == 0.0
-        assert window_ok(new, grid)
+            with pytest.raises(StepError, match="does not rise"):
+                step(_state(u), grid, SimParams(p=2.0, q=1.0))
+            new = step(_state(u), grid, SimParams(p=3.0, q=1.2)).next
+            assert not np.any(new.u)
+            assert new.sup_norm == 0.0
+            history = RunHistory()
+            history.record(new, grid)
+            assert history.column("sup_norm")[0] == 0.0
 
     def test_negative_entry_beyond_roundoff_refused(self, monkeypatch):
-        state, grid, params = self._with_solved_entry(monkeypatch, -1e-6)
-        with pytest.raises(NegativeSolutionError, match="negative entry -1.000e-06"):
-            step(state, grid, params)
+        # a solved entry below zero makes the window fall from its held +0:
+        # nothing is clamped, however small the entry
+        for value in (-1e-6, -1e-14, -5e-324):
+            state, grid, params = self._with_solved_entry(monkeypatch, value)
+            with pytest.raises(StepError, match=f"smallest rise {value:.3e}"):
+                step(state, grid, params)
+            monkeypatch.undo()
 
     @staticmethod
     def _with_solved_entry(monkeypatch, value):
@@ -752,54 +712,6 @@ class TestStep:
         monkeypatch.setattr(stepper, "solve_tridiag", solve)
         return make_initial(params, grid), grid, params
 
-    def test_picard_fallback_converges_to_fixed_point(self, monkeypatch):
-        # a rough symmetric profile flips frozen signs; the re-frozen
-        # iteration must land on the same nonlinear fixed point
-        from cwblowup import stepper
-
-        grid = build_grid_by_count(12)
-        params = SimParams(p=3.214, q=1.0, tau=1.963, h=grid.h, blow_threshold=1e15)
-        u = _ROUGH
-        result = step(_state(u), grid, params)
-        assert result.sign_flips > 0
-        # the third solve contradicts none of its signs and is the step; a
-        # fourth would solve the same system again
-        assert result.picard_iters == 3
-        monkeypatch.setattr(stepper, "_MAX_PICARD_ITERS", 3)
-        capped = step(_state(u), grid, params)
-        assert capped.next.u.tobytes() == result.next.u.tobytes()
-        oracle = nonlinear_step_oracle(
-            mirrored(_state(u), grid.mid), grid.h, params.p, params.q, result.next.tau_last
-        )
-        gap = np.max(np.abs(mirrored(result.next, grid.mid) - oracle))
-        assert gap <= 1e-10 * max(1.0, np.max(u))
-
-    def test_rough_window_takes_the_exact_path(self):
-        # falling differences freeze negative signs, so the exact test decides
-        # every solve; the next state and the counts are pinned bit for bit
-        grid = build_grid_by_count(12)
-        params = SimParams(p=3.214, q=1.0, tau=1.963, h=grid.h, blow_threshold=1e15)
-        result = step(_state(_ROUGH), grid, params)
-        # the exact path leaves the rise to the state, which reads its own
-        rises = result.next.u[1:] - result.next.u[:-1]
-        assert result.next.min_rise == rises.min()
-        assert (result.picard_iters, result.sign_flips) == (3, 6)
-        assert result.next.u.tobytes().hex() == (
-            "0000000000000000" "75ef62687d690640" "87a2b79082730540" "2238994757fc0540"
-            "0e4ef7636dc01040" "f6378f7b3aa52040" "f182eeb06c742440"
-        )
-        assert result.next.sup_norm.hex() == "0x1.4746cb0ee82f1p+3"
-        assert result.next.tau_last.hex() == "0x1.6e1e77e8186ffp-5"
-
-    def test_picard_iteration_cap(self, monkeypatch):
-        from cwblowup import PicardError, stepper
-
-        grid = build_grid_by_count(12)
-        params = SimParams(p=3.214, q=1.0, tau=1.963, h=grid.h, blow_threshold=1e15)
-        monkeypatch.setattr(stepper, "_MAX_PICARD_ITERS", 1)
-        with pytest.raises(PicardError, match="within 1 iterations"):
-            step(_state(_ROUGH), grid, params)
-
     def test_singular_system_raises(self):
         from cwblowup import SingularError
 
@@ -814,11 +726,13 @@ class TestStep:
 
 
 class TestFrozenSignCheck:
-    """The a posteriori sign check of the Picard loop, on a prescribed solve."""
+    """The a posteriori check of the frozen +1 signs, on a prescribed solve:
+    the solve must rise, so that no new sign contradicts a frozen one."""
 
     @staticmethod
     def _level(monkeypatch, u, q, *solves):
-        """Picard counts when the i-th solve returns solves[i] (the last repeats)."""
+        """Picard counts of a step on the whole half u whose i-th solve
+        returns solves[i] (the last repeats)."""
         from cwblowup import stepper
 
         calls = []
@@ -830,40 +744,25 @@ class TestFrozenSignCheck:
             return buf[1:]
 
         monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
-        rows = scheme_rows(np.asarray(u, float), 0.5, 2.0, q, 0.01)
-        _, iters, flips, _ = stepper._solve_frozen_signs(*rows[:2], 0.5, 0.01, *rows[2:])
-        assert len(calls) == iters
-        return iters, flips
+        grid = build_grid_by_count(2 * (len(u) - 1))
+        result = step(_state(u), grid, SimParams(p=2.0, q=q, tau=0.01, h=grid.h))
+        assert len(calls) == result.picard_iters
+        assert padded_half(result.next, grid).tolist() == list(solves[0])
+        return result.picard_iters, result.sign_flips
 
     def test_zero_new_difference_keeps_the_sign(self, monkeypatch):
         # frozen signs (+, +); the new differences are (+, 0): no contradiction
         assert self._level(monkeypatch, [0.0, 1.0, 2.0, 3.0], 1.0, [0, 1, 1, 1]) == (1, 0)
 
-    def test_opposite_sign_flips_once(self, monkeypatch):
-        # frozen (+, +); new (-, 0): row lo+1 flips (counted for both halves),
-        # and the re-frozen signs (-, +) hold on the second iteration
-        assert self._level(monkeypatch, [0.0, 1.0, 2.0, 3.0], 1.0, [0, 1, -1, 1]) == (2, 2)
-
-    # frozen (+, +); the first solve flips row lo+1 to -, and the second,
-    # which differs from it by 4 (far beyond _CLAMP_RTOL * sup), keeps the
-    # re-frozen signs (-, +)
-    _FIRST, _SECOND = [0, 1, -1, 1], [0, 1, -1, 5]
-
     def test_first_consistent_solve_is_returned(self, monkeypatch):
+        # a first solve that rises is the step; no second solve is made
         u = [0.0, 1.0, 2.0, 3.0]
-        assert self._level(monkeypatch, u, 1.0, self._FIRST, self._SECOND) == (2, 2)
-
-    def test_consistent_solve_on_the_last_iteration_is_returned(self, monkeypatch):
-        from cwblowup import stepper
-
-        u = [0.0, 1.0, 2.0, 3.0]
-        monkeypatch.setattr(stepper, "_MAX_PICARD_ITERS", 2)
-        counts = self._level(monkeypatch, u, 1.0, self._FIRST, self._SECOND)
-        assert counts == (2, 2)
+        assert self._level(monkeypatch, u, 1.0, [0, 1, 1, 2], [0, 1, -1, 5]) == (1, 0)
 
     def test_inactive_rows_never_flip(self, monkeypatch):
-        # q > 1 and zero differences give gamma = 0: no gradient term to sign
-        assert self._level(monkeypatch, [0.0, 1.0, 0.0, 1.0], 1.5, [0, 1, -1, 2]) == (1, 0)
+        # q > 1 and a zero difference give gamma = 0: no gradient term to
+        # sign, so a window with a flat row is stepped like any rising one
+        assert self._level(monkeypatch, [0.0, 0.0, 0.0, 1.0], 1.5, [0, 0, 0, 2]) == (1, 0)
 
 
 # values of a nonnegative window: signed zeros, the smallest subnormal, a
@@ -882,21 +781,20 @@ def _outcome(fn, *args):
 
 
 def _exact_path(state, grid, params):
-    """A whole-half window's step by the exact sign test alone.
+    """A whole-half window's step by the exact sign test, the reference of ``step``.
 
     The frozen signs are np.sign of the current differences, and each solve
-    is checked by gamma*s'*(s' - s); the clamp scans the window's minimum and
-    the sup norm is its maximum, both read by index.  The time increment is
-    the step's first tau_n (no halving).  Returns the next state and the Picard
-    iterations and flips.
+    is checked by gamma*s'*(s' - s) and re-frozen (Picard, up to 50 solves);
+    an entry below zero by at most 1e-12*max(1, sup) is clamped to 0 and a
+    larger one refused, and the sup norm is the window's maximum, both read
+    by index.  The time increment is the step's first tau_n (no halving).
+    Returns the next state and the Picard iterations and flips.
     """
-    from cwblowup import stepper
-
     u, sup = state.u, state.sup_norm
     tau_n = compute_tau(params, sup)
     rhs, rhs_norm, gamma, signs = scheme_rows(u, grid.h, params.p, params.q, tau_n)
     flips = 0
-    for iters in range(1, stepper._MAX_PICARD_ITERS + 1):
+    for iters in range(1, 51):
         new = solve_tridiag(assemble(rhs, rhs_norm, grid.h, tau_n, gamma * signs)).base
         new_signs = np.sign(new[2:] - new[:-2])
         contradiction = gamma * new_signs * (new_signs - signs)
@@ -905,10 +803,10 @@ def _exact_path(state, grid, params):
         flips += 2 * np.count_nonzero(contradiction)
         signs = np.where(contradiction != 0.0, new_signs, signs)
     else:
-        raise stepper.PicardError("no sign fixed point")
+        raise StepError("no sign fixed point")
     low = new[new.argmin()]
-    if low < -stepper._CLAMP_RTOL * max(1.0, sup):
-        raise NegativeSolutionError(f"negative entry {low}")
+    if low < -1e-12 * max(1.0, sup):
+        raise StepError(f"negative entry {low}")
     if low < 0.0:
         np.clip(new, 0.0, None, out=new)
     if new[1] == 0.0:
@@ -918,39 +816,73 @@ def _exact_path(state, grid, params):
     return next_state, iters, flips
 
 
+def _certified(state, grid, params):
+    """Whether ``step`` takes the window: every frozen sign is +1 where gamma > 0."""
+    if params.q == 1.0:
+        return state.u.size == grid.mid + 1 and state.min_rise > 0.0
+    return state.min_rise >= 0.0 and state.u[0] >= 0.0
+
+
+def _assert_is_the_exact_path(got, state, grid, params):
+    """``got``, a step's result or StepError type, is the reference's step
+    where the window is certified and the reference solves once, flips
+    nothing and rises; everywhere else it is StepError."""
+    whole = _state(padded_half(state, grid))
+    want = _outcome(_exact_path, whole, grid, params)
+    one_pass = (
+        _certified(state, grid, params)
+        and isinstance(want, tuple)
+        and want[1:] == (1, 0)
+        and want[0].min_rise >= 0.0
+    )
+    if not one_pass:
+        assert isinstance(got, type) and issubclass(got, StepError)
+        return None
+    exact = want[0]
+    assert isinstance(got, StepResult)
+    assert (got.picard_iters, got.sign_flips) == (1, 0)
+    assert got.next.u.tobytes() == exact.u.tobytes()
+    assert got.next.t == exact.t and got.next.tau_last == exact.tau_last
+    # the same value; an all-zero window's sup norm is a zero of either sign
+    assert got.next.sup_norm == exact.sup_norm
+    if exact.sup_norm:
+        assert got.next.sup_norm.hex() == exact.sup_norm.hex()
+    # the step carries its solve's rise, a lower bound of the trimmed window's
+    assert 0.0 <= got.next.min_rise <= exact.min_rise
+    return exact
+
+
 class TestSignPrefilter:
-    """The Picard loop's one-pass route accepts a solve only where the exact test would.
+    """A step accepts a solve only where the exact sign test would, in one pass.
 
     The exact test marks row j contradicted where gamma_j*s'*(s' - s) != 0,
-    s the frozen and s' the new sign.  A step's frozen sign is 0 only where
-    the current difference is 0, so for q > 1 such a row has gamma = 0.  The
-    route is taken when the step passes no signs, which it does when the
-    current differences are all > 0 (q = 1) or >= 0 (q > 1), and it accepts
-    a solve whose window rises.
+    s the frozen and s' the new sign.  A step freezes s = +1, which is
+    sign(d) wherever gamma != 0 when the current differences are all > 0
+    (q = 1) or >= 0 (q > 1, where d = 0 gives gamma = 0), and it accepts a
+    solve whose window rises; it refuses every other window and solve.
     """
 
     @staticmethod
-    def _check(monkeypatch, q, d, first, g):
-        """Picard counts and returned rise of one row with current difference
-        d and gamma g, whose first solve is the window ``first``; the signs
-        are None where d certifies the row and sign(d) otherwise."""
+    def _check(monkeypatch, q, d, first):
+        """Picard counts of a step on the whole half [0, d/2, d], whose one
+        row has the current difference d, when its solve is the window
+        ``first``; or the type of the StepError it raised."""
         from cwblowup import stepper
 
         calls = []
 
         def prescribed(sys):
-            # the second solve is all zero, which no sign contradicts
             calls.append(sys)
-            return np.array(first if len(calls) == 1 else [0.0, 0.0, 0.0])[1:]
+            return np.array(first)[1:]
 
         monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
-        certified = d > 0.0 if q == 1.0 else d >= 0.0
-        signs = None if certified else np.sign(np.array([d]))
-        _, iters, flips, rise = stepper._solve_frozen_signs(
-            np.ones(2), 1.0, 0.5, 0.01, np.array([g]), signs
-        )
-        assert len(calls) == iters
-        return iters, flips, rise
+        grid = build_grid_by_count(4)
+        params = SimParams(p=2.0, q=q, tau=0.01, h=grid.h)
+        result = _outcome(step, _state([0.0, 0.5 * d, d]), grid, params)
+        if isinstance(result, StepResult):
+            assert len(calls) == 1
+            return result.picard_iters, result.sign_flips
+        return result
 
     @pytest.mark.parametrize(
         "q, s, nd, g",
@@ -965,54 +897,39 @@ class TestSignPrefilter:
     )
     def test_no_mark_means_no_contradiction(self, monkeypatch, q, s, nd, g):
         # the current difference is s itself; the first solve [0, 0, nd] has
-        # the new difference nd and rises when nd >= 0.  A row the route
-        # accepts is accepted on the first solve, as by the exact test; a
-        # contradicted row flips once (2 flips for both halves)
+        # the new difference nd and rises when nd >= 0.  A solve the step
+        # accepts contradicts no frozen sign under the exact test, whatever
+        # gamma g the row has; every other case is refused
         exact = g * np.sign(nd) * (np.sign(nd) - s)
-        expected = (2, 2) if exact != 0.0 else (1, 0)
-        iters, flips, rise = self._check(monkeypatch, q, s, [0.0, 0.0, nd], g)
-        assert (iters, flips) == expected
         route = (s > 0.0 if q == 1.0 else s >= 0.0) and nd >= 0.0
-        assert (rise is not None) == route
-
-    @pytest.mark.parametrize(
-        "d, first, expected",
-        [
-            (np.nan, [0.0, 0.0, 1.0], (2, 2)),  # NaN current minimum: sign(NaN) flips
-            (-1.0, [0.0, 0.0, 1.0], (2, 2)),  # negative current minimum
-            (1.0, [0.0, np.nan, -1.0], (2, 2)),  # NaN rise over a contradicted row
-            (1.0, [0.0, 1.0, 0.5], (1, 0)),  # negative rise, no contradiction
-        ],
-    )
-    def test_negative_or_nan_minimum_takes_the_exact_path(self, monkeypatch, d, first, expected):
-        iters, flips, rise = self._check(monkeypatch, 1.0, d, first, 0.25)
-        assert (iters, flips, rise) == (*expected, None)
+        got = self._check(monkeypatch, q, s, [0.0, 0.0, nd])
+        if route:
+            assert got == (1, 0) and exact == 0.0
+        else:
+            assert got is StepError
 
     def test_underflowed_gamma_row_is_accepted(self, monkeypatch):
-        # tau_n (2h)^(-q) |d|^(q-1) underflows to 0 on row 1, where the
-        # frozen sign is + (d = 5e-324) and the solve's new difference is
-        # -1e-300: the prefilter marks the row, the exact test finds no
-        # contradiction, and the first solve is the step, even with one
-        # Picard iteration allowed
+        # tau_n (2h)^(-q) |d|^(q-1) underflows to 0 on row 1 (d = 5e-324),
+        # while row 2 keeps gamma > 0: the rising window is stepped in one
+        # solve, as the exact path steps it
         from cwblowup import stepper
 
         grid = build_grid_by_count(6)
-        u = np.array([0.0, 0.5, 5e-324, 1.0])
+        u = np.array([0.0, 0.0, 5e-324, 1.0])
         params = SimParams(p=3.0, q=1.5, tau=1e-170, h=grid.h)
-        monkeypatch.setattr(stepper, "_MAX_PICARD_ITERS", 1)
         gamma = scheme_rows(u, grid.h, params.p, params.q, params.tau)[2]
         assert gamma[0] == 0.0 and gamma[1] > 0.0
-        calls = []
+        real, calls = stepper.solve_tridiag, []
 
-        def prescribed(sys):
+        def counted(sys):
             calls.append(sys)
-            return np.array([0.0, 0.5, -1e-300, 1.0])[1:]
+            return real(sys)
 
-        monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
+        monkeypatch.setattr(stepper, "solve_tridiag", counted)
         result = step(_state(u), grid, params)
-        assert (len(calls), result.picard_iters, result.sign_flips) == (1, 1, 0)
-        assert result.next.u.tolist() == [0.0, 0.5, 0.0, 1.0]
-
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert _assert_is_the_exact_path(result, _state(u), grid, params) is not None
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1022,116 +939,109 @@ class TestSignPrefilter:
         q=st.sampled_from([1.0, 1.5]),
         p=st.sampled_from([2.0, 3.0]),
     )
-    # -0 + 0.1*(-0)^3 is -0: the route's all-zero window ends in -0, and its
-    # sup norm is the index read's +0 all the same
+    # -0 + 0.1*(-0)^3 is -0: the step's all-zero window ends in -0, its sup
+    # norm, where the exact path reads the maximum +0
     @example(head=0.0, rest=[-0.0, -0.0], rising=False, q=1.5, p=3.0)
     def test_route_matches_exact_path(self, head, rest, rising, q, p):
         # a nonnegative whole-half window, sorted half the time so that the
-        # route is taken; the step equals the exact path bit for bit, and a
-        # solve the route accepts contradicts no frozen sign
+        # step takes it; where it does, it is the exact path bit for bit and
+        # records the same history row
         u = np.array([head] + (sorted(rest) if rising else rest))
         grid = build_grid_by_count(2 * (u.size - 1))
         params = SimParams(p=p, q=q, tau=0.1, h=grid.h)
         state = _state(u)
-        got, want = _outcome(step, state, grid, params), _outcome(_exact_path, state, grid, params)
-        if not isinstance(got, StepResult):
-            assert got == want
+        got = _outcome(step, state, grid, params)
+        exact = _assert_is_the_exact_path(got, state, grid, params)
+        if exact is None:
             return
-        exact, exact_iters, exact_flips = want
-        if got.next.min_rise != exact.min_rise:
-            # only the route passes a rise, its solve's: the exact path's first
-            # solve is that one, with no contradiction on it
-            assert exact_iters == 1 and 0.0 <= got.next.min_rise <= exact.min_rise
-        assert (got.picard_iters, got.sign_flips) == (exact_iters, exact_flips)
-        assert got.next.u.tobytes() == exact.u.tobytes()
-        assert got.next.sup_norm.hex() == exact.sup_norm.hex()
-        assert got.next.tau_last == exact.tau_last
         recorded = [RunHistory(), RunHistory()]
         recorded[0].record(got.next, grid)
         recorded[1].record(exact, grid)
         assert recorded[0].invariant_summary == recorded[1].invariant_summary
         assert recorded[0].rows.keys() == recorded[1].rows.keys()
         for name, column in recorded[0].rows.items():
-            assert column.tobytes() == recorded[1].rows[name].tobytes()
+            assert np.array_equal(column, recorded[1].rows[name])
 
 
 class TestCertifiedWindow:
     """A step reads its frozen signs' certificate from the carried min_rise."""
 
-    @staticmethod
-    def _certificates(monkeypatch):
-        """A list that gets, per frozen-sign solve, whether it was certified."""
-        from cwblowup import stepper
-
-        real = stepper._solve_frozen_signs
-        passed = []
-
-        def spy(*args):
-            passed.append(args[5] is None)
-            return real(*args)
-
-        monkeypatch.setattr(stepper, "_solve_frozen_signs", spy)
-        return passed
-
-    def test_certified_step_matches_the_exact_test(self, rng, monkeypatch):
-        # random monotone profiles, on their own grid (the whole left half)
-        # and as a window on a grid up to 40 nodes wider (zero padding, part
-        # of it left of the solve's held node); the same state claiming
-        # min_rise = -1 is never certified and takes the exact test.  q = 1
-        # is certified on the whole half only: its padding's zero differences
-        # have sign 0 where gamma > 0
-        passed = self._certificates(monkeypatch)
+    def test_certified_step_matches_the_exact_test(self, rng):
+        # random monotone profiles and all-zero windows, on their own grid
+        # (the whole left half) and as a window on a grid up to 40 nodes
+        # wider (zero padding, part of it left of the solve's held node),
+        # against the exact path on the zero-padded whole half: where it
+        # solves once, flips nothing and rises, the step is its step bit for
+        # bit, and everywhere else the step raises.  The same state claiming
+        # min_rise = -1 is refused.  q = 1 is certified on the whole half
+        # only: its padding's zero differences have sign 0 where gamma > 0
         kinds = set()
         for i in range(60):
             state, grid, params = random_symmetric_monotone_state(rng)
             if i % 3 == 0:
                 params = replace(params, q=1.0)
+            if i % 4 == 0:
+                state = _state(np.zeros(state.u.size))
             pad = int(rng.integers(1, 41))
             for on in (grid, build_grid_by_count(2 * (grid.mid + pad))):
-                passed.clear()
-                got = step(state, on, params)
-                certified = params.q > 1.0 or on is grid
-                assert passed == [certified] * len(passed)
-                kinds.add((params.q == 1.0, on is grid))
-                passed.clear()
+                got = _outcome(step, state, on, params)
+                stepped = _assert_is_the_exact_path(got, state, on, params) is not None
+                kinds.add((params.q == 1.0, on is grid, stepped))
                 claim = SolutionState(
                     state.u, state.t, state.n, state.tau_last, state.t_comp,
                     sup_norm=state.sup_norm, min_rise=-1.0,
                 )
-                want = step(claim, on, params)
-                assert not any(passed)
-                assert got.next.u.tobytes() == want.next.u.tobytes()
-                assert got.next.t == want.next.t
-                assert got.next.tau_last == want.next.tau_last
-                assert got.next.sup_norm.hex() == want.next.sup_norm.hex()
-                assert (got.picard_iters, got.sign_flips) == (
-                    want.picard_iters, want.sign_flips
-                )
-        assert len(kinds) == 4
+                with pytest.raises(StepError, match="does not rise"):
+                    step(claim, on, params)
+        # q > 1 steps on both grids, q = 1 on the whole half only
+        assert kinds >= {(False, True, True), (False, False, True), (True, True, True)}
+        assert (True, False, True) not in kinds
+
+    @pytest.mark.parametrize(
+        "u, mid, q",
+        [
+            (_ROUGH, 6, 1.0),  # a rough profile
+            ([0.0, 2.0, 1.0, 3.0], 3, 1.5),  # one falling difference
+            ([0.0, 1.0, 2.0, 3.0], 6, 1.0),  # q = 1 and zero padding
+            ([0.0, 0.0, 1.0, 2.0], 3, 1.0),  # q = 1 and a flat difference
+        ],
+    )
+    def test_non_rising_entry_refused_before_any_solve(self, monkeypatch, u, mid, q):
+        from cwblowup import stepper
+
+        def unreachable(*args):
+            raise AssertionError("a refused window was assembled or solved")
+
+        monkeypatch.setattr(stepper, "assemble", unreachable)
+        monkeypatch.setattr(stepper, "solve_tridiag", unreachable)
+        grid = build_grid_by_count(2 * mid)
+        params = SimParams(p=2.0, q=q, tau=0.1, h=grid.h, blow_threshold=1e15)
+        with pytest.raises(StepError, match="window does not rise"):
+            step(_state(u), grid, params)
 
     def test_window_below_zero_is_not_certified(self, monkeypatch):
         # a window rising from u[0] < 0 meets its zero padding with a falling
-        # difference, sign -1 with gamma > 0: it takes the exact test
-        passed = self._certificates(monkeypatch)
+        # difference, sign -1 with gamma > 0: the step refuses it unsolved
+        from cwblowup import stepper
+
+        solves = []
+        monkeypatch.setattr(stepper, "solve_tridiag", solves.append)
         u = [-0.25, 1.0, 2.0, 3.0]
         grid = build_grid_by_count(12)  # mid = 6: nodes 0..2 are padding
         params = SimParams(p=2.0, q=1.5, tau=0.1, h=grid.h)
         state = _state(u)
         assert state.min_rise > 0.0
-        got = step(state, grid, params)
-        assert passed and not any(passed)
-        want, iters, flips = _exact_path(_state(padded_half(state, grid)), grid, params)
-        assert got.next.u.tobytes() == want.u.tobytes()
-        # the falling difference flips once, where the route would pass a rise
-        assert (got.picard_iters, got.sign_flips) == (iters, flips) == (2, 2)
+        with pytest.raises(StepError, match="window does not rise"):
+            step(state, grid, params)
+        assert not solves
 
 
 class TestOnePassTraffic:
-    """Every solve of the benchmark scenarios takes the one-pass route."""
+    """Every step of the benchmark scenarios solves once."""
 
     @pytest.mark.parametrize("case", ["fixed-q1", "refine-q136", "table"])
     def test_every_solve_takes_the_route(self, monkeypatch, case):
-        from cwblowup import stepper
+        from cwblowup import simulator, stepper
 
         initial = None
         if case == "fixed-q1":
@@ -1144,21 +1054,24 @@ class TestOnePassTraffic:
             u = 16.0 * np.cos(0.5 * np.pi * x) ** 1.5
             u[0] = u[-1] = 0.0
             initial = InitialData.from_table(x, u)
-        real = stepper._solve_frozen_signs
-        rises = []
+        real_solve, real_step = stepper.solve_tridiag, simulator.step
+        solves, steps = [], []
 
-        def spy(*args):
-            result = real(*args)
-            rises.append(result[3])
-            return result
+        def solve(sys):
+            solves.append(sys.size)
+            return real_solve(sys)
 
-        monkeypatch.setattr(stepper, "_solve_frozen_signs", spy)
+        def counted(*args):
+            steps.append(real_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(stepper, "solve_tridiag", solve)
+        monkeypatch.setattr(simulator, "step", counted)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", ".*large amplitude", UserWarning)
             outcome, _ = run(params, initial)
-        # the route accepts only a first solve, so each call solved once
-        assert len(rises) >= outcome.n_final > 100
-        assert all(rise is not None for rise in rises)
+        # no window retry and no tau halving: one solve per step
+        assert len(solves) == len(steps) == outcome.n_final > 100
 
 
 class TestWindow:
@@ -1180,7 +1093,7 @@ class TestWindow:
             new = np.zeros(sys.size + 1)  # u'_lo = 0 leads the buffer
             new[-1] = 1.0
             if not solved:
-                new[first_nonzero] = 1e-300
+                new[first_nonzero:-1] = 1e-300  # rising from node lo + first_nonzero
             solved.append(new.size)
             return new[1:]
 
@@ -1192,6 +1105,27 @@ class TestWindow:
         assert result.picard_iters == 1
         lo = grid.mid + 1 - solved[-1]
         assert lo == 100 - _WINDOW_MARGIN * len(sizes)
+
+    def test_retry_margin_covers_the_window(self, monkeypatch):
+        # a window of 200 nodes retries with a margin of its own length, not
+        # 64, and doubles it after that: 200 + 32, 200 + 200, 200 + 400 nodes
+        from cwblowup import stepper
+
+        solved = []
+
+        def solve(sys):
+            new = np.linspace(0.0, 1.0, sys.size + 1)  # u'_lo = 0 leads the buffer
+            if len(solved) == 2:
+                new[1 : _ZERO_EDGE + 1] = 0.0
+            solved.append(new.size)
+            return new[1:]
+
+        monkeypatch.setattr(stepper, "solve_tridiag", solve)
+        grid = build_grid_by_count(2000)
+        state = _state(np.linspace(0.0, 1.0, 200))
+        result = step(state, grid, SimParams(q=1.2, tau=0.1, h=grid.h))
+        assert solved == [232, 400, 600]
+        assert window_start(result.next, grid) == grid.mid + 1 - 600 + _ZERO_EDGE
 
     @staticmethod
     def _assert_same_as_whole_half(state, grid, params):
