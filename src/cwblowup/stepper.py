@@ -275,7 +275,8 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     ``blow_threshold`` or not rising as above; for a solve that does not
     rise (its smallest rise negative or NaN); and for a retried margin whose
     window would hold more nodes than the left half of the largest first
-    grid ``run()`` samples.
+    grid ``run()`` samples.  A q = 1 solve whose smallest rise is 0 is
+    returned, and the next step refuses it on entry.
     """
     u, mid = state.u, grid.mid
     start = mid + 1 - u.size
@@ -351,12 +352,13 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         cut = max(0, min(first - 1, new.size - 3))
         new = new[cut:]
 
-    # t is a compensated (Kahan) sum of the increments
+    # t is a compensated (Kahan) sum of the increments; the sup norm is the
+    # last node, + 0.0 turning an all-zero window's -0 into the maximum's +0
     y = tau_n - state.t_comp
     t = state.t + y
     next_state = SolutionState(
         u=new, t=t, n=state.n + 1, tau_last=tau_n, t_comp=(t - state.t) - y,
-        sup_norm=float(new[-1]), min_rise=rise,
+        sup_norm=float(new[-1]) + 0.0, min_rise=rise,
     )
     return StepResult(next_state)
 

@@ -669,10 +669,10 @@ class TestStep:
                 step(_state(values), grid, SimParams(p=2.5, q=1.2))
 
     def test_all_zero_window_has_zero_sup_norm(self):
-        # for q > 1 a +-0 window steps to an all-zero window; its sup norm,
-        # the last node, is a zero of either sign, and the history records a
-        # zero.  For q = 1 its zero differences have sign 0 where gamma > 0,
-        # so the step refuses it
+        # for q > 1 a +-0 window steps to an all-zero window, whose last node
+        # is a zero of either sign; its sup norm and the history's are +0.
+        # For q = 1 its zero differences have sign 0 where gamma > 0, so the
+        # step refuses it
         windows = [np.zeros(3), np.full(3, -0.0), np.array([0.0, -0.0, -0.0])]
         windows += [np.full(21, -0.0), np.zeros(21), np.full(201, -0.0)]
         for u in windows:
@@ -681,10 +681,10 @@ class TestStep:
                 step(_state(u), grid, SimParams(p=2.0, q=1.0))
             new = step(_state(u), grid, SimParams(p=3.0, q=1.2)).next
             assert not np.any(new.u)
-            assert new.sup_norm == 0.0
+            assert new.sup_norm.hex() == "0x0.0p+0"
             history = RunHistory()
             history.record(new, grid)
-            assert history.column("sup_norm")[0] == 0.0
+            assert float(history.column("sup_norm")[0]).hex() == "0x0.0p+0"
 
     def test_negative_entry_beyond_roundoff_refused(self, monkeypatch):
         # a solved entry below zero makes the window fall from its held +0:
@@ -843,10 +843,7 @@ def _assert_is_the_exact_path(got, state, grid, params):
     assert (got.picard_iters, got.sign_flips) == (1, 0)
     assert got.next.u.tobytes() == exact.u.tobytes()
     assert got.next.t == exact.t and got.next.tau_last == exact.tau_last
-    # the same value; an all-zero window's sup norm is a zero of either sign
-    assert got.next.sup_norm == exact.sup_norm
-    if exact.sup_norm:
-        assert got.next.sup_norm.hex() == exact.sup_norm.hex()
+    assert got.next.sup_norm.hex() == exact.sup_norm.hex()
     # the step carries its solve's rise, a lower bound of the trimmed window's
     assert 0.0 <= got.next.min_rise <= exact.min_rise
     return exact
@@ -939,8 +936,8 @@ class TestSignPrefilter:
         q=st.sampled_from([1.0, 1.5]),
         p=st.sampled_from([2.0, 3.0]),
     )
-    # -0 + 0.1*(-0)^3 is -0: the step's all-zero window ends in -0, its sup
-    # norm, where the exact path reads the maximum +0
+    # -0 + 0.1*(-0)^3 is -0: the step's all-zero window ends in -0, and its
+    # sup norm must still be the exact path's maximum, +0
     @example(head=0.0, rest=[-0.0, -0.0], rising=False, q=1.5, p=3.0)
     def test_route_matches_exact_path(self, head, rest, rising, q, p):
         # a nonnegative whole-half window, sorted half the time so that the
@@ -960,7 +957,7 @@ class TestSignPrefilter:
         assert recorded[0].invariant_summary == recorded[1].invariant_summary
         assert recorded[0].rows.keys() == recorded[1].rows.keys()
         for name, column in recorded[0].rows.items():
-            assert np.array_equal(column, recorded[1].rows[name])
+            assert column.tobytes() == recorded[1].rows[name].tobytes()
 
 
 class TestCertifiedWindow:
