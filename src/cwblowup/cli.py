@@ -249,16 +249,7 @@ def cmd_diagnostics(
 ) -> int:
     outcome, history = run(params, initial)
     diag = peak_ratio_diagnostics(history, params)
-    inv = history.invariant_summary
-    payload = {
-        "outcome": _outcome_payload(outcome),
-        "ratio_diagnostics": diag.to_dict(),
-        "invariants": inv,
-    }
-
     failures: list[str] = []
-    if inv["monotonicity_violations"]:
-        failures.append(f"{inv['monotonicity_violations']} monotonicity violations")
     if diag.applicable:
         if diag.growth_deviation > 0.01:
             failures.append(f"peak growth deviates {diag.growth_deviation:.3%} from 1+tau")
@@ -269,15 +260,23 @@ def cmd_diagnostics(
             )
         if not diag.strictly_decreasing_tail:
             failures.append("neighbour-to-peak ratio not strictly decreasing in the tail")
-    payload["failures"] = failures
-    _write_json(out / "diagnostics.json", payload)
+    _write_json(
+        out / "diagnostics.json",
+        {
+            "outcome": _outcome_payload(outcome),
+            "ratio_diagnostics": diag.to_dict(),
+            "failures": failures,
+        },
+    )
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     if outcome.status is RunStatus.SOLVER_ERROR:
         print(f"cannot check limits: run ended with {outcome.status.value}",
               file=sys.stderr)
         return 3
-    if not failures:
+    if not diag.applicable:
+        print(f"limits not checked: {diag.reason}")
+    elif not failures:
         print("diagnostics ok")
     return 4 if failures else 0
 

@@ -96,7 +96,7 @@ class RunStatus(Enum):
 
 
 class RunHistory:
-    """Per-step records, the invariants that can fail, and optional snapshots.
+    """Per-step records and optional snapshots.
 
     Row k holds the state after k accepted steps; ``tau_n`` and ``h_n`` in
     row k are the increments used by the step that produced it (0 and the
@@ -108,11 +108,8 @@ class RunHistory:
     with a row per record, whose capacity doubles when it fills;
     :meth:`column` and ``rows`` are views of the filled rows.  A state is
     its left half, so the ``u_m_plus_k`` columns are views of
-    ``u_m_minus_k``, their mirror images.
-
-    Each recorded state is also checked for the two invariants that can
-    fail: monotonicity of the left half, and the peak at the middle node.
-    The two newest recorded states are kept as ``previous`` and ``latest``.
+    ``u_m_minus_k``, their mirror images.  The two newest recorded states
+    are kept as ``previous`` and ``latest``.
     """
 
     def __init__(self) -> None:
@@ -121,12 +118,6 @@ class RunHistory:
         self.snapshots: list[tuple[int, float, np.ndarray, np.ndarray]] = []
         self.previous: SolutionState | None = None
         self.latest: SolutionState | None = None
-        # counters of the invariants that can fail, over every recorded state
-        self.invariant_summary = {
-            "monotonicity_violations": 0,
-            "worst_monotonicity_defect": 0.0,
-            "sup_norm_at_middle": True,
-        }
 
     def column(self, name: str) -> np.ndarray:
         """The named column over the filled rows, as a view of the block."""
@@ -141,7 +132,7 @@ class RunHistory:
         return self._filled
 
     def record(self, state: SolutionState, grid: GridState) -> None:
-        """Append the state's row, keep the state and check its invariants."""
+        """Append the state's row and keep the state."""
         self.previous, self.latest = self.latest, state
         k = self._filled
         if k == self._block.shape[0]:
@@ -150,20 +141,14 @@ class RunHistory:
             self._block = grown
         # the window runs from a zero node u[0] to the peak node u[-1] and
         # holds mid-2..mid
-        u, sup, min_rise = state.u, state.sup_norm, state.min_rise
+        u = state.u
         # with mid = 1 there is no second neighbour; u[-3] would wrap to the peak
         second = u[-3] if grid.mid >= 2 else 0.0
         self._block[k] = (
-            state.n, state.t, state.tau_last, grid.h, sup, u[-1], u[-2], second,
+            state.n, state.t, state.tau_last, grid.h,
+            state.sup_norm, u[-1], u[-2], second,
         )
         self._filled = k + 1
-
-        if min_rise < -1e-12 * max(sup, 1.0):
-            inv = self.invariant_summary
-            inv["monotonicity_violations"] += 1
-            inv["worst_monotonicity_defect"] = min(inv["worst_monotonicity_defect"], min_rise)
-        if u[-1] < sup:
-            self.invariant_summary["sup_norm_at_middle"] = False
 
     def add_snapshot(self, state: SolutionState, grid: GridState) -> None:
         # the one place a right half is built, with x_(K-j) = -x_j
@@ -226,15 +211,15 @@ def run(
     diffusion, stays dominated.  With q = 1 the spacing never changes, so
     the interval count is computed once.
 
-    Returns the outcome together with the per-step history, which also
-    counts invariant violations (:class:`RunHistory`).  Step failures
-    are reported through the outcome status, not raised.  An initial grid of
-    more than ``_INITIAL_MAX_INTERVALS`` intervals, or of a spacing that
-    underflows, raises :class:`ConfigError` before the profile is sampled on
-    it.  With ``snapshot_every > 0`` a grid of more than
-    ``_SNAPSHOT_MAX_INTERVALS`` intervals raises :class:`ConfigError` when it
-    is reached, since each snapshot lists all K+1 nodes; a negative
-    ``snapshot_every`` raises :class:`ConfigError`.
+    Returns the outcome together with the per-step history
+    (:class:`RunHistory`).  Step failures are reported through the outcome
+    status, not raised.  An initial grid of more than
+    ``_INITIAL_MAX_INTERVALS`` intervals, or of a spacing that underflows,
+    raises :class:`ConfigError` before the profile is sampled on it.  With
+    ``snapshot_every > 0`` a grid of more than ``_SNAPSHOT_MAX_INTERVALS``
+    intervals raises :class:`ConfigError` when it is reached, since each
+    snapshot lists all K+1 nodes; a negative ``snapshot_every`` raises
+    :class:`ConfigError`.
     """
     if snapshot_every < 0:
         raise ConfigError(f"snapshot_every must be >= 0, got {snapshot_every}")

@@ -87,13 +87,13 @@ class TriDiagSystem(NamedTuple):
     """Tridiagonal system rows: sub[j-1]*x[j-1] + diag[j]*x[j] + sup[j]*x[j+1] = rhs[j].
 
     ``norm`` and ``rhs_norm`` are ||A||_inf and ||b||_inf, supplied by the
-    code that forms the system (:func:`assemble` knows both); :meth:`norm_inf`
-    recomputes ||A||_inf row by row.  ``stencil`` is set by :func:`assemble`
-    on a constant band of at least 3 rows: the row (sub, diag, sup) that
-    every row but the last one follows, the last row being (sub[-1],
-    diag[-1]).  It and the three bands are views of one buffer, and
-    :func:`solve_tridiag` reads it only while they still are, so a system
-    whose band is replaced (``_replace(sup=...)``) is checked row by row.
+    code that forms the system (:func:`assemble` knows both).  ``stencil``
+    is set by :func:`assemble` on a constant band of at least 3 rows: the
+    row (sub, diag, sup) that every row but the last one follows, the last
+    row being (sub[-1], diag[-1]).  It and the three bands are views of one
+    buffer, and :func:`solve_tridiag` reads it only while they still are, so
+    a system whose band is replaced (``_replace(sup=...)``) is checked row
+    by row.
     """
 
     sub: np.ndarray   # length n-1
@@ -108,40 +108,24 @@ class TriDiagSystem(NamedTuple):
     def size(self) -> int:
         return self.diag.size
 
-    def _off_diagonal_sums(self) -> np.ndarray:
-        """|sub| + |sup| per row, shared by the margin and the norm."""
-        off = np.zeros(self.size)
-        off[1:] += np.abs(self.sub)
-        off[:-1] += np.abs(self.sup)
-        return off
-
-    def dominance_margin(self) -> float:
-        """Smallest row-wise gap |diag| - |sub| - |sup|; positive means dominant."""
-        return float((np.abs(self.diag) - self._off_diagonal_sums()).min())
-
-    def norm_inf(self) -> float:
-        """Largest row-wise sum |diag| + |sub| + |sup|, the matrix inf-norm."""
-        return float((np.abs(self.diag) + self._off_diagonal_sums()).max())
-
 
 def assemble(
     rhs: np.ndarray,
     rhs_norm: float,
     h: float,
     tau_n: float,
-    signed_gamma: np.ndarray | float,
+    gamma: np.ndarray | float,
 ) -> TriDiagSystem:
     """Assemble the linearized step system on a window u_lo..u_mid, rows lo+1..mid.
 
-    Row j encodes (1+2*lam)u_j' - lam(u_{j+1}'+u_{j-1}') + gamma_j*s_j*
-    (u_{j+1}'-u_{j-1}') = u_j + tau_n*(u_j)^p with lam = tau_n/h^2 and s_j
-    the frozen sign of (u_{j+1}' - u_{j-1}'); ``rhs`` holds u_j + tau_n*(u_j)^p
-    of rows lo+1..mid and ``rhs_norm`` its inf-norm, and ``signed_gamma``
-    holds gamma_j*s_j for rows lo+1..mid-1, or is one float g shared by them
-    all (q = 1 with every s_j = +1).  Row lo+1 uses u_lo' = 0 (the
-    boundary when lo = 0), and the reflection u_{mid+1}' = u_{mid-1}' folds
-    the peak row into (1+2*lam)u_mid' - 2*lam*u_{mid-1}' = rhs (its gradient
-    term cancels).
+    Row j encodes (1+2*lam)u_j' - lam(u_{j+1}'+u_{j-1}') + gamma_j*
+    (u_{j+1}'-u_{j-1}') = u_j + tau_n*(u_j)^p with lam = tau_n/h^2, every
+    frozen sign being +1; ``rhs`` holds u_j + tau_n*(u_j)^p of rows
+    lo+1..mid and ``rhs_norm`` its inf-norm, and ``gamma`` holds gamma_j for
+    rows lo+1..mid-1, or is one float g shared by them all (q = 1).  Row
+    lo+1 uses u_lo' = 0 (the boundary when lo = 0), and the reflection
+    u_{mid+1}' = u_{mid-1}' folds the peak row into
+    (1+2*lam)u_mid' - 2*lam*u_{mid-1}' = rhs (its gradient term cancels).
 
     Every row has the diagonal d = 1 + 2*lam > 0, so with the largest
     off-diagonal row sum o the dominance margin is d - o and ||A||_inf is
@@ -157,11 +141,11 @@ def assemble(
     lam = tau_n / (h * h)
     d = 1.0 + 2.0 * lam
     stencil = None
-    if m < 3 and isinstance(signed_gamma, float):  # np.float64 included
+    if m < 3 and isinstance(gamma, float):  # np.float64 included
         # no interior row: the row-wise sums below serve
-        signed_gamma = np.full(m - 1, signed_gamma)
-    if isinstance(signed_gamma, float):
-        below, above = -lam - signed_gamma, -lam + signed_gamma
+        gamma = np.full(m - 1, gamma)
+    if isinstance(gamma, float):
+        below, above = -lam - gamma, -lam + gamma
         # band = [below.., -2*lam, below, d, above.., d..]: the sub band (m-1
         # entries, ending in the folded row's -2*lam), the stencil (below, d,
         # above), the sup band (m-1 entries, the first of them the stencil's)
@@ -186,8 +170,8 @@ def assemble(
         band = np.empty(2 * m)
         band[m - 1] = -2.0 * lam
         band[0] = band[-1] = 0.0
-        np.subtract(-lam, signed_gamma[1:], band[1 : m - 1])  # rows lo+2..mid-1
-        np.add(-lam, signed_gamma, band[m:-1])  # rows lo+1..mid-1
+        np.subtract(-lam, gamma[1:], band[1 : m - 1])  # rows lo+2..mid-1
+        np.add(-lam, gamma, band[m:-1])  # rows lo+1..mid-1
         abs_band = np.abs(band)
         row_off = abs_band[:m] + abs_band[m:]
         off = float(row_off[row_off.argmax()])
@@ -316,10 +300,11 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         rhs = inner**p
         rhs *= tau_n
         rhs += inner
-        # rows lo+1..mid-1: gamma_j = tau_n (2h)^(-q) |d_j|^(q-1) of the current
-        # differences d_j = u_{j+1} - u_{j-1}, one float tau_n/(2h) for q = 1
+        # rows lo+1..mid-1: gamma_j = tau_n (2h)^(-q) d_j^(q-1) of the current
+        # differences d_j = u_{j+1} - u_{j-1} >= 0 (the window rises), one
+        # float tau_n/(2h) for q = 1
         c = tau_n * (2.0 * h) ** (-q)
-        gamma = c if q == 1.0 else c * np.abs(w[2:] - w[:-2]) ** (q - 1.0)
+        gamma = c if q == 1.0 else c * (w[2:] - w[:-2]) ** (q - 1.0)
         try:
             # u'_lo .. u'_mid, the solve's buffer led by u'_lo = 0
             new = solve_tridiag(assemble(rhs, rhs[-1], h, tau_n, gamma)).base

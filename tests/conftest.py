@@ -45,10 +45,28 @@ def tridiag_dense(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndar
     return a
 
 
+def _off_diagonal_sums(sys: TriDiagSystem) -> np.ndarray:
+    """|sub| + |sup| per row, shared by the margin and the norm."""
+    off = np.zeros(sys.size)
+    off[1:] += np.abs(sys.sub)
+    off[:-1] += np.abs(sys.sup)
+    return off
+
+
+def dominance_margin(sys: TriDiagSystem) -> float:
+    """Smallest row-wise gap |diag| - |sub| - |sup|; positive means dominant."""
+    return float((np.abs(sys.diag) - _off_diagonal_sums(sys)).min())
+
+
+def norm_inf(sys: TriDiagSystem) -> float:
+    """Largest row-wise sum |diag| + |sub| + |sup|, the matrix inf-norm."""
+    return float((np.abs(sys.diag) + _off_diagonal_sums(sys)).max())
+
+
 def row_norm_system(sub, diag, sup, rhs) -> TriDiagSystem:
     """A hand-built system whose ||A|| and ||b|| come from the row-wise oracle."""
     rows = TriDiagSystem(sub, diag, sup, rhs, np.nan, np.nan)
-    return rows._replace(norm=rows.norm_inf(), rhs_norm=float(np.abs(rhs).max()))
+    return rows._replace(norm=norm_inf(rows), rhs_norm=float(np.abs(rhs).max()))
 
 
 def scheme_rows(

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from cwblowup import SimParams, build_grid, carry_to_grid, compute_h, compute_tau, step, validate
 from cwblowup.analysis import amplitude_lower_bound
 from cwblowup.grid import build_grid_by_count
-from cwblowup.simulator import RunHistory
 from cwblowup.state import SolutionState
 from cwblowup.stepper import StiffError, assemble
 
 from conftest import (
+    dominance_margin,
+    norm_inf,
     padded_half,
     random_symmetric_monotone_state,
     row_norm_system,
@@ -159,7 +160,7 @@ def test_fused_dominance_matches_row_oracle(case):
     rhs = np.random.default_rng(seed).uniform(0.0, 1e6, m)
     rhs_norm = float(np.abs(rhs).max())
     oracle = _row_oracle_system(rhs, lam, signed_gamma)
-    margin = oracle.dominance_margin()
+    margin = dominance_margin(oracle)
     # h = 1 makes tau_n / h^2 = lam exactly
     if margin <= 0.0:
         with pytest.raises(StiffError) as exc:
@@ -169,62 +170,9 @@ def test_fused_dominance_matches_row_oracle(case):
     sys = assemble(rhs, rhs_norm, 1.0, lam, signed_gamma)
     for name in ("sub", "diag", "sup", "rhs"):
         assert getattr(sys, name).tobytes() == getattr(oracle, name).tobytes(), name
-    assert sys.norm == oracle.norm_inf()
+    assert sys.norm == norm_inf(oracle)
     assert sys.rhs_norm == rhs_norm
-    assert sys.dominance_margin() == margin
-
-
-class _PassMonitor:
-    """The recorded invariants with one numpy pass per fact."""
-
-    def __init__(self):
-        self.violations = 0
-        self.worst = 0.0
-        self.sup_at_mid = True
-
-    def observe(self, u):
-        sup = float(np.max(u))
-        defect = float(np.min(np.diff(u)))
-        if defect < -1e-12 * max(sup, 1.0):
-            self.violations += 1
-            self.worst = min(self.worst, defect)
-        if u[-1] < sup:
-            self.sup_at_mid = False
-
-    def summary(self):
-        return {
-            "monotonicity_violations": self.violations,
-            "worst_monotonicity_defect": self.worst,
-            "sup_norm_at_middle": self.sup_at_mid,
-        }
-
-
-_window = st.lists(
-    st.one_of(st.floats(-1.0, 50.0), st.sampled_from([0.0, -0.0, 1e-13, -1e-13])),
-    min_size=2,
-    max_size=24,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    windows=st.lists(
-        st.tuples(_window, st.integers(0, 3), st.booleans()), min_size=1, max_size=8
-    )
-)
-@example(windows=[([0.0, -0.0], 0, False)])  # a signed-zero difference is no defect
-def test_fused_observe_matches_passes(windows):
-    history, passes = RunHistory(), _PassMonitor()
-    for values, offset, monotone in windows:
-        u = np.sort(values) if monotone else np.array(values)
-        # a window holds at least the nodes mid-2..mid, or the whole half;
-        # it starts ``offset`` nodes right of the grid's first node
-        offset = offset if u.size >= 3 else 0
-        state = SolutionState(u=u, t=0.0, n=0, tau_last=0.0)
-        history.record(state, build_grid_by_count(2 * (u.size - 1 + offset)))
-        passes.observe(u)
-    assert repr(history.invariant_summary) == repr(passes.summary())
-    assert len(history) == len(windows)
+    assert dominance_margin(sys) == margin
 
 
 _SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 2.5)

@@ -6,11 +6,13 @@
 #
 # The calls are the seven of the study-cli benchmark workload plus `run` at
 # the fixed-q1 parameters (p=2, q=1, tau=0.001, lambda=7), the refine-q136
-# ones (p=3, q=1.36, tau=0.1) and p=2, q=4/3, tau=100, whose steps retry
-# their solve window with a wider margin.  Exits 0 when the two output
-# trees are identical and 1 (with the diff) when they are not; it then also
-# counts the differing files, and those of them that differ outside their
-# `#` comment lines (a file present on one side only counts as such).
+# ones (p=3, q=1.36, tau=0.1), p=2, q=4/3, tau=100, whose steps retry
+# their solve window with a wider margin, and `diagnostics` at p=2, q=1,
+# whose report checks no limit (the regime is not single-point).  Exits 0
+# when the two output trees are identical and 1 (with the diff) when they
+# are not; it then also counts the differing files, and those of them that
+# differ outside their `#` comment lines (a file present on one side only
+# counts as such).
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
@@ -48,6 +50,7 @@ calls=(
   "run-fixed-q1|run --set p=2 --set q=1 --set tau=0.001 --set lambda=7"
   "run-refine-q136|run --set p=3 --set q=1.36 --set tau=0.1"
   "run-p2-q4_3-tau100|run --set p=2 --set q=1.3333333333333333 --set tau=100"
+  "diagnostics-p2-q1|diagnostics --set p=2 --set q=1"
 )
 
 for side in base head; do
