@@ -215,8 +215,9 @@ def peak_ratio_diagnostics(history: RunHistory, params: SimParams) -> RatioDiagn
     The two means are taken over the last ``_RATIO_WINDOW`` steps, and the
     ratio must decrease strictly over the last ``_RATIO_TAIL_WINDOW``.
     Applicable in the single-point regime (p > 2, q < 2(p-1)/p) once the run
-    reached the threshold; otherwise the report is marked not applicable and
-    carries no computed limits.
+    reached the threshold with a non-zero peak neighbour on the averaged
+    rows; otherwise the report is marked not applicable and carries no
+    computed limits.
     """
     not_applicable = RatioDiagnostics(
         applicable=False,
@@ -239,6 +240,12 @@ def peak_ratio_diagnostics(history: RunHistory, params: SimParams) -> RatioDiagn
 
     u_m = history.column("u_m")
     u_m1 = history.column("u_m_minus_1")
+    if not np.all(u_m1[-(_RATIO_WINDOW + 1) :]):
+        # a zero neighbour (the boundary node when K = 2) makes a ratio 0/0
+        return dc_replace(
+            not_applicable,
+            reason=f"peak neighbour u_m_minus_1 is 0 in the last {_RATIO_WINDOW + 1} rows",
+        )
     a = u_m1 / u_m
     ratio_change = a[1:] / a[:-1]
     growth = u_m[1:] / u_m[:-1]

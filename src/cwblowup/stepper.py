@@ -8,10 +8,10 @@ and the gradient damping with mixed levels:
 
 where primes denote the new level.  The absolute value at the new level is
 linearized by freezing the sign of u_{j+1}' - u_{j-1}' at +1, which turns
-the step into one tridiagonal solve.  That is the scheme on a window that
-rises towards the peak, as every admissible initial profile does on
-[-1, 0]: a step checks that the window rises before the solve and that the
-solution rises after it, and refuses the step (``StepError``) otherwise.
+the step into one tridiagonal solve.  That is the scheme exactly when the
+new level rises towards the peak: a step admits a finite window that rises
+from a nonnegative first value, as every admissible initial profile does on
+[-1, 0], and refuses (``StepError``) a solve that does not rise.
 """
 
 from __future__ import annotations
@@ -239,28 +239,29 @@ def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
 def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResult":
     """Advance one time level of a rising window state u_start..u_mid.
 
-    Every frozen sign is +1, as the carried ``min_rise`` (trusted like
-    ``sup_norm``) certifies: a q = 1 window must be the whole left half with
-    min_rise > 0 (a padded window's zeros have d_j = 0, sign 0, where
-    gamma_j > 0), a q > 1 window must have min_rise >= 0 and u[0] >= 0
-    (gamma_j = 0 wherever d_j = 0).  The system, reflected at the peak, is
-    solved once per attempt; dominance loss halves tau_n, up to 20 times.
-    The window starts at node start = grid.mid + 1 - state.u.size, and the
-    solve covers rows lo+1..mid with node lo = max(0, start - margin) held
-    at 0; unless lo = 0 it is accepted only when the 8 solved nodes next to
-    lo are exactly 0, so that it equals the zero-padded whole half's.  The
-    accepted solve must rise, so no new sign contradicts +1, no entry is
+    A state is admitted by its carried facts (``sup_norm`` and ``min_rise``
+    are trusted) and its first value, before any arithmetic: sup norm below
+    inf, min_rise >= 0 and u[0] >= 0, for every q.  A NaN or +inf shows in
+    the sup norm, a -inf past the held node in min_rise (-inf or NaN) and
+    one at it in u[0].  Every frozen sign is +1, and the system, reflected
+    at the peak, is solved once per attempt; dominance loss halves tau_n, up
+    to 20 times.  The window starts at node
+    start = grid.mid + 1 - state.u.size, and the solve covers rows lo+1..mid
+    with node lo = max(0, start - margin) held at 0; unless lo = 0 it is
+    accepted only when the 8 solved nodes next to lo are exactly 0, so that
+    it equals the zero-padded whole half's.  The accepted solve must rise:
+    then every new difference u'_{j+1} - u'_{j-1} is >= 0, so
+    gamma_j*|u'_{j+1} - u'_{j-1}| is the linear term solved, no entry is
     negative and the sup norm is the last node.  The next state, trimmed to
     one zero before its first non-zero node (keeping nodes mid-2..mid), has
     time state.t + tau_n, summed with compensation (``t_comp``), and
     carries its sup norm and the solve's smallest rise.
 
-    Raises StepError for a state longer than the left half, non-finite, at
-    ``blow_threshold`` or not rising as above; for a solve that does not
-    rise (its smallest rise negative or NaN); and for a retried margin whose
-    window would hold more nodes than the left half of the largest first
-    grid ``run()`` samples.  A q = 1 solve whose smallest rise is 0 is
-    returned, and the next step refuses it on entry.
+    Raises StepError for a state longer than the left half, not admitted as
+    above or at ``blow_threshold``; for a solve that does not rise (its
+    smallest rise negative or NaN); and for a retried margin whose window
+    would hold more nodes than the left half of the largest first grid
+    ``run()`` samples.
     """
     u, mid = state.u, grid.mid
     start = mid + 1 - u.size
@@ -268,23 +269,18 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         raise StepError(
             f"state holds {u.size} values, more than the {mid + 1} of the left half"
         )
-    # The carried facts refuse a non-finite state before any arithmetic: NaN
-    # or +inf shows in the sup norm, -inf in the smallest rise (as -inf or
-    # NaN) or in u[0], the held node, where it makes the first rise +inf.
     sup, low = state.sup_norm, state.min_rise
-    if not (sup < math.inf and u[0] > -math.inf and low > -math.inf):
-        raise StepError("state contains non-finite values")
+    if not (sup < math.inf and low >= 0.0 and u[0] >= 0.0):
+        raise StepError(
+            f"state not admitted (sup norm {sup:.3e}, smallest rise {low:.3e}, "
+            f"first value {u[0]:.3e}): it must be finite and rise from a value >= 0"
+        )
     if sup >= params.blow_threshold:
         raise StepError(
             f"sup norm {sup:.3e} already at blow_threshold; the source term is refused"
         )
 
     h, p, q = grid.h, params.p, params.q
-    if not (start == 0 and low > 0.0 if q == 1.0 else low >= 0.0 and u[0] >= 0.0):
-        raise StepError(
-            f"window does not rise (smallest rise {low:.3e}, first value {u[0]:.3e}, "
-            f"{start} padding nodes): its frozen signs are not all +1"
-        )
     tau_n = compute_tau(params, sup)
     halvings, margin = 0, _WINDOW_MARGIN
     while True:

@@ -518,9 +518,11 @@ class TestDiagnosticsVerb:
         assert payload["ratio_diagnostics"]["applicable"]
 
     def test_not_applicable_report_is_strict_json(self, tmp_path, capsys):
-        # p=2 q=1 is outside the single-point regime, and a two-step budget
-        # ends before blow_threshold: the four means are null, the file holds
-        # no NaN or Infinity token, and the verb says it checked no limit
+        # p=2 q=1 is outside the single-point regime, a two-step budget ends
+        # before blow_threshold, and at h=1 q=1 the grid keeps K = 2, whose
+        # peak neighbour is the boundary node: the four means are null, the
+        # file holds no NaN or Infinity token, and the verb says it checked
+        # no limit
         def refuse(token):
             raise ValueError(f"non-JSON constant {token}")
 
@@ -528,6 +530,8 @@ class TestDiagnosticsVerb:
             (["--set", "p=2", "--set", "q=1"],
              "regime 'multi-point' is outside p > 2, q < 2(p-1)/p"),
             (["--set", "max_steps=2"], "run did not reach blow_threshold"),
+            (["--set", "h=1", "--set", "p=4", "--set", "q=1"],
+             "peak neighbour u_m_minus_1 is 0 in the last 51 rows"),
         ]
         for k, (settings, reason) in enumerate(cases):
             out = tmp_path / f"diag{k}"

@@ -1,6 +1,7 @@
 """Run loop behaviour: stopping, accumulation, history, output files."""
 
 import itertools
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -14,6 +15,8 @@ from cwblowup import (
     InitialDataError,
     RunStatus,
     SimParams,
+    classify_blowup_set,
+    peak_ratio_diagnostics,
     run,
     tail_estimate,
 )
@@ -260,7 +263,8 @@ class TestErrorContract:
         # grid once made the spacing rule coarsen), h from fine to the
         # coarsest grid, and lambda = 0.5, whose profile is refused; first
         # grids too large to sample quickly are left out.  Any other
-        # exception fails the test.
+        # exception fails the test, and so does a blown-up draw whose ratio
+        # or blow-up set report is not strict JSON.
         ends: dict[str, int] = {}
         for p, q, tau, h, lam in itertools.product(
             (1.5, 2.0, 3.0, 5.0), (1.0, 1.19, None), (0.1, 1.0), (0.05, 1.0, 2.0),
@@ -273,9 +277,13 @@ class TestErrorContract:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", ".*large amplitude", UserWarning)
                 try:
-                    end = run(params)[0].status.value
+                    outcome, history = run(params)
+                    end = outcome.status.value
                 except ConfigError:
                     end = "ConfigError"
+            if end == "BlewUp":
+                for report in (peak_ratio_diagnostics, classify_blowup_set):
+                    json.dumps(report(history, params).to_dict(), allow_nan=False)
             ends[end] = ends.get(end, 0) + 1
         assert ends["ConfigError"] == 4 * 3 * 2 * 3  # every lambda = 0.5 draw
         assert ends["BlewUp"] and ends["BudgetExhausted"]

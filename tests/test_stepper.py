@@ -622,7 +622,6 @@ class TestStep:
             state, grid, params = random_symmetric_monotone_state(rng)
             result = step(state, grid, params)
             assert np.min(result.next.u) >= 0.0
-            assert (result.picard_iters, result.sign_flips) == (1, 0)
 
     def test_tau_halving_recovers_dominance(self):
         # an oversized base increment puts the gradient coefficient above the
@@ -652,7 +651,7 @@ class TestStep:
     def test_refuses_non_finite(self):
         grid = build_grid_by_count(4)
         u = np.array([0.0, 1.0, np.nan])
-        with pytest.raises(StepError, match="non-finite"):
+        with pytest.raises(StepError, match="not admitted"):
             step(_state(u), grid, SimParams())
 
     @pytest.mark.parametrize(
@@ -668,26 +667,23 @@ class TestStep:
         grid = build_grid_by_count(4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # (-inf)**2.5 would warn
-            with pytest.raises(StepError, match="state contains non-finite values"):
+            with pytest.raises(StepError, match="state not admitted"):
                 step(_state(values), grid, SimParams(p=2.5, q=1.2))
 
     def test_all_zero_window_has_zero_sup_norm(self):
-        # for q > 1 a +-0 window steps to an all-zero window, whose last node
-        # is a zero of either sign; its sup norm and the history's are +0.
-        # For q = 1 its zero differences have sign 0 where gamma > 0, so the
-        # step refuses it
+        # a +-0 window steps to an all-zero window, whose last node is a zero
+        # of either sign; its sup norm and the history's are +0
         windows = [np.zeros(3), np.full(3, -0.0), np.array([0.0, -0.0, -0.0])]
         windows += [np.full(21, -0.0), np.zeros(21), np.full(201, -0.0)]
         for u in windows:
             grid = build_grid_by_count(2 * (u.size - 1))
-            with pytest.raises(StepError, match="does not rise"):
-                step(_state(u), grid, SimParams(p=2.0, q=1.0))
-            new = step(_state(u), grid, SimParams(p=3.0, q=1.2)).next
-            assert not np.any(new.u)
-            assert new.sup_norm.hex() == "0x0.0p+0"
-            history = RunHistory()
-            history.record(new, grid)
-            assert float(history.column("sup_norm")[0]).hex() == "0x0.0p+0"
+            for params in (SimParams(p=2.0, q=1.0), SimParams(p=3.0, q=1.2)):
+                new = step(_state(u), grid, params).next
+                assert not np.any(new.u)
+                assert new.sup_norm.hex() == "0x0.0p+0"
+                history = RunHistory()
+                history.record(new, grid)
+                assert float(history.column("sup_norm")[0]).hex() == "0x0.0p+0"
 
     def test_negative_entry_beyond_roundoff_refused(self, monkeypatch):
         # a solved entry below zero makes the window fall from its held +0:
@@ -728,46 +724,6 @@ class TestStep:
             solve_tridiag(sys)
 
 
-class TestFrozenSignCheck:
-    """The a posteriori check of the frozen +1 signs, on a prescribed solve:
-    the solve must rise, so that no new sign contradicts a frozen one."""
-
-    @staticmethod
-    def _level(monkeypatch, u, q, *solves):
-        """Picard counts of a step on the whole half u whose i-th solve
-        returns solves[i] (the last repeats)."""
-        from cwblowup import stepper
-
-        calls = []
-
-        def prescribed(sys):
-            new = solves[min(len(calls), len(solves) - 1)]
-            calls.append(sys)
-            buf = np.array(new, dtype=float)  # u'_lo = 0 leads the buffer
-            return buf[1:]
-
-        monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
-        grid = build_grid_by_count(2 * (len(u) - 1))
-        result = step(_state(u), grid, SimParams(p=2.0, q=q, tau=0.01, h=grid.h))
-        assert len(calls) == result.picard_iters
-        assert padded_half(result.next, grid).tolist() == list(solves[0])
-        return result.picard_iters, result.sign_flips
-
-    def test_zero_new_difference_keeps_the_sign(self, monkeypatch):
-        # frozen signs (+, +); the new differences are (+, 0): no contradiction
-        assert self._level(monkeypatch, [0.0, 1.0, 2.0, 3.0], 1.0, [0, 1, 1, 1]) == (1, 0)
-
-    def test_first_consistent_solve_is_returned(self, monkeypatch):
-        # a first solve that rises is the step; no second solve is made
-        u = [0.0, 1.0, 2.0, 3.0]
-        assert self._level(monkeypatch, u, 1.0, [0, 1, 1, 2], [0, 1, -1, 5]) == (1, 0)
-
-    def test_inactive_rows_never_flip(self, monkeypatch):
-        # q > 1 and a zero difference give gamma = 0: no gradient term to
-        # sign, so a window with a flat row is stepped like any rising one
-        assert self._level(monkeypatch, [0.0, 0.0, 0.0, 1.0], 1.5, [0, 0, 0, 2]) == (1, 0)
-
-
 # values of a nonnegative window: signed zeros, the smallest subnormal, a
 # tiny normal and O(1) values
 _WINDOW_VALUES = st.one_of(
@@ -784,105 +740,56 @@ def _outcome(fn, *args):
 
 
 def _exact_path(state, grid, params):
-    """A whole-half window's step by the exact sign test, the reference of ``step``.
+    """A whole-half window's step by one solve, the reference of ``step``.
 
-    The frozen signs are np.sign of the current differences, and each solve
-    is checked by gamma*s'*(s' - s) and re-frozen (Picard, up to 50 solves);
-    an entry below zero by at most 1e-12*max(1, sup) is clamped to 0 and a
-    larger one refused, and the sup norm is the window's maximum, both read
-    by index.  The time increment is the step's first tau_n (no halving).
-    Returns the next state and the Picard iterations and flips.
+    Every frozen sign is +1: scheme_rows' gamma_j as the row coefficients,
+    one assemble and solve, StepError for a solve that does not rise, then
+    the trim; the sup norm is the window's largest |u|.  The time increment
+    is the step's first tau_n (no halving).
     """
     u, sup = state.u, state.sup_norm
     tau_n = compute_tau(params, sup)
-    rhs, rhs_norm, gamma, signs = scheme_rows(u, grid.h, params.p, params.q, tau_n)
-    flips = 0
-    for iters in range(1, 51):
-        new = solve_tridiag(assemble(rhs, rhs_norm, grid.h, tau_n, gamma * signs)).base
-        new_signs = np.sign(new[2:] - new[:-2])
-        contradiction = gamma * new_signs * (new_signs - signs)
-        if not np.count_nonzero(contradiction):
-            break
-        flips += 2 * np.count_nonzero(contradiction)
-        signs = np.where(contradiction != 0.0, new_signs, signs)
-    else:
-        raise StepError("no sign fixed point")
-    low = new[new.argmin()]
-    if low < -1e-12 * max(1.0, sup):
-        raise StepError(f"negative entry {low}")
-    if low < 0.0:
-        np.clip(new, 0.0, None, out=new)
+    rhs, rhs_norm, gamma, _ = scheme_rows(u, grid.h, params.p, params.q, tau_n)
+    new = solve_tridiag(assemble(rhs, rhs_norm, grid.h, tau_n, gamma)).base
+    if not np.all(np.diff(new) >= 0.0):
+        raise StepError("solved window does not rise")
     if new[1] == 0.0:
         first = int((new != 0.0).argmax()) or new.size
         new = new[max(0, min(first - 1, new.size - 3)) :]
-    next_state = SolutionState(new, tau_n, 1, tau_n, sup_norm=float(new[new.argmax()]))
-    return next_state, iters, flips
+    return SolutionState(new, tau_n, 1, tau_n, sup_norm=float(np.abs(new).max()))
 
 
-def _certified(state, grid, params):
-    """Whether ``step`` takes the window: every frozen sign is +1 where gamma > 0."""
-    if params.q == 1.0:
-        return state.u.size == grid.mid + 1 and state.min_rise > 0.0
-    return state.min_rise >= 0.0 and state.u[0] >= 0.0
+def _certified(state):
+    """Whether ``step`` admits the window: finite, rising from u[0] >= 0."""
+    return state.sup_norm < np.inf and state.min_rise >= 0.0 and state.u[0] >= 0.0
 
 
 def _assert_is_the_exact_path(got, state, grid, params):
     """``got``, a step's result or StepError type, is the reference's step
-    where the window is certified and the reference solves once, flips
-    nothing and rises; everywhere else it is StepError."""
+    where the window is admitted and the reference's solve rises; everywhere
+    else it is StepError."""
     whole = _state(padded_half(state, grid))
     want = _outcome(_exact_path, whole, grid, params)
-    one_pass = (
-        _certified(state, grid, params)
-        and isinstance(want, tuple)
-        and want[1:] == (1, 0)
-        and want[0].min_rise >= 0.0
-    )
-    if not one_pass:
+    if not (_certified(state) and isinstance(want, SolutionState)):
         assert isinstance(got, type) and issubclass(got, StepError)
         return None
-    exact = want[0]
     assert isinstance(got, StepResult)
-    assert (got.picard_iters, got.sign_flips) == (1, 0)
-    assert got.next.u.tobytes() == exact.u.tobytes()
-    assert got.next.t == exact.t and got.next.tau_last == exact.tau_last
-    assert got.next.sup_norm.hex() == exact.sup_norm.hex()
+    assert got.next.u.tobytes() == want.u.tobytes()
+    assert got.next.t == want.t and got.next.tau_last == want.tau_last
+    assert got.next.sup_norm.hex() == want.sup_norm.hex()
     # the step carries its solve's rise, a lower bound of the trimmed window's
-    assert 0.0 <= got.next.min_rise <= exact.min_rise
-    return exact
+    assert 0.0 <= got.next.min_rise <= want.min_rise
+    return want
 
 
 class TestSignPrefilter:
-    """A step accepts a solve only where the exact sign test would, in one pass.
+    """A step accepts a solve only where the exact sign test marks no row.
 
     The exact test marks row j contradicted where gamma_j*s'*(s' - s) != 0,
-    s the frozen and s' the new sign.  A step freezes s = +1, which is
-    sign(d) wherever gamma != 0 when the current differences are all > 0
-    (q = 1) or >= 0 (q > 1, where d = 0 gives gamma = 0), and it accepts a
-    solve whose window rises; it refuses every other window and solve.
+    s the frozen and s' the new sign.  A step freezes s = +1 and accepts a
+    solve whose window rises, so every s' is 0 or +1 and no row is marked,
+    whatever gamma_j >= 0; it refuses every other window and solve.
     """
-
-    @staticmethod
-    def _check(monkeypatch, q, d, first):
-        """Picard counts of a step on the whole half [0, d/2, d], whose one
-        row has the current difference d, when its solve is the window
-        ``first``; or the type of the StepError it raised."""
-        from cwblowup import stepper
-
-        calls = []
-
-        def prescribed(sys):
-            calls.append(sys)
-            return np.array(first)[1:]
-
-        monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
-        grid = build_grid_by_count(4)
-        params = SimParams(p=2.0, q=q, tau=0.01, h=grid.h)
-        result = _outcome(step, _state([0.0, 0.5 * d, d]), grid, params)
-        if isinstance(result, StepResult):
-            assert len(calls) == 1
-            return result.picard_iters, result.sign_flips
-        return result
 
     @pytest.mark.parametrize(
         "q, s, nd, g",
@@ -896,15 +803,28 @@ class TestSignPrefilter:
         ],
     )
     def test_no_mark_means_no_contradiction(self, monkeypatch, q, s, nd, g):
-        # the current difference is s itself; the first solve [0, 0, nd] has
-        # the new difference nd and rises when nd >= 0.  A solve the step
-        # accepts contradicts no frozen sign under the exact test, whatever
-        # gamma g the row has; every other case is refused
-        exact = g * np.sign(nd) * (np.sign(nd) - s)
-        route = (s > 0.0 if q == 1.0 else s >= 0.0) and nd >= 0.0
-        got = self._check(monkeypatch, q, s, [0.0, 0.0, nd])
-        if route:
-            assert got == (1, 0) and exact == 0.0
+        # the whole half [0, s/2, s] has the current difference s on its one
+        # row, whose gamma g is 0 where s = 0 and q > 1; its solve [0, 0, nd]
+        # has the new difference nd.  The step accepts exactly when both
+        # rise, and then returns that first solve, solved once, which no
+        # gamma marks: a new difference of 0 keeps the frozen +1, and a flat
+        # row steps like any rising one.  Every other case is refused
+        from cwblowup import stepper
+
+        calls = []
+
+        def prescribed(sys):
+            calls.append(sys)
+            return np.array([0.0, 0.0, nd])[1:]  # u'_lo = 0 leads the buffer
+
+        monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
+        grid = build_grid_by_count(4)
+        params = SimParams(p=2.0, q=q, tau=0.01, h=grid.h)
+        got = _outcome(step, _state([0.0, 0.5 * s, s]), grid, params)
+        if s >= 0.0 and nd >= 0.0:
+            assert len(calls) == 1
+            assert padded_half(got.next, grid).tolist() == [0.0, 0.0, nd]
+            assert g * np.sign(nd) * (np.sign(nd) - 1.0) == 0.0
         else:
             assert got is StepError
 
@@ -969,11 +889,9 @@ class TestCertifiedWindow:
         # random monotone profiles and all-zero windows, on their own grid
         # (the whole left half) and as a window on a grid up to 40 nodes
         # wider (zero padding, part of it left of the solve's held node),
-        # against the exact path on the zero-padded whole half: where it
-        # solves once, flips nothing and rises, the step is its step bit for
-        # bit, and everywhere else the step raises.  The same state claiming
-        # min_rise = -1 is refused.  q = 1 is certified on the whole half
-        # only: its padding's zero differences have sign 0 where gamma > 0
+        # against the exact path on the zero-padded whole half: where its
+        # solve rises, the step is its step bit for bit, and everywhere else
+        # the step raises.  The same state claiming min_rise = -1 is refused
         kinds = set()
         for i in range(60):
             state, grid, params = random_symmetric_monotone_state(rng)
@@ -990,33 +908,41 @@ class TestCertifiedWindow:
                     state.u, state.t, state.n, state.tau_last, state.t_comp,
                     sup_norm=state.sup_norm, min_rise=-1.0,
                 )
-                with pytest.raises(StepError, match="does not rise"):
+                with pytest.raises(StepError, match="not admitted"):
                     step(claim, on, params)
-        # q > 1 steps on both grids, q = 1 on the whole half only
-        assert kinds >= {(False, True, True), (False, False, True), (True, True, True)}
-        assert (True, False, True) not in kinds
+        # every q steps on both grids
+        assert kinds >= {(q1, whole, True) for q1 in (False, True) for whole in (False, True)}
 
     @pytest.mark.parametrize(
         "u, mid, q",
         [
             (_ROUGH, 6, 1.0),  # a rough profile
             ([0.0, 2.0, 1.0, 3.0], 3, 1.5),  # one falling difference
-            ([0.0, 1.0, 2.0, 3.0], 6, 1.0),  # q = 1 and zero padding
-            ([0.0, 0.0, 1.0, 2.0], 3, 1.0),  # q = 1 and a flat difference
+            # q = 1 and d = 0 where gamma = tau_n/(2h) > 0, from zero padding
+            # or a flat difference: a rising window, stepped as the
+            # reference steps it
+            ([0.0, 1.0, 2.0, 3.0], 6, 1.0),
+            ([0.0, 0.0, 1.0, 2.0], 3, 1.0),
         ],
     )
     def test_non_rising_entry_refused_before_any_solve(self, monkeypatch, u, mid, q):
         from cwblowup import stepper
+
+        grid = build_grid_by_count(2 * mid)
+        params = SimParams(p=2.0, q=q, tau=0.1, h=grid.h, blow_threshold=1e15)
+        state = _state(u)
+        if np.all(np.diff(u) >= 0.0):
+            got = _outcome(step, state, grid, params)
+            assert _assert_is_the_exact_path(got, state, grid, params) is not None
+            return
 
         def unreachable(*args):
             raise AssertionError("a refused window was assembled or solved")
 
         monkeypatch.setattr(stepper, "assemble", unreachable)
         monkeypatch.setattr(stepper, "solve_tridiag", unreachable)
-        grid = build_grid_by_count(2 * mid)
-        params = SimParams(p=2.0, q=q, tau=0.1, h=grid.h, blow_threshold=1e15)
-        with pytest.raises(StepError, match="window does not rise"):
-            step(_state(u), grid, params)
+        with pytest.raises(StepError, match="not admitted"):
+            step(state, grid, params)
 
     def test_window_below_zero_is_not_certified(self, monkeypatch):
         # a window rising from u[0] < 0 meets its zero padding with a falling
@@ -1030,7 +956,7 @@ class TestCertifiedWindow:
         params = SimParams(p=2.0, q=1.5, tau=0.1, h=grid.h)
         state = _state(u)
         assert state.min_rise > 0.0
-        with pytest.raises(StepError, match="window does not rise"):
+        with pytest.raises(StepError, match="not admitted"):
             step(state, grid, params)
         assert not solves
 
@@ -1099,9 +1025,8 @@ class TestWindow:
         monkeypatch.setattr(stepper, "solve_tridiag", solve)
         grid = build_grid_by_count(202)
         state = _state([0.0, 1.0])  # nodes 100..101 = mid
-        result = step(state, grid, SimParams(q=1.2, tau=0.1, h=grid.h))
+        step(state, grid, SimParams(q=1.2, tau=0.1, h=grid.h))
         assert solved == sizes
-        assert result.picard_iters == 1
         lo = grid.mid + 1 - solved[-1]
         assert lo == 100 - _WINDOW_MARGIN * len(sizes)
 
@@ -1134,9 +1059,6 @@ class TestWindow:
         assert np.array_equal(padded_half(windowed.next, grid), padded_half(whole.next, grid))
         assert windowed.next.u.size == whole.next.u.size
         assert windowed.next.tau_last == whole.next.tau_last
-        assert (windowed.picard_iters, windowed.sign_flips) == (
-            whole.picard_iters, whole.sign_flips
-        )
         return windowed
 
     def test_states_carried_out_of_a_run(self, monkeypatch):
