@@ -724,6 +724,46 @@ class TestStep:
             solve_tridiag(sys)
 
 
+class TestFrozenSignCheck:
+    """The a posteriori check of the frozen +1 signs, on a prescribed solve:
+    the solve must rise, so that no new sign contradicts a frozen one."""
+
+    @staticmethod
+    def _solves(monkeypatch, u, q, *solves):
+        """The number of solves of a step on the whole half u whose i-th
+        solve returns solves[i] (the last repeats); the step must return
+        the first solve."""
+        from cwblowup import stepper
+
+        calls = []
+
+        def prescribed(sys):
+            new = solves[min(len(calls), len(solves) - 1)]
+            calls.append(sys)
+            buf = np.array(new, dtype=float)  # u'_lo = 0 leads the buffer
+            return buf[1:]
+
+        monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
+        grid = build_grid_by_count(2 * (len(u) - 1))
+        result = step(_state(u), grid, SimParams(p=2.0, q=q, tau=0.01, h=grid.h))
+        assert padded_half(result.next, grid).tolist() == list(solves[0])
+        return len(calls)
+
+    def test_zero_new_difference_keeps_the_sign(self, monkeypatch):
+        # frozen signs (+, +); the new differences are (+, 0): no contradiction
+        assert self._solves(monkeypatch, [0.0, 1.0, 2.0, 3.0], 1.0, [0, 1, 1, 1]) == 1
+
+    def test_first_consistent_solve_is_returned(self, monkeypatch):
+        # a first solve that rises is the step; no second solve is made
+        u = [0.0, 1.0, 2.0, 3.0]
+        assert self._solves(monkeypatch, u, 1.0, [0, 1, 1, 2], [0, 1, -1, 5]) == 1
+
+    def test_inactive_rows_never_flip(self, monkeypatch):
+        # q > 1 and a zero difference give gamma = 0: no gradient term to
+        # sign, so a window with a flat row is stepped like any rising one
+        assert self._solves(monkeypatch, [0.0, 0.0, 0.0, 1.0], 1.5, [0, 0, 0, 2]) == 1
+
+
 # values of a nonnegative window: signed zeros, the smallest subnormal, a
 # tiny normal and O(1) values
 _WINDOW_VALUES = st.one_of(
