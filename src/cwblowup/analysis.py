@@ -148,6 +148,9 @@ def classify_blowup_set(history: RunHistory, params: SimParams) -> BlowupReport:
     or keeps growing without saturation across the window (strictly
     increasing, drift >= 5%, late increments at least half the early ones).
     It is bounded if it drifted by less than 1% across the window.
+
+    Raises ValueError when there is nothing to classify: too short a
+    history, no blow-up, or a final grid where offset 2 is no interior node.
     """
     u_m = history.column("u_m")
     if len(u_m) < CLASSIFY_MIN_ROWS:
@@ -155,6 +158,9 @@ def classify_blowup_set(history: RunHistory, params: SimParams) -> BlowupReport:
     sup = history.column("sup_norm")
     if sup[-1] < params.blow_threshold:
         raise ValueError("classification requires a run that reached blow_threshold")
+    mid = round(1.0 / history.column("h_n")[-1])  # offset k is node mid - k
+    if mid < 3:
+        raise ValueError(f"the final grid has mid = {mid}, so offset 2 is not an interior node")
 
     start = _trailing_growth_window(u_m, _WINDOW_GROWTH_FACTOR)
     verdicts: dict[int, Verdict] = {}

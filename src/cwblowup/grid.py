@@ -72,7 +72,7 @@ def compute_tau(params: SimParams, sup_norm: float) -> float:
     """Adaptive time increment tau * min(1, sup^(1-p)).
 
     For sup <= 1 the minimum is 1, so tau is returned without the power,
-    which would overflow at a decaying run's subnormal (or zero) sup norm.
+    which would overflow at a subnormal (or zero) sup norm.
     """
     if sup_norm < 0.0:
         raise ValueError(f"sup_norm must be nonnegative, got {sup_norm}")

@@ -2,9 +2,9 @@
 
 The solver expects exponents p > 1 and 1 <= q <= 2p/(p+1), positive base
 increments tau and h, and bump-shaped initial data: continuous, nonnegative,
-symmetric about x = 0, strictly increasing on [-1, 0], zero at both ends,
-and with a sup norm above 1 (a smaller profile decays, and its run would end
-in a solver error once u is subnormal).
+symmetric about x = 0, strictly increasing on [-1, 0] and zero at both
+ends.  A profile of sup norm at most 1 is accepted; its run ends
+``Decayed`` once it lies below the discrete principal eigenvector.
 """
 
 from __future__ import annotations
@@ -152,6 +152,21 @@ def validate(params: SimParams) -> ValidationReport:
         "blow_threshold**p overflows double precision",
     )
     add("max_steps_nonnegative", params.max_steps >= 0, "max_steps must be >= 0")
+    # a run's largest lambda_n = tau_n/h_n^2 is tau/h0^2 on its first grid
+    # (README, "Grid admission"); from 2^52 on 1 + 2*lambda_n can round to
+    # 2*lambda_n.  Below h = 1.1e-308, 2/h overflows, and run() refuses h
+    lam_max = tau_limit = math.nan
+    if 0.0 < params.h <= 2.0 and 2.0 / params.h < math.inf:
+        from cwblowup.grid import interval_count_for
+
+        h0 = 2.0 / interval_count_for(params.h)
+        lam_max, tau_limit = params.tau / h0 / h0, 2.0**52 * h0 * h0
+    add(
+        "lambda_n_below_2**52",
+        not lam_max >= 2.0**52,
+        f"tau/h0^2 = {lam_max:.3e} on the first grid reaches the limit 2^52, from "
+        f"which 1 + 2*lambda_n can round to 2*lambda_n; choose tau below {tau_limit:.3e}",
+    )
     return ValidationReport(checks=tuple(checks))
 
 
@@ -257,11 +272,6 @@ def _check_left_half(u: np.ndarray, *, context: str) -> float:
         raise InitialDataError(f"{context}: profile must vanish at x = -1 and x = 1")
     if not (u[1:] > u[:-1]).all():
         raise InitialDataError(f"{context}: profile must increase strictly on [-1, 0]")
-    if hi <= 1.0:
-        raise InitialDataError(
-            f"{context}: sup norm {hi} <= 1; such a run decays and ends in a "
-            "solver error once u is subnormal"
-        )
     if hi < 10.0:
         warnings.warn(
             f"{context}: sup norm {hi} < 10; the blow-up asymptotics assume a "

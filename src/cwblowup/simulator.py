@@ -1,10 +1,10 @@
 """Run loop: adapt the increments, regrid, step, and record history.
 
 A run advances until the sup norm reaches ``blow_threshold`` (numerical
-blow-up), the step budget runs out, an optional time horizon is passed, or
-the stepper fails.  The accumulated time Sum tau_n approximates the numerical
-blow-up time; it is summed with compensation because the tail consists of
-many tiny geometric terms.
+blow-up), the solution provably decays, the step budget runs out, an
+optional time horizon is passed, or the stepper fails.  The accumulated time
+Sum tau_n approximates the numerical blow-up time; it is summed with
+compensation because the tail consists of many tiny geometric terms.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ def _refuse_snapshot_grid(k: int) -> None:
 
 class RunStatus(Enum):
     BLEW_UP = "BlewUp"
+    DECAYED = "Decayed"
     BUDGET_EXHAUSTED = "BudgetExhausted"
     SOLVER_ERROR = "SolverError"
     TIME_LIMIT = "TimeLimit"
@@ -211,6 +212,12 @@ def run(
     diffusion, stays dominated.  With q = 1 the spacing never changes, so
     the interval count is computed once.
 
+    A run ends ``Decayed`` before a step from a state with u_j <= phi_j =
+    sin(pi*j*h/2) on every window node, j the node's index on the grid:
+    every later state would lie below a shrinking multiple of phi (README,
+    "Grid admission, the solve, and Decayed").  Such a state has sup <= 1,
+    the one comparison a run that blows up pays.
+
     Returns the outcome together with the per-step history
     (:class:`RunHistory`).  Step failures are reported through the outcome
     status, not raised.  An initial grid of more than
@@ -249,6 +256,12 @@ def run(
         if sup >= params.blow_threshold:
             status = RunStatus.BLEW_UP
             break
+        if sup <= 1.0:
+            u = state.u
+            j = np.arange(grid.mid + 1 - u.size, grid.mid + 1)
+            if (u <= np.sin(0.5 * np.pi * grid.h * j)).all():
+                status = RunStatus.DECAYED
+                break
         if state.n >= params.max_steps:
             status = RunStatus.BUDGET_EXHAUSTED
             break

@@ -8,7 +8,6 @@ import pytest
 from cwblowup import SimParams, build_grid
 from cwblowup.grid import GridState
 from cwblowup.state import SolutionState
-from cwblowup.stepper import TriDiagSystem
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -45,44 +44,20 @@ def tridiag_dense(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndar
     return a
 
 
-def _off_diagonal_sums(sys: TriDiagSystem) -> np.ndarray:
-    """|sub| + |sup| per row, shared by the margin and the norm."""
-    off = np.zeros(sys.size)
-    off[1:] += np.abs(sys.sub)
-    off[:-1] += np.abs(sys.sup)
-    return off
-
-
-def dominance_margin(sys: TriDiagSystem) -> float:
-    """Smallest row-wise gap |diag| - |sub| - |sup|; positive means dominant."""
-    return float((np.abs(sys.diag) - _off_diagonal_sums(sys)).min())
-
-
-def norm_inf(sys: TriDiagSystem) -> float:
-    """Largest row-wise sum |diag| + |sub| + |sup|, the matrix inf-norm."""
-    return float((np.abs(sys.diag) + _off_diagonal_sums(sys)).max())
-
-
-def row_norm_system(sub, diag, sup, rhs) -> TriDiagSystem:
-    """A hand-built system whose ||A|| and ||b|| come from the row-wise oracle."""
-    rows = TriDiagSystem(sub, diag, sup, rhs, np.nan, np.nan)
-    return rows._replace(norm=norm_inf(rows), rhs_norm=float(np.abs(rhs).max()))
-
-
 def scheme_rows(
     u: np.ndarray, h: float, p: float, q: float, tau_n: float
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of the step on a window u_lo..u_mid, from the scheme's formulas.
 
-    The right-hand side u_j + tau_n*u_j^p of rows lo+1..mid with its
-    inf-norm; gamma_j = tau_n (2h)^(-q) |d_j|^(q-1) and the frozen signs
-    sign(d_j), d_j = u_{j+1} - u_{j-1}, of rows lo+1..mid-1.
+    The right-hand side u_j + tau_n*u_j^p of rows lo+1..mid;
+    gamma_j = tau_n (2h)^(-q) |d_j|^(q-1) and the frozen signs sign(d_j),
+    d_j = u_{j+1} - u_{j-1}, of rows lo+1..mid-1.
     """
     inner = u[1:]
     rhs = inner + tau_n * inner**p
     diffs = u[2:] - u[:-2]
     gamma = tau_n * (2.0 * h) ** (-q) * np.abs(diffs) ** (q - 1.0)
-    return rhs, float(np.abs(rhs).max()), gamma, np.sign(diffs)
+    return rhs, gamma, np.sign(diffs)
 
 
 def nonlinear_step_oracle(

@@ -9,6 +9,7 @@ import pytest
 from cwblowup import (
     RunStatus,
     SimParams,
+    TriDiagSystem,
     Verdict,
     blowup_time_bounds,
     classify_blowup_set,
@@ -25,7 +26,6 @@ from conftest import (
     dense_solve,
     nonlinear_step_oracle,
     random_symmetric_monotone_state,
-    row_norm_system,
     tridiag_dense,
 )
 
@@ -61,7 +61,8 @@ def ratio_run():
 
 @pytest.fixture(scope="module")
 def multi_point_run():
-    params = SimParams(p=2.0, q=1.0, tau=0.1, h=0.5, lam=10.0, blow_threshold=1e12)
+    # h = 0.25 (K = 8): offsets +-2 are interior nodes, not the boundary
+    params = SimParams(p=2.0, q=1.0, tau=0.1, h=0.25, lam=10.0, blow_threshold=1e12)
     return (params, *run(params))
 
 
@@ -128,7 +129,7 @@ def test_criterion_2_ratio_limits(ratio_run):
 def test_criterion_3_blowup_set_dichotomy(multi_point_run, single_point_run):
     params_m, outcome_m, history_m = multi_point_run
     assert validate(params_m).ok
-    assert params_m.h < 1.0 / (1.0 + params_m.tau)  # h = 0.5 < 1/1.1
+    assert params_m.h < 1.0 / (1.0 + params_m.tau)  # h = 0.25 < 1/1.1
     report_m = classify_blowup_set(history_m, params_m)
     multi_ok = (
         report_m.verdicts[-1] is Verdict.BLOWS_UP
@@ -149,7 +150,7 @@ def test_criterion_3_blowup_set_dichotomy(multi_point_run, single_point_run):
     _report(
         3,
         ok,
-        f"p=2,q=1,h=0.5: offsets ±1 {report_m.verdicts[1].value}, "
+        f"p=2,q=1,h=0.25: offsets ±1 {report_m.verdicts[1].value}, "
         f"±2 {report_m.verdicts[2].value}; p=4,q=1.3: offsets ±1 "
         f"{report_s.verdicts[1].value}",
     )
@@ -238,7 +239,7 @@ def test_criterion_6_oracle_equivalence():
         diag += rng.uniform(0.05, 2.0, n)
         diag *= rng.choice([-1.0, 1.0], n)
         rhs = rng.uniform(-10.0, 10.0, n)
-        x = solve_tridiag(row_norm_system(sub=sub, diag=diag, sup=sup, rhs=rhs))
+        x = solve_tridiag(TriDiagSystem(sub, diag, sup, rhs))
         x_ref = dense_solve(tridiag_dense(sub, diag, sup), rhs)
         scale = max(1.0, float(np.max(np.abs(x_ref))))
         worst_solve = max(worst_solve, float(np.max(np.abs(x - x_ref))) / scale)

@@ -88,16 +88,16 @@ class TestRunVerb:
         assert "choose a smaller lambda or q" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_subnormal_decay_exits_3(self, tmp_path, capsys):
-        # p=2 q=1 lambda=2 decays to a subnormal sup norm; the run ends with
-        # SolverError, written and reported, not an escaped OverflowError
+    def test_decay_exits_0(self, tmp_path, capsys):
+        # p=2 q=1 lambda=2 decays: the run ends Decayed after 7 steps, written
+        # and reported, with exit 0
         out = tmp_path / "decay"
         argv = ["run", "--set", "p=2", "--set", "q=1", "--set", "lambda=2"]
         with pytest.warns(UserWarning):
             rc = main([*argv, "--output-dir", str(out)])
-        assert rc == 3
-        assert capsys.readouterr().out.startswith("SolverError: ")
-        assert json.loads((out / "outcome.json").read_text())["status"] == "SolverError"
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("Decayed: 7 steps")
+        assert json.loads((out / "outcome.json").read_text())["status"] == "Decayed"
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "absent.cfg")])
@@ -120,11 +120,26 @@ class TestRunVerb:
         assert rc == 2
 
     def test_refused_initial_data_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "small"
-        rc = main(["run", "--set", "lambda=0.5", "--output-dir", str(out)])
+        # a table with no row at x = 0 is flat on (-1/9, 1/9), which the
+        # first grid (h = 0.05) samples
+        x = np.linspace(-1, 1, 10)
+        u = 20.0 * np.cos(0.5 * np.pi * x)
+        u[0] = u[-1] = 0.0
+        table = tmp_path / "flat_top.csv"
+        table.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), u.tolist())))
+        out = tmp_path / "flat"
+        rc = main(["run", "--set", f"initial=file:{table}", "--output-dir", str(out)])
         assert rc == 2
-        assert "sup norm" in capsys.readouterr().err
+        assert "increase strictly" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_small_amplitude_exits_0(self, tmp_path, capsys):
+        # lambda = 0.5 lies below the principal eigenvector from the start
+        out = tmp_path / "small"
+        with pytest.warns(UserWarning):
+            rc = main(["run", "--set", "lambda=0.5", "--output-dir", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("Decayed: 0 steps")
 
     def test_unknown_key_exits_2(self, fast_config, tmp_path):
         rc = main(
@@ -202,7 +217,7 @@ class TestClassifyVerb:
                 "--set",
                 "q=1",
                 "--set",
-                "h=0.5",
+                "h=0.25",
                 "--set",
                 "blow_threshold=1e12",
                 "--output-dir",
@@ -216,6 +231,19 @@ class TestClassifyVerb:
         assert verdicts[1] == "BlowsUp" and verdicts[-1] == "BlowsUp"
         assert verdicts[2] == "Bounded" and verdicts[-2] == "Bounded"
 
+
+    @pytest.mark.parametrize("h, mid", [("1", 1), ("0.5", 2)])
+    def test_grid_without_offset_2_exits_3(self, h, mid, tmp_path, capsys):
+        # K = 2 and K = 4 keep offset 2 on or beyond the boundary node: the
+        # run blows up, but nothing is classified
+        out = tmp_path / "coarse"
+        argv = ["classify", "--set", f"h={h}", "--set", "p=4", "--set", "q=1"]
+        assert main([*argv, "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cannot classify: run ended with BlewUp after ")
+        assert f"the final grid has mid = {mid}, so offset 2 is not an interior node" in err
+        assert (out / "outcome.json").exists()
+        assert not (out / "blowup_report.json").exists()
 
     def test_unfinished_run_exits_3(self, fast_config, tmp_path):
         out = tmp_path / "cls3"
@@ -264,6 +292,17 @@ class TestTimeTableVerb:
             assert float(row[1]) == pytest.approx(1.0 / (2.0 * lam**2), rel=1e-12)
             assert float(row[2]) >= float(row[1])  # T_num at least g
             assert row[6] == "BlewUp"
+
+    def test_decayed_row(self, fast_config, tmp_path):
+        # lambda = 0.5 decays: its row says so, with empty time cells
+        out = tmp_path / "tt"
+        with pytest.warns(UserWarning):
+            rc = main(["time-table", "--config", str(fast_config), "--lambdas", "0.5,10",
+                       "--output-dir", str(out)])
+        assert rc == 0
+        _, rows = _read_rows(out / "time_table.csv")
+        assert [row[6] for row in rows] == ["Decayed", "BlewUp"]
+        assert rows[0][2:6] == ["", "", "", "false"]
 
     def test_amplitudes_run_in_order(self, fast_config, tmp_path, monkeypatch):
         # each amplitude runs once, in the order given
@@ -547,18 +586,19 @@ class TestDiagnosticsVerb:
                         "growth_deviation"):
                 assert ratio[key] is None, key
 
-    def test_subnormal_decay_exits_3(self, tmp_path, capsys):
-        # the run ends SolverError: diagnostics.json is written, then exit 3
+    def test_decay_exits_0(self, tmp_path, capsys):
+        # the run ends Decayed: diagnostics.json is written, no limit is
+        # checked, and the verb exits 0
         out = tmp_path / "decay"
-        argv = ["diagnostics", "--set", "p=2", "--set", "q=1", "--set", "lambda=2"]
+        argv = ["diagnostics", "--set", "p=3", "--set", "q=1.2", "--set", "lambda=2"]
         with pytest.warns(UserWarning):
             rc = main([*argv, "--output-dir", str(out)])
-        assert rc == 3
+        assert rc == 0
         captured = capsys.readouterr()
-        assert "diagnostics ok" not in captured.out
-        assert "run ended with SolverError" in captured.err
+        assert captured.out == "limits not checked: run did not reach blow_threshold\n"
+        assert captured.err == ""
         payload = json.loads((out / "diagnostics.json").read_text())
-        assert payload["outcome"]["status"] == "SolverError"
+        assert payload["outcome"]["status"] == "Decayed"
 
     def test_failed_limit_check_exits_4(self, tmp_path, monkeypatch):
         # no known carried run fails the limit checks, so the report of a
@@ -657,8 +697,14 @@ class TestExitCodes:
                 2,
                 "blew up at once (lambda=10000000000000.0",
             ),
+            (["run", "--set", "tau=1e300"], 2, "reaches the limit 2^52"),
+            # a decaying run leaves nothing to classify, and no blow-up time
+            # to pick t_check from
+            (["classify", "--set", "lambda=0.5"], 3, "Decayed after 0 steps"),
+            (["converge", "--set", "lambda=0.5"], 2, "coarse run did not blow up"),
         ],
     )
+    @pytest.mark.filterwarnings("ignore:.*large amplitude:UserWarning")
     def test_repro_exit_code(self, argv, code, names, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*argv, "--output-dir", str(out)]) == code

@@ -134,10 +134,13 @@ class TestInitialData:
         with pytest.raises(InitialDataError, match="vanish"):
             InitialData.from_table(x, u)
 
-    def test_small_amplitude_errors(self):
+    def test_small_amplitude_is_sampled(self):
+        # a sup norm <= 1 is accepted (its run ends Decayed), with the
+        # large-amplitude warning
         grid = build_grid(0.1)
-        with pytest.raises(InitialDataError, match="sup norm"):
-            make_initial(SimParams(lam=0.5), grid)
+        with pytest.warns(UserWarning, match="sup norm 0.5 < 10"):
+            state = make_initial(SimParams(lam=0.5), grid)
+        assert state.sup_norm == 0.5
 
     def test_moderate_amplitude_warns(self):
         grid = build_grid(0.1)

@@ -9,14 +9,10 @@ from cwblowup import SimParams, build_grid, carry_to_grid, compute_h, compute_ta
 from cwblowup.analysis import amplitude_lower_bound
 from cwblowup.grid import build_grid_by_count
 from cwblowup.state import SolutionState
-from cwblowup.stepper import StiffError, assemble
 
 from conftest import (
-    dominance_margin,
-    norm_inf,
     padded_half,
     random_symmetric_monotone_state,
-    row_norm_system,
     window_ok,
 )
 
@@ -125,54 +121,6 @@ def test_step_invariants_on_random_states(seed):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
     # peak never drops faster than the diffusion floor
     assert u[m] >= state.u[m] / (1 + 2 * lam) * (1 - 1e-10)
-
-
-def _row_oracle_system(rhs, lam, signed_gamma):
-    """The step system built array by array, with the row-wise margin and norm."""
-    m = rhs.size
-    sub = np.full(m - 1, -2.0 * lam)
-    sub[:-1] = -lam - signed_gamma[1:]
-    return row_norm_system(
-        sub=sub, diag=np.full(m, 1.0 + 2.0 * lam), sup=-lam + signed_gamma, rhs=rhs
-    )
-
-
-@st.composite
-def _dominance_case(draw):
-    """lam, a signed gamma for m = 1..64 rows, and the seed of a right-hand side."""
-    lam = draw(st.floats(1e-3, 1e8))
-    # gamma ranges past lam; at |gamma| = lam + 1/2 an interior row's margin
-    # 1 + 2 lam - 2 |gamma| is 0
-    edge = lam + 0.5
-    gamma = st.one_of(
-        st.floats(-3.0, 3.0).map(lambda r: r * lam),
-        st.sampled_from([0.0, lam, -lam, edge, -edge]),
-    )
-    signed_gamma = np.array(draw(st.lists(gamma, max_size=63)), dtype=float)
-    return lam, signed_gamma, draw(st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=_dominance_case())
-def test_fused_dominance_matches_row_oracle(case):
-    lam, signed_gamma, seed = case
-    m = signed_gamma.size + 1
-    rhs = np.random.default_rng(seed).uniform(0.0, 1e6, m)
-    rhs_norm = float(np.abs(rhs).max())
-    oracle = _row_oracle_system(rhs, lam, signed_gamma)
-    margin = dominance_margin(oracle)
-    # h = 1 makes tau_n / h^2 = lam exactly
-    if margin <= 0.0:
-        with pytest.raises(StiffError) as exc:
-            assemble(rhs, rhs_norm, 1.0, lam, signed_gamma)
-        assert f"(margin {margin:.3e})" in str(exc.value)
-        return
-    sys = assemble(rhs, rhs_norm, 1.0, lam, signed_gamma)
-    for name in ("sub", "diag", "sup", "rhs"):
-        assert getattr(sys, name).tobytes() == getattr(oracle, name).tobytes(), name
-    assert sys.norm == norm_inf(oracle)
-    assert sys.rhs_norm == rhs_norm
-    assert dominance_margin(sys) == margin
 
 
 _SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 2.5)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import time
 import warnings
 from dataclasses import replace
 
@@ -19,12 +20,13 @@ from cwblowup import (
     peak_ratio_diagnostics,
     run,
     tail_estimate,
+    validate,
 )
 from cwblowup.cli import _FIGURE_COLUMNS, _figure_series, _history_columns, _write_csv
 from cwblowup.grid import build_grid_by_count, compute_h, interval_count_for
 from cwblowup.params import params_header
 from cwblowup.simulator import HISTORY_COLUMNS, RunHistory, RunOutcome
-from cwblowup.state import SolutionState, mirrored
+from cwblowup.state import SolutionState, left_half, mirrored
 
 from conftest import padded_half, window_ok, window_start
 
@@ -115,15 +117,54 @@ class TestRun:
         assert outcome.status is RunStatus.SOLVER_ERROR
         assert "StiffError" in outcome.error
 
-    def test_subnormal_decay_ends_as_solver_error(self):
-        # a decaying run's sup norm goes subnormal; the adaptive increments
-        # keep tau and h there, so the run ends with the residual check's
-        # SolverError instead of an OverflowError from sup**(1-p)
+    def test_decay_ends_decayed(self):
+        # four runs that decay end Decayed within a few ms, at the first state
+        # below the discrete principal eigenvector phi_j = sin(pi*j*h/2)
+        for kwargs, steps in [
+            (dict(p=1.5, q=1.0, lam=10.0), 35),
+            (dict(p=1.5, lam=10.0), 25),
+            (dict(p=2.0, q=1.0, lam=2.0), 7),
+            (dict(p=3.0, q=1.2, lam=2.0), 15),
+        ]:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", ".*large amplitude", UserWarning)
+                start = time.perf_counter()
+                outcome, history = run(SimParams(**kwargs))
+                assert time.perf_counter() - start < 0.1
+            assert outcome.status is RunStatus.DECAYED and outcome.error is None
+            assert outcome.n_final == steps
+            assert outcome.t_num_tail == 0.0
+            mid = outcome.final_grid.mid
+            phi = np.sin(0.5 * np.pi * outcome.final_grid.h * np.arange(mid + 1))
+            assert np.all(left_half(history.latest, mid) <= phi)
+            assert not np.all(left_half(history.previous, mid) <= phi)
+
+    def test_small_amplitude_ends_decayed(self):
+        # lambda = 0.5 is below phi at every node from the start
         with pytest.warns(UserWarning, match="large amplitude"):
-            outcome, _ = run(SimParams(p=2.0, q=1.0, lam=2.0))
-        assert outcome.status is RunStatus.SOLVER_ERROR
-        assert "solver residual" in outcome.error
-        assert 0.0 < outcome.final_state.sup_norm < 1e-300
+            outcome, history = run(SimParams(lam=0.5))
+        assert outcome.status is RunStatus.DECAYED
+        assert outcome.n_final == 0 and len(history) == 1
+
+    def test_decayed_needs_every_node_below_phi(self):
+        # a flat top of sup 0.9 lies above phi next to the boundary: the
+        # run steps until the whole window is below phi, not while sup <= 1
+        x = np.linspace(-1.0, 1.0, 201)
+        with pytest.warns(UserWarning, match="large amplitude"):
+            data = InitialData.from_table(x, 0.9 * (1.0 - x**8))
+            outcome, history = run(SimParams(), data)
+        assert outcome.status is RunStatus.DECAYED
+        assert outcome.n_final == 2
+        assert history.column("sup_norm").max() < 1.0
+
+    def test_rounding_limit_refused(self):
+        # tau/h0^2 = 4e302: 1 + 2*lambda_n would round to 2*lambda_n
+        with pytest.raises(ConfigError, match=r"reaches the limit 2\^52"):
+            run(SimParams(tau=1e300))
+        # the largest tau accepted on the first grid h0 = 0.05
+        limit = 2.0**52 * 0.05**2
+        assert validate(SimParams(tau=0.99 * limit)).ok
+        assert not validate(SimParams(tau=limit)).ok
 
     def test_invalid_params_raise(self):
         from cwblowup import ConfigError
@@ -132,12 +173,14 @@ class TestRun:
             run(SimParams(p=0.5))
 
     def test_refused_initial_data_is_a_config_error(self):
-        # validate() accepts lambda = 0.5, but the sine profile is refused;
-        # only ConfigError leaves run()
-        from cwblowup import ConfigError
-
-        with pytest.raises(ConfigError, match="sup norm"):
-            run(SimParams(lam=0.5))
+        # a table with no row at x = 0 is flat on (-1/9, 1/9), which the
+        # first grid (h = 0.05) samples: the profile is refused inside run(),
+        # and only ConfigError leaves it
+        x = np.linspace(-1, 1, 10)
+        u = 20.0 * np.cos(0.5 * np.pi * x)
+        u[0] = u[-1] = 0.0
+        with pytest.raises(ConfigError, match="increase strictly"):
+            run(SimParams(lam=20.0), InitialData.from_table(x, u))
 
     def test_table_initial_mirrored_and_stays_clean(self):
         # table data is sampled on the left half and mirrored, so it takes
@@ -261,7 +304,7 @@ class TestErrorContract:
     def test_scan_of_admissible_parameters(self):
         # q = 1, 1.19 and q_max (None; 1.2 at p = 1.5, where a coarse base
         # grid once made the spacing rule coarsen), h from fine to the
-        # coarsest grid, and lambda = 0.5, whose profile is refused; first
+        # coarsest grid, and lambda = 0.5, which decays from the start; first
         # grids too large to sample quickly are left out.  Any other
         # exception fails the test, and so does a blown-up draw whose ratio
         # or blow-up set report is not strict JSON.
@@ -282,10 +325,17 @@ class TestErrorContract:
                 except ConfigError:
                     end = "ConfigError"
             if end == "BlewUp":
-                for report in (peak_ratio_diagnostics, classify_blowup_set):
-                    json.dumps(report(history, params).to_dict(), allow_nan=False)
+                json.dumps(peak_ratio_diagnostics(history, params).to_dict(), allow_nan=False)
+                if outcome.final_grid.mid < 3:  # offset 2 is no interior node
+                    with pytest.raises(ValueError, match="not an interior node"):
+                        classify_blowup_set(history, params)
+                else:
+                    json.dumps(classify_blowup_set(history, params).to_dict(), allow_nan=False)
+            if lam == 0.5:
+                assert end == "Decayed" and outcome.n_final == 0, params
             ends[end] = ends.get(end, 0) + 1
-        assert ends["ConfigError"] == 4 * 3 * 2 * 3  # every lambda = 0.5 draw
+        assert ends["Decayed"] >= 4 * 3 * 2 * 3  # every lambda = 0.5 draw
+        assert "ConfigError" not in ends and "SolverError" not in ends
         assert ends["BlewUp"] and ends["BudgetExhausted"]
 
     def test_scan_of_extreme_parameters(self):
@@ -307,11 +357,12 @@ class TestErrorContract:
                     end = run(params)[0].status.value
                 except ConfigError:
                     end = "ConfigError"
-            # 1 + tau rounds to 1 below tau = 1.1e-16, and an infinity is refused
-            if tau < 1e-16 or math.inf in (tau, lam):
+            # 1 + tau rounds to 1 below tau = 1.1e-16, an infinity is refused,
+            # and tau = 1e300 makes 1 + 2*lambda_n round to 2*lambda_n
+            if tau < 1e-16 or tau == 1e300 or math.inf in (tau, lam):
                 assert end == "ConfigError", params
             ends[end] = ends.get(end, 0) + 1
-        assert set(ends) == {"ConfigError", "BlewUp", "BudgetExhausted", "SolverError"}
+        assert set(ends) == {"ConfigError", "BlewUp", "BudgetExhausted"}
 
 
 class TestCarriedSupNorm:
@@ -324,7 +375,7 @@ class TestCarriedSupNorm:
             dict(p=3.0, q=1.36, tau=0.1, h=0.05, lam=10.0),
             dict(p=2.0, q=1.0, lam=2.0),
         ],
-        ids=["q1", "regrid-q1.36", "subnormal-decay"],
+        ids=["q1", "regrid-q1.36", "decay"],
     )
     def test_no_stale_sup_norm(self, monkeypatch, kwargs):
         from cwblowup import simulator
@@ -354,7 +405,11 @@ class TestCarriedSupNorm:
         for st in states:
             assert np.float64(st.sup_norm).tobytes() == st.u.max().tobytes()
         if kwargs.get("lam") == 2.0:
-            assert 0.0 < min(st.sup_norm for st in states) < 1e-300
+            # the run stops at its first state below phi_j = sin(pi*j*h/2)
+            assert outcome.status is RunStatus.DECAYED
+            grid = outcome.final_grid
+            phi = np.sin(0.5 * np.pi * grid.h * np.arange(grid.mid + 1))
+            assert np.all(padded_half(outcome.final_state, grid) <= phi)
 
 
 class TestCarriedMinRise:
