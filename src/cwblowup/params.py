@@ -263,7 +263,8 @@ def _check_left_half(u: np.ndarray, *, context: str) -> float:
     if not np.isfinite(u).all():
         raise InitialDataError(f"{context}: non-finite values")
     lo, hi = float(u.min()), float(u.max())
-    tol = 1e-12 * max(-lo, hi, 1.0)
+    # relative to the profile's own size, so a tiny amplitude is not flat
+    tol = 1e-12 * max(-lo, hi)
     if lo < -tol:
         raise InitialDataError(f"{context}: negative values (profile must be nonnegative)")
     if max(hi - u[0], u[0] - lo) <= tol:

@@ -63,8 +63,9 @@ dgtsv = _load_dgtsv()
 # the solve once the 8 nodes next to its held-zero edge come out exactly 0;
 # otherwise it retries with a margin of at least the window's length (each
 # retry re-solves the whole window, so a smaller margin costs more solves
-# than it saves rows), doubled on each further retry, up to a window of
-# _INITIAL_MAX_INTERVALS//2 + 1 nodes.
+# than it saves rows), doubled on each further retry.  A margin is cut to a
+# window of _INITIAL_MAX_INTERVALS//2 + 1 nodes, and a step whose window of
+# that many nodes was solved without a zero edge is refused.
 _WINDOW_MARGIN = 32
 _ZERO_EDGE = 8
 # Maxima and minima on the step path are read by index, a[a.argmax()]: on
@@ -183,8 +184,8 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     above or at ``blow_threshold``; for a grid coarser than the rule allows
     (StiffError); for a zero pivot or a non-finite solve (SingularError); for
     a solve that does not rise (its smallest rise negative or NaN); and for a
-    retried margin whose window would hold more nodes than the left half of
-    the largest first grid ``run()`` samples.
+    retry beyond a solved window of as many nodes as the left half of the
+    largest first grid ``run()`` samples.
     """
     u, mid = state.u, grid.mid
     start = mid + 1 - u.size
@@ -232,13 +233,17 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
         new = solve_tridiag(assemble(rhs, h, tau_n, gamma)).base
         if lo == 0 or not np.count_nonzero(new[1 : _ZERO_EDGE + 1]):
             break
-        margin = max(2 * margin, u.size)
-        nodes = mid + 1 - max(0, start - margin)
-        if nodes > _INITIAL_MAX_INTERVALS // 2 + 1:
+        # the next margin, cut to the largest window the limit admits
+        limit = _INITIAL_MAX_INTERVALS // 2 + 1
+        wanted = max(2 * margin, u.size)
+        capped = min(wanted, limit - u.size)
+        if capped <= margin:
+            nodes = mid + 1 - max(0, start - wanted)
             raise StepError(
                 f"the solve window would hold {nodes} nodes, above the limit of "
-                f"{_INITIAL_MAX_INTERVALS // 2 + 1} (the largest first grid's left half)"
+                f"{limit} (the largest first grid's left half)"
             )
+        margin = capped
 
     rises = new[1:] - new[:-1]
     rise = float(rises[rises.argmin()])

@@ -81,14 +81,6 @@ class TestBuildGrid:
         g = build_grid(4e-4)
         assert (g.interval_count, g.mid) == (5000, 2500)
 
-    def test_nodes_uniform_and_anchored(self):
-        # nodes is the left half x_0..x_mid
-        g = build_grid(0.07)
-        assert g.nodes.size == g.mid + 1
-        assert g.nodes[0] == -1.0 and g.nodes[-1] == 0.0
-        assert np.max(np.abs(np.diff(g.nodes) - g.h)) < 1e-15
-        assert g.interval_count * g.h == pytest.approx(2.0, rel=1e-15)
-
     def test_nodes_built_on_demand(self):
         # the interval count is the whole grid; h and mid are computed once
         # when the grid is built, and the left half's coordinates on each

@@ -72,6 +72,8 @@ class TestValidate:
         assert SimParams(p=3.0, q=1.2).regime() == "single-point"
         assert SimParams(p=1.5, q=1.0).regime() == "open-theory"
         assert SimParams(p=3.0, q=1.45).regime() == "other"
+        # q = 2(p-1)/p exactly: the first neighbour grows like ln sup
+        assert SimParams(p=4.0, q=1.5).regime() == "other"
 
 
 class TestInitialData:
@@ -105,7 +107,7 @@ class TestInitialData:
 
     def test_zero_profile_rejected(self):
         x = np.linspace(-1, 1, 11)
-        with pytest.raises(InitialDataError):
+        with pytest.raises(InitialDataError, match="nonconstant"):
             InitialData.from_table(x, np.zeros(11))
 
     def test_constant_interior_rejected(self):
@@ -125,7 +127,7 @@ class TestInitialData:
     def test_negative_rejected(self):
         x = np.linspace(-1, 1, 11)
         u = -12.0 * np.cos(0.5 * np.pi * x)
-        with pytest.raises(InitialDataError):
+        with pytest.raises(InitialDataError, match="negative values"):
             InitialData.from_table(x, u)
 
     def test_nonzero_boundary_rejected(self):

@@ -63,16 +63,6 @@ class TestRun:
         assert total / 5.177e-3 < 1.25
         assert total / 5.177e-3 > 1 / 1.25
 
-    def test_time_strictly_increasing(self):
-        outcome, history = run(_fast_params())
-        t = history.column("t")
-        tau = history.column("tau_n")
-        dt = np.diff(t)
-        assert np.all(dt >= 0.0)
-        # strict wherever the increment is representable at the current total
-        resolvable = tau[1:] > 4.0 * np.spacing(t[:-1])
-        assert np.all(dt[resolvable] > 0.0)
-
     def test_sup_is_peak_on_symmetric_runs(self):
         _, history = run(_fast_params())
         assert np.array_equal(history.column("sup_norm"), history.column("u_m"))
@@ -95,10 +85,15 @@ class TestRun:
         assert hist.snapshots, "snapshots were requested"
 
     def test_compensated_sum_matches_fsum(self):
-        outcome, history = run(_fast_params())
+        # fixed-q1's 27,546 increments: the compensated sum is the correctly
+        # rounded one, where the plain sum is 57 ulp off
+        with pytest.warns(UserWarning, match="large amplitude"):
+            outcome, history = run(SimParams(p=2.0, q=1.0, tau=0.001, h=0.05, lam=7.0))
         taus = history.column("tau_n")[1:]
         exact = math.fsum(taus)
-        assert abs(outcome.t_num_partial - exact) <= 1e-9 * exact
+        assert outcome.n_final == 27546
+        assert outcome.t_num_partial == exact == 0.2333854887417952
+        assert sum(taus.tolist()) != exact
 
     def test_time_limit_stop(self):
         outcome, _ = run(_fast_params(), t_stop=1e-3)
@@ -140,11 +135,13 @@ class TestRun:
             assert not np.all(left_half(history.previous, mid) <= phi)
 
     def test_small_amplitude_ends_decayed(self):
-        # lambda = 0.5 is below phi at every node from the start
-        with pytest.warns(UserWarning, match="large amplitude"):
-            outcome, history = run(SimParams(lam=0.5))
-        assert outcome.status is RunStatus.DECAYED
-        assert outcome.n_final == 0 and len(history) == 1
+        # a sine below 1 is below phi at every node from the start, however
+        # small: the profile checks' tolerances are relative to its sup
+        for lam in (0.5, 1e-12):
+            with pytest.warns(UserWarning, match="large amplitude"):
+                outcome, history = run(SimParams(lam=lam))
+            assert outcome.status is RunStatus.DECAYED
+            assert outcome.n_final == 0 and len(history) == 1
 
     def test_decayed_needs_every_node_below_phi(self):
         # a flat top of sup 0.9 lies above phi next to the boundary: the
