@@ -15,7 +15,8 @@ from a nonnegative first value, as every admissible initial profile does on
 
 A step admits its grid by gamma_j <= lam_n, which the spacing rule keeps:
 the band is then an M-matrix, on which elimination is backward stable, so
-a solve is checked only for a zero pivot and a finite result.
+a solve is checked only for a zero pivot and, by the step's pass over its
+smallest rise, a finite result.
 """
 
 from __future__ import annotations
@@ -125,37 +126,34 @@ def assemble(
     band = np.empty(3 * m)
     band[m - 1] = -2.0 * lam
     band[0] = band[2 * m - 1] = 0.0
-    below = gamma if isinstance(gamma, float) else gamma[1:]  # np.float64 included
-    np.subtract(-lam, below, band[1 : m - 1])  # rows lo+2..mid-1
-    np.add(-lam, gamma, band[m : 2 * m - 1])  # rows lo+1..mid-1
+    if isinstance(gamma, float):  # np.float64 included: two slice fills
+        band[1 : m - 1] = -lam - gamma
+        band[m : 2 * m - 1] = -lam + gamma
+    else:
+        np.subtract(-lam, gamma[1:], band[1 : m - 1])  # rows lo+2..mid-1
+        np.add(-lam, gamma, band[m : 2 * m - 1])  # rows lo+1..mid-1
     band[2 * m :] = 1.0 + 2.0 * lam
     return TriDiagSystem(band[1:m], band[2 * m :], band[m : 2 * m - 1], rhs)
 
 
 def solve_tridiag(sys: TriDiagSystem) -> np.ndarray:
-    """Solve the tridiagonal system with LAPACK gtsv.
+    """Solve the tridiagonal system in place with LAPACK gtsv.
 
-    A 1x1 system is x = rhs/diag.  A zero pivot or a non-finite solution
-    raises SingularError; the bands are left as they were.  The returned x
-    is a view of a buffer led by one zero, ``x.base`` = [0, x], which is the
-    new window u'_lo..u'_mid of a step.
+    As in LAPACK, ``sys.rhs`` becomes the solution and is returned, and the
+    bands are overwritten by the factorization.  A 1x1 system is
+    x = rhs/diag.  A zero pivot raises SingularError; the solution is not
+    scanned, so a non-finite one is the caller's to refuse (``step`` does).
     """
     sub, diag, sup, rhs = sys
-    buf = np.zeros(diag.size + 1)
-    x = buf[1:]
     if diag.size == 1:
-        np.divide(rhs, diag, x)
-    else:
-        x[...] = rhs
-        # overwrite_dl, _d, _du, _b by position: the bands stay intact
-        _, _, _, x, info = dgtsv(sub, diag, sup, x, 0, 0, 0, 1)
-        if info != 0:
-            raise SingularError(f"tridiagonal solve failed: gtsv info {info}")
-    mag = np.abs(x)
-    # argmax finds the first NaN, and |+-inf| is the max
-    if not math.isfinite(mag[mag.argmax()]):
-        raise SingularError("tridiagonal solve produced non-finite values")
-    return x
+        return np.divide(rhs, diag, rhs)
+    # overwrite_dl, _d, _du, _b by position
+    _, _, _, x, info = dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)
+    if info != 0:
+        raise SingularError(f"tridiagonal solve failed: gtsv info {info}")
+    if x is not rhs:  # a wrapper that solved a copy
+        rhs[:] = x.ravel()
+    return rhs
 
 
 def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResult":
@@ -182,10 +180,11 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
 
     Raises StepError for a state longer than the left half, not admitted as
     above or at ``blow_threshold``; for a grid coarser than the rule allows
-    (StiffError); for a zero pivot or a non-finite solve (SingularError); for
-    a solve that does not rise (its smallest rise negative or NaN); and for a
-    retry beyond a solved window of as many nodes as the left half of the
-    largest first grid ``run()`` samples.
+    (StiffError); for a zero pivot or a non-finite solve (SingularError, on
+    the attempt that produced it); for a solve that does not rise (its
+    smallest rise negative or NaN); and for a retry beyond a solved window
+    of as many nodes as the left half of the largest first grid ``run()``
+    samples.
     """
     u, mid = state.u, grid.mid
     start = mid + 1 - u.size
@@ -221,16 +220,25 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
             w[start - lo :] = u
         else:
             w = u
-        # rows lo+1..mid: the source right-hand side u_j + tau_n*(u_j)^p
-        inner = w[1:]
-        rhs = inner**p
-        rhs *= tau_n
+        # the solve's buffer [u'_lo = 0, rows lo+1..mid], the rows holding the
+        # source right-hand side u_j + tau_n*(u_j)^p until solved in place
+        buf = np.zeros(w.size)
+        inner, rhs = w[1:], buf[1:]
+        np.multiply(inner**p, tau_n, rhs)
         rhs += inner
         # rows lo+1..mid-1: d_j >= 0 (the window rises), so no absolute value
         # is taken; one float c for q = 1
         gamma = c if q == 1.0 else c * (w[2:] - w[:-2]) ** (q - 1.0)
-        # u'_lo .. u'_mid, the solve's buffer led by u'_lo = 0
+        # u'_lo .. u'_mid
         new = solve_tridiag(assemble(rhs, h, tau_n, gamma)).base
+        # one pass over the solve: a window rising from its held +0 to a
+        # finite top node is finite throughout; a non-finite one is refused
+        # here, unretried
+        rises = new[1:] - new[:-1]
+        rise, top = float(rises[rises.argmin()]), float(new[-1])
+        rising = rise >= 0.0 and top < math.inf  # NaN included
+        if not rising and not np.isfinite(new).all():
+            raise SingularError("tridiagonal solve produced non-finite values")
         if lo == 0 or not np.count_nonzero(new[1 : _ZERO_EDGE + 1]):
             break
         # the next margin, cut to the largest window the limit admits
@@ -245,9 +253,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
             )
         margin = capped
 
-    rises = new[1:] - new[:-1]
-    rise = float(rises[rises.argmin()])
-    if not rise >= 0.0:  # NaN included
+    if not rising:
         raise StepError(f"solved window does not rise (smallest rise {rise:.3e})")
 
     if lo > 0 or new[1] == 0.0:
@@ -262,7 +268,7 @@ def step(state: SolutionState, grid: GridState, params: SimParams) -> "StepResul
     t = state.t + y
     next_state = SolutionState(
         u=new, t=t, n=state.n + 1, tau_last=tau_n, t_comp=(t - state.t) - y,
-        sup_norm=float(new[-1]) + 0.0, min_rise=rise,
+        sup_norm=top + 0.0, min_rise=rise,
     )
     return StepResult(next_state)
 

@@ -239,8 +239,9 @@ def test_criterion_6_oracle_equivalence():
         diag += rng.uniform(0.05, 2.0, n)
         diag *= rng.choice([-1.0, 1.0], n)
         rhs = rng.uniform(-10.0, 10.0, n)
-        x = solve_tridiag(TriDiagSystem(sub, diag, sup, rhs))
         x_ref = dense_solve(tridiag_dense(sub, diag, sup), rhs)
+        # the solve consumes its system: it overwrites the bands and the rhs
+        x = solve_tridiag(TriDiagSystem(sub, diag, sup, rhs))
         scale = max(1.0, float(np.max(np.abs(x_ref))))
         worst_solve = max(worst_solve, float(np.max(np.abs(x - x_ref))) / scale)
     solve_ok = worst_solve <= 1e-12

@@ -53,13 +53,16 @@ def _traced_run(**params) -> dict:
 def test_tracer_sees_every_layer():
     result = _traced_run(p=3.0, q=1.2, lam=10.0)
     layers, steps = result["layers"], result["steps"]
-    assert result["unpatched"] == []
-    assert result["status"] == "BlewUp" and steps > 0
-    assert layers["stepper.step.n"] == steps
-    assert layers["stepper.assemble.n"] >= steps
-    assert layers["stepper.solve_tridiag.n"] >= steps
-    assert layers["grid.carry_to_grid.n"] > 1
-    assert abs(layers["trace.self_sum_ratio"] - 1.0) <= 0.05
+    assert result["unpatched"] == [], f"unpatched sites {result['unpatched']}"
+    assert result["status"] == "BlewUp" and steps > 0, f"{result['status']} after {steps} steps"
+    step_n, assemble_n = layers["stepper.step.n"], layers["stepper.assemble.n"]
+    solve_n, carry_n = layers["stepper.solve_tridiag.n"], layers["grid.carry_to_grid.n"]
+    ratio = layers["trace.self_sum_ratio"]
+    assert step_n == steps, f"stepper.step.n {step_n} against {steps} steps"
+    assert assemble_n >= steps, f"stepper.assemble.n {assemble_n} against {steps} steps"
+    assert solve_n >= steps, f"stepper.solve_tridiag.n {solve_n} against {steps} steps"
+    assert carry_n > 1, f"grid.carry_to_grid.n {carry_n}"
+    assert abs(ratio - 1.0) <= 0.05, f"trace.self_sum_ratio {ratio}"
 
 
 def test_solves_follow_the_active_window():

@@ -43,8 +43,14 @@ def _state(values):
     return SolutionState(u=np.asarray(values, dtype=float), t=0.0, n=0, tau_last=0.0)
 
 
+def _copied(sys):
+    """A copy of ``sys``, whose solve overwrites its bands and right-hand side."""
+    return TriDiagSystem(*(a.copy() for a in sys))
+
+
 def _assembled(monkeypatch, state, grid, params):
-    """Step ``state`` and return the arguments and system of every assemble call."""
+    """Step ``state`` and return the arguments and system of every assemble
+    call, copied before the solve consumes them."""
     from cwblowup import stepper
 
     real = stepper.assemble
@@ -52,7 +58,8 @@ def _assembled(monkeypatch, state, grid, params):
 
     def spy(*args):
         sys = real(*args)
-        calls.append((args, sys))
+        kept = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+        calls.append((kept, _copied(sys)))
         return sys
 
     monkeypatch.setattr(stepper, "assemble", spy)
@@ -132,8 +139,9 @@ class TestAssemble:
         real, systems = stepper.assemble, []
 
         def keep(*args):
-            systems.append(real(*args))
-            return systems[-1]
+            sys = real(*args)
+            systems.append(_copied(sys))
+            return sys
 
         monkeypatch.setattr(stepper, "assemble", keep)
         with warnings.catch_warnings():
@@ -205,14 +213,8 @@ class TestSolveTridiag:
         sys = TriDiagSystem(
             sub=np.empty(0), diag=np.array([4.0]), sup=np.empty(0), rhs=np.array([2.0])
         )
-        assert solve_tridiag(sys)[0] == 0.5
-
-    @pytest.mark.parametrize("diag, rhs", [(np.nan, 1.0), (1.0, np.inf), (5e-324, 1.0)])
-    def test_non_finite_solution_refused(self, diag, rhs):
-        # a NaN, an infinite entry and an overflowed quotient (1/5e-324)
-        sys = TriDiagSystem(np.empty(0), np.array([diag]), np.empty(0), np.array([rhs]))
-        with np.errstate(all="ignore"), pytest.raises(SingularError, match="non-finite"):
-            solve_tridiag(sys)
+        x = solve_tridiag(sys)
+        assert x is sys.rhs and x[0] == 0.5
 
     def test_large_lambda_solve_accepted(self):
         # lambda_n = 6.4e4: the residual scales with ||A|| ||x||, not with
@@ -229,16 +231,16 @@ class TestSolveTridiag:
 
 
 class TestInPlaceSolve:
-    """solve_tridiag solves in place into a zero-led buffer; the bits must not move."""
+    """solve_tridiag solves in place into its system's rhs; the bits must not move."""
 
     @staticmethod
     def _assert_same_as_gtsv(sys):
         from scipy.linalg.lapack import dgtsv
 
+        ref = dgtsv(*_copied(sys))[3]
         x = solve_tridiag(sys)
-        ref = dgtsv(sys.sub, sys.diag, sys.sup, sys.rhs)[3]
+        assert x is sys.rhs
         assert x.tobytes() == ref.tobytes()
-        assert x.base[0] == 0.0 and np.shares_memory(x.base[1:], x)
         return x
 
     def test_pivoting_system(self):
@@ -255,16 +257,31 @@ class TestInPlaceSolve:
         assert dgtsv(sys.sub, sys.diag, sys.sup, sys.rhs)[0][0] != 0.0
         self._assert_same_as_gtsv(sys)
 
+    def test_wrapper_that_solves_a_copy(self, monkeypatch):
+        # a dgtsv wrapper that hands back a new array, as one that copies
+        # its right-hand side would: the solution still lands in sys.rhs
+        from scipy.linalg.lapack import dgtsv
+
+        from cwblowup import stepper
+
+        monkeypatch.setattr(stepper, "dgtsv", lambda dl, d, du, b, *flags: dgtsv(dl, d, du, b))
+        sys = TriDiagSystem(np.full(3, -1.0), np.full(4, 3.0), np.full(3, -1.0), np.ones(4))
+        self._assert_same_as_gtsv(sys)
+
     def test_every_solve_of_a_run(self, monkeypatch):
         # p=2 q=1 interchanges the last two rows (the folded peak row) on 11
-        # of its 279 solves
+        # of its 279 solves; each solves into a buffer led by the held zero
+        # node, which becomes the step's new window
         from cwblowup import run, stepper
 
         real = stepper.solve_tridiag
         systems = []
 
         def keep(sys):
-            systems.append(sys)
+            led = sys.rhs.base
+            assert led[0] == 0.0 and led.size == sys.size + 1
+            assert np.shares_memory(led[1:], sys.rhs)
+            systems.append(_copied(sys))
             return real(sys)
 
         monkeypatch.setattr(stepper, "solve_tridiag", keep)
@@ -496,6 +513,53 @@ class TestStep:
         with pytest.raises(SingularError):
             solve_tridiag(sys)
 
+    @staticmethod
+    def _windowed_solves(monkeypatch, tail):
+        """Step [0, 1] on nodes 100..101 = mid of a 202-interval grid, whose
+        first solve holds node lo = 68 at 0, with every solve returning 1e-300
+        on the nodes between lo and ``tail`` (so the zero edge never holds),
+        and ``tail`` on the last nodes; return the StepError raised and the
+        window size of each solve."""
+        from cwblowup import stepper
+
+        solved = []
+
+        def solve(sys):
+            new = np.full(sys.size + 1, 1e-300)
+            new[0] = 0.0  # u'_lo = 0 leads the buffer
+            new[-len(tail) :] = tail
+            solved.append(new.size)
+            return new[1:]
+
+        monkeypatch.setattr(stepper, "solve_tridiag", solve)
+        grid = build_grid_by_count(202)
+        with np.errstate(all="ignore"), pytest.raises(StepError) as raised:
+            step(_state([0.0, 1.0]), grid, SimParams(q=1.2, tau=0.1, h=grid.h))
+        return raised.value, solved
+
+    @pytest.mark.parametrize("case", ["nan", "+inf", "-inf", "overflow"])
+    def test_non_finite_solve_refused_unretried(self, monkeypatch, case):
+        # a NaN or -inf inside the window, a window rising to +inf at its top
+        # node, and quotients that overflowed (1/5e-324) on the last two
+        # nodes, whose rise inf - inf is NaN: each is refused on the
+        # windowed attempt that produced it, although its zero edge fails
+        with np.errstate(over="ignore"):
+            big = np.float64(1.0) / 5e-324
+        tail = {
+            "nan": [np.nan, 1.0], "+inf": [0.5, np.inf], "-inf": [-np.inf, 1.0],
+            "overflow": [big, big],
+        }[case]
+        error, solved = self._windowed_solves(monkeypatch, tail)
+        assert isinstance(error, SingularError) and "non-finite" in str(error)
+        assert solved == [34]
+
+    def test_finite_non_rising_solve_is_not_singular(self, monkeypatch):
+        # a finite solve that falls is retried while its zero edge fails, like
+        # any windowed solve, and refused as not rising once accepted at lo = 0
+        error, solved = self._windowed_solves(monkeypatch, [2.0, 1.0])
+        assert type(error) is StepError and "does not rise" in str(error)
+        assert solved == [34, 66, 102]
+
 
 class TestFrozenSignCheck:
     """The a posteriori check of the frozen +1 signs, on a prescribed solve:
@@ -556,14 +620,18 @@ def _exact_path(state, grid, params):
     """A whole-half window's step by one solve, the reference of ``step``.
 
     Every frozen sign is +1: scheme_rows' gamma_j as the row coefficients,
-    one assemble and solve, StepError for a solve that does not rise, then
-    the trim; the sup norm is the window's largest |u|.  The time increment
-    is the step's tau_n.
+    one assemble and solve, SingularError for a non-finite solve and
+    StepError for one that does not rise, then the trim; the sup norm is the
+    window's largest |u|.  The time increment is the step's tau_n.
     """
     u, sup = state.u, state.sup_norm
     tau_n = compute_tau(params, sup)
     rhs, gamma, _ = scheme_rows(u, grid.h, params.p, params.q, tau_n)
-    new = solve_tridiag(assemble(rhs, grid.h, tau_n, gamma)).base
+    new = np.zeros(rhs.size + 1)  # u'_lo = 0, then the rows solved in place
+    new[1:] = rhs
+    solve_tridiag(assemble(new[1:], grid.h, tau_n, gamma))
+    if not np.isfinite(new).all():
+        raise SingularError("non-finite solve")
     if not np.all(np.diff(new) >= 0.0):
         raise StepError("solved window does not rise")
     if new[1] == 0.0:

@@ -5,10 +5,11 @@ by another: a check turned off or moved by one, a constant or a formula
 changed.  For each mutant the script copies the repository into a temporary
 directory, applies the mutant there, and runs the whole tier-1 suite on the
 copy.  It prints, per mutant, every test that failed (the kill matrix) with
-the first one, then the tests that are the sole killer of some mutant.  It
-exits 1 when the unmutated suite fails on the copy, when a mutant's string is
-not found exactly once, when a suite run does not finish, and when a mutant
-survives that is not in ``EXPECTED_SURVIVORS``, or one that is gets killed.
+its crash message and the first one, then the tests that are the sole killer
+of some mutant.  It exits 1 when the unmutated suite fails on the copy, when
+a mutant's string is not found exactly once, when a suite run does not
+finish, and when a mutant survives that is not in ``EXPECTED_SURVIVORS``, or
+one that is gets killed.
 
     python tools/mutants.py   # one suite run per mutant: 12-15 min on 2 vCPUs
 
@@ -17,7 +18,8 @@ seed.  Each runs under an address-space limit, so a mutant that lets a
 window or a grid grow fails its test with MemoryError instead of taking the
 machine's memory, and each test under a time limit, so a mutant that loops
 fails its test instead of hanging the run.  This file is also the pytest
-plugin (``-p mutants``) that sets the time limit and logs the failed tests.
+plugin (``-p mutants``) that sets the time limit and logs the failed tests
+with the message of each one's crash line.
 """
 
 from __future__ import annotations
@@ -71,30 +73,32 @@ MUTANTS = (
     Mutant("step-retry-solved-limit-window-again", "stepper.py", "step",
            "if capped <= margin:", "if capped < margin:"),
     Mutant("step-rise-check-off", "stepper.py", "step",
-           "if not rise >= 0.0:", "if False:"),
+           "if not rising:", "if False:"),
+    Mutant("solve-finite-check-off", "stepper.py", "step",
+           " and top < math.inf", ""),
     Mutant("step-trim-one-node-too-far", "stepper.py", "step",
            "min(first - 1, new.size - 3)", "min(first, new.size - 3)"),
     Mutant("step-no-kahan-compensation", "stepper.py", "step",
            "y = tau_n - state.t_comp", "y = tau_n"),
     Mutant("step-keeps-negative-zero-sup", "stepper.py", "step",
-           "sup_norm=float(new[-1]) + 0.0", "sup_norm=float(new[-1])"),
+           "sup_norm=top + 0.0", "sup_norm=top"),
     Mutant("step-gamma-exponent", "stepper.py", "step",
            "(w[2:] - w[:-2]) ** (q - 1.0)", "(w[2:] - w[:-2]) ** (q - 0.999)"),
     # stepper.assemble
     Mutant("assemble-peak-row-not-folded", "stepper.py", "assemble",
            "band[m - 1] = -2.0 * lam", "band[m - 1] = -lam"),
     Mutant("assemble-gamma-rows-shifted", "stepper.py", "assemble",
-           "else gamma[1:]", "else gamma[:-1]"),
+           "np.subtract(-lam, gamma[1:],", "np.subtract(-lam, gamma[:-1],"),
     # stepper.solve_tridiag
     Mutant("solve-pivot-info-ignored", "stepper.py", "solve_tridiag",
            "if info != 0:", "if info < 0:"),
-    Mutant("solve-finite-check-off", "stepper.py", "solve_tridiag",
-           "if not math.isfinite(mag[mag.argmax()]):", "if False:"),
     # simulator.RunHistory.record
     Mutant("record-second-neighbour-wraps", "simulator.py", "RunHistory.record",
            "second = u[-3] if grid.mid >= 2 else 0.0", "second = u[-3]"),
     Mutant("record-offset-2-reads-offset-1", "simulator.py", "RunHistory.record",
            "second = u[-3] if", "second = u[-2] if"),
+    Mutant("record-peak-cells-swapped", "simulator.py", "RunHistory.record",
+           "u[-1], u[-2], second", "u[-2], u[-1], second"),
     Mutant("record-growth-reverses-rows", "simulator.py", "RunHistory.record",
            "grown[:k] = self._block", "grown[:k] = self._block[::-1]"),
     # simulator.run
@@ -230,7 +234,10 @@ def pytest_collectreport(report):
 
 def pytest_runtest_logreport(report):
     if report.failed:
-        _log(f"failed {report.nodeid}")
+        # the crash line's message, whitespace runs (newlines too) made one space
+        crash = getattr(report.longrepr, "reprcrash", None)
+        message = " ".join(crash.message.split()) if crash else ""
+        _log(f"failed {report.nodeid}\t{message}")
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -244,9 +251,10 @@ def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
 
 
-def _run_suite(mutant: Mutant | None) -> tuple[list[str] | None, int, float]:
-    """Failed test ids in run order (None if the run did not finish), the
-    number of tests collected, and the run's wall time."""
+def _run_suite(mutant: Mutant | None) -> tuple[dict[str, str] | None, int, float]:
+    """Failed test ids in run order, each with its crash message (None if the
+    run did not finish), the number of tests collected, and the run's wall
+    time."""
     with tempfile.TemporaryDirectory(prefix="cwblowup-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(
@@ -285,7 +293,12 @@ def _run_suite(mutant: Mutant | None) -> tuple[list[str] | None, int, float]:
                 proc.wait()
         seconds = time.perf_counter() - start
         lines = log.read_text().splitlines()
-        failed = list(dict.fromkeys(line.split(" ", 1)[1] for line in lines if line[:4] != "done"))
+        failed = {}
+        for line in lines:
+            kind, _, rest = line.partition(" ")
+            if kind != "done":
+                test, _, message = rest.partition("\t")
+                failed.setdefault(test, message)
         done = [line for line in lines if line.startswith("done ")]
         if not done:
             tail = (Path(tmp) / "pytest.out").read_text().splitlines()[-5:]
@@ -304,7 +317,8 @@ def main() -> int:
     failed, collected, seconds = _run_suite(None)
     print(f"unmutated: {collected} tests, {len(failed or [])} failed ({seconds:.0f} s)")
     if failed is None or failed:
-        print(*(failed or []), sep="\n  ")
+        for test, message in (failed or {}).items():
+            print(f"  {test}: {message}")
         return 1
 
     kills: dict[str, list[str]] = {}
@@ -320,12 +334,12 @@ def main() -> int:
             verdict, ok = ("survived (expected)", True) if expected else ("SURVIVED", False)
         if not ok:
             bad.append(mutant.name)
-        kills[mutant.name] = failed or []
-        first = f", first {failed[0]}" if failed else ""
+        kills[mutant.name] = list(failed or {})
+        first = f", first {next(iter(failed))}" if failed else ""
         print(f"[{i:2}/{len(MUTANTS)}] {mutant.name} ({mutant.file}: {mutant.function}): "
               f"{verdict}, {len(failed or [])} of {collected} tests fail{first} ({seconds:.0f} s)")
-        for test in failed or []:
-            print(f"        {test}")
+        for test, message in (failed or {}).items():
+            print(f"        {test}: {message}")
 
     sole = {}
     for name, tests in kills.items():
