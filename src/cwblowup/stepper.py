@@ -69,10 +69,10 @@ dgtsv = _load_dgtsv()
 # that many nodes was solved without a zero edge is refused.
 _WINDOW_MARGIN = 32
 _ZERO_EDGE = 8
-# Maxima and minima on the step path are read by index, a[a.argmax()]: on
-# ~20 entries that costs a third of a ufunc reduce and gives the same value,
-# NaN included (argmax and argmin stop at the first NaN); only the sign of a
-# zero result may differ.
+# The step's one minimum, its solve's smallest rise, is read by index,
+# a[a.argmin()]: on ~20 entries that costs a third of a ufunc reduce and
+# gives the same value, NaN included (argmin stops at the first NaN); only
+# the sign of a zero result may differ.  Its sup norm is the top node.
 
 
 class StepError(RuntimeError):

@@ -99,6 +99,20 @@ class TestRunVerb:
         assert capsys.readouterr().out.startswith("Decayed: 7 steps")
         assert json.loads((out / "outcome.json").read_text())["status"] == "Decayed"
 
+    def test_solver_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a run that ends SolverError is written and reported, with exit 3
+        from cwblowup import simulator
+        from cwblowup.stepper import StiffError
+
+        def boom(*args, **kwargs):
+            raise StiffError("synthetic failure")
+
+        monkeypatch.setattr(simulator, "step", boom)
+        out = tmp_path / "failed"
+        assert main(["run", "--output-dir", str(out)]) == 3
+        assert capsys.readouterr().out == "SolverError: 0 steps, t = 0.0\n"
+        assert json.loads((out / "outcome.json").read_text())["status"] == "SolverError"
+
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert rc == 2
@@ -602,7 +616,8 @@ class TestDiagnosticsVerb:
 
     def test_failed_limit_check_exits_4(self, tmp_path, monkeypatch):
         # no known carried run fails the limit checks, so the report of a
-        # clean run is altered to one whose peak growth is far from 1+tau
+        # clean run is altered to one whose peak growth deviates from 1+tau
+        # by 1.5%, just beyond the 1% bound
         from dataclasses import replace
 
         from cwblowup import cli
@@ -611,7 +626,7 @@ class TestDiagnosticsVerb:
         monkeypatch.setattr(
             cli,
             "peak_ratio_diagnostics",
-            lambda history, params: replace(real(history, params), growth_deviation=0.5),
+            lambda history, params: replace(real(history, params), growth_deviation=0.015),
         )
         cfg = tmp_path / "d.cfg"
         cfg.write_text("p=3\nq=1.2\ntau=0.1\nh=0.05\nlambda=10\nblow_threshold=1e9\n")
@@ -620,13 +635,14 @@ class TestDiagnosticsVerb:
         assert rc == 4
         payload = json.loads((out / "diagnostics.json").read_text())
         assert payload["ratio_diagnostics"]["applicable"]
-        assert payload["failures"] == ["peak growth deviates 50.000% from 1+tau"]
+        assert payload["failures"] == ["peak growth deviates 1.500% from 1+tau"]
 
     @pytest.mark.parametrize(
         "change, failure",
         [
-            ({"ratio_change_deviation": 0.5},
-             "neighbour ratio change deviates 50.000% from 1/(1+tau)"),
+            # 3%, just beyond the 2% bound
+            ({"ratio_change_deviation": 0.03},
+             "neighbour ratio change deviates 3.000% from 1/(1+tau)"),
             ({"strictly_decreasing_tail": False},
              "neighbour-to-peak ratio not strictly decreasing in the tail"),
         ],

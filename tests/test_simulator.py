@@ -13,7 +13,6 @@ import pytest
 from cwblowup import (
     ConfigError,
     InitialData,
-    InitialDataError,
     RunStatus,
     SimParams,
     classify_blowup_set,
@@ -47,11 +46,6 @@ class TestRun:
         assert outcome.final_state.u[outcome.final_grid.mid] == 10.0
         assert len(history) == 1
 
-    def test_zero_initial_rejected_before_running(self):
-        x = np.linspace(-1, 1, 9)
-        with pytest.raises(InitialDataError):
-            InitialData.from_table(x, np.zeros(9))
-
     def test_blowup_run_matches_reported_time_scale(self):
         params = _fast_params(blow_threshold=1e12)
         outcome, history = run(params)
@@ -62,10 +56,6 @@ class TestRun:
         # so agreement is only expected within a modest factor
         assert total / 5.177e-3 < 1.25
         assert total / 5.177e-3 > 1 / 1.25
-
-    def test_sup_is_peak_on_symmetric_runs(self):
-        _, history = run(_fast_params())
-        assert np.array_equal(history.column("sup_norm"), history.column("u_m"))
 
     def test_grid_constant_for_q_one(self):
         outcome, history = run(_fast_params())

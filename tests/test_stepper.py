@@ -404,12 +404,6 @@ class TestStep:
         result = step(state, grid, params)
         assert window_ok(result.next, grid)
 
-    def test_positivity_on_random_states(self, rng):
-        for _ in range(20):
-            state, grid, params = random_symmetric_monotone_state(rng)
-            result = step(state, grid, params)
-            assert np.min(result.next.u) >= 0.0
-
     def test_grid_coarser_than_the_rule_refused(self, monkeypatch):
         # sup = 100 on h = 1/3 at q = 1.5, where the spacing rule gives
         # K = 50: 2^(-q) h^(2-q) sup^(q-1) = 2.04 > 1, so gamma_j could
@@ -437,12 +431,6 @@ class TestStep:
         u = np.array([0.0, 1e12, 2e12])
         with pytest.raises(StepError, match="blow_threshold"):
             step(_state(u), grid, params)
-
-    def test_refuses_non_finite(self):
-        grid = build_grid_by_count(4)
-        u = np.array([0.0, 1.0, np.nan])
-        with pytest.raises(StepError, match="not admitted"):
-            step(_state(u), grid, SimParams())
 
     @pytest.mark.parametrize(
         "values",
@@ -561,46 +549,6 @@ class TestStep:
         assert solved == [34, 66, 102]
 
 
-class TestFrozenSignCheck:
-    """The a posteriori check of the frozen +1 signs, on a prescribed solve:
-    the solve must rise, so that no new sign contradicts a frozen one."""
-
-    @staticmethod
-    def _solves(monkeypatch, u, q, *solves):
-        """The number of solves of a step on the whole half u whose i-th
-        solve returns solves[i] (the last repeats); the step must return
-        the first solve."""
-        from cwblowup import stepper
-
-        calls = []
-
-        def prescribed(sys):
-            new = solves[min(len(calls), len(solves) - 1)]
-            calls.append(sys)
-            buf = np.array(new, dtype=float)  # u'_lo = 0 leads the buffer
-            return buf[1:]
-
-        monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
-        grid = build_grid_by_count(2 * (len(u) - 1))
-        result = step(_state(u), grid, SimParams(p=2.0, q=q, tau=0.01, h=grid.h))
-        assert padded_half(result.next, grid).tolist() == list(solves[0])
-        return len(calls)
-
-    def test_zero_new_difference_keeps_the_sign(self, monkeypatch):
-        # frozen signs (+, +); the new differences are (+, 0): no contradiction
-        assert self._solves(monkeypatch, [0.0, 1.0, 2.0, 3.0], 1.0, [0, 1, 1, 1]) == 1
-
-    def test_first_consistent_solve_is_returned(self, monkeypatch):
-        # a first solve that rises is the step; no second solve is made
-        u = [0.0, 1.0, 2.0, 3.0]
-        assert self._solves(monkeypatch, u, 1.0, [0, 1, 1, 2], [0, 1, -1, 5]) == 1
-
-    def test_inactive_rows_never_flip(self, monkeypatch):
-        # q > 1 and a zero difference give gamma = 0: no gradient term to
-        # sign, so a window with a flat row is stepped like any rising one
-        assert self._solves(monkeypatch, [0.0, 0.0, 0.0, 1.0], 1.5, [0, 0, 0, 2]) == 1
-
-
 # values of a nonnegative window: signed zeros, the smallest subnormal, a
 # tiny normal and O(1) values
 _WINDOW_VALUES = st.one_of(
@@ -663,74 +611,11 @@ def _assert_is_the_exact_path(got, state, grid, params):
     return want
 
 
-class TestSignPrefilter:
-    """A step accepts a solve only where the exact sign test marks no row.
-
-    The exact test marks row j contradicted where gamma_j*s'*(s' - s) != 0,
-    s the frozen and s' the new sign.  A step freezes s = +1 and accepts a
-    solve whose window rises, so every s' is 0 or +1 and no row is marked,
-    whatever gamma_j >= 0; it refuses every other window and solve.
-    """
-
-    @pytest.mark.parametrize(
-        "q, s, nd, g",
-        [
-            (q, s, nd, g)
-            for q in (1.0, 1.5)
-            for s in (-1.0, 0.0, 1.0)
-            for nd in (-1.0, -5e-324, 0.0, 5e-324, 1.0)
-            for g in (0.0, 0.25)
-            if q == 1.0 or s != 0.0 or g == 0.0
-        ],
-    )
-    def test_no_mark_means_no_contradiction(self, monkeypatch, q, s, nd, g):
-        # the whole half [0, s/2, s] has the current difference s on its one
-        # row, whose gamma g is 0 where s = 0 and q > 1; its solve [0, 0, nd]
-        # has the new difference nd.  The step accepts exactly when both
-        # rise, and then returns that first solve, solved once, which no
-        # gamma marks: a new difference of 0 keeps the frozen +1, and a flat
-        # row steps like any rising one.  Every other case is refused
-        from cwblowup import stepper
-
-        calls = []
-
-        def prescribed(sys):
-            calls.append(sys)
-            return np.array([0.0, 0.0, nd])[1:]  # u'_lo = 0 leads the buffer
-
-        monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
-        grid = build_grid_by_count(4)
-        params = SimParams(p=2.0, q=q, tau=0.01, h=grid.h)
-        got = _outcome(step, _state([0.0, 0.5 * s, s]), grid, params)
-        if s >= 0.0 and nd >= 0.0:
-            assert len(calls) == 1
-            assert padded_half(got.next, grid).tolist() == [0.0, 0.0, nd]
-            assert g * np.sign(nd) * (np.sign(nd) - 1.0) == 0.0
-        else:
-            assert got is StepError
-
-    def test_underflowed_gamma_row_is_accepted(self, monkeypatch):
-        # tau_n (2h)^(-q) |d|^(q-1) underflows to 0 on row 1 (d = 5e-324),
-        # while row 2 keeps gamma > 0: the rising window is stepped in one
-        # solve, as the exact path steps it
-        from cwblowup import stepper
-
-        grid = build_grid_by_count(6)
-        u = np.array([0.0, 0.0, 5e-324, 1.0])
-        params = SimParams(p=3.0, q=1.5, tau=1e-170, h=grid.h)
-        gamma = scheme_rows(u, grid.h, params.p, params.q, params.tau)[1]
-        assert gamma[0] == 0.0 and gamma[1] > 0.0
-        real, calls = stepper.solve_tridiag, []
-
-        def counted(sys):
-            calls.append(sys)
-            return real(sys)
-
-        monkeypatch.setattr(stepper, "solve_tridiag", counted)
-        result = step(_state(u), grid, params)
-        monkeypatch.undo()
-        assert len(calls) == 1
-        assert _assert_is_the_exact_path(result, _state(u), grid, params) is not None
+class TestOneSolveRoute:
+    """Every frozen sign is +1, so a step is the scheme's one solve exactly
+    where its window and that solve both rise: every new difference is then
+    0 or +1 and contradicts no frozen sign.  It refuses every other window
+    and solve.  ``_exact_path`` is the reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -739,18 +624,31 @@ class TestSignPrefilter:
         rising=st.booleans(),
         q=st.sampled_from([1.0, 1.5]),
         p=st.sampled_from([2.0, 3.0]),
+        tau=st.sampled_from([0.1, 1e-170]),
+        pad=st.integers(0, 40),
     )
     # -0 + 0.1*(-0)^3 is -0: the step's all-zero window ends in -0, and its
     # sup norm must still be the exact path's maximum, +0
-    @example(head=0.0, rest=[-0.0, -0.0], rising=False, q=1.5, p=3.0)
-    def test_route_matches_exact_path(self, head, rest, rising, q, p):
-        # a nonnegative whole-half window, sorted half the time so that the
-        # step takes it; where it does, it is the exact path bit for bit and
-        # records the same history row
+    @example(head=0.0, rest=[-0.0, -0.0], rising=False, q=1.5, p=3.0, tau=0.1, pad=0)
+    # tau_n (2h)^(-q) |d|^(q-1) underflows to 0 on row 1 (d = 5e-324), while
+    # row 2 keeps gamma > 0: the rising window is stepped as the exact path
+    # steps it
+    @example(head=0.0, rest=[0.0, 5e-324, 1.0], rising=True, q=1.5, p=3.0, tau=1e-170, pad=0)
+    def test_route_matches_exact_path(self, head, rest, rising, q, p, tau, pad):
+        # a nonnegative window, sorted half the time so that the step takes
+        # it, on its own grid (the whole left half) or as a window on a grid
+        # up to 40 nodes wider (zero padding, beyond 32 nodes part of it left
+        # of the solve's held node), against the exact path on the
+        # zero-padded whole half: where the step takes it, it is the exact
+        # path bit for bit and records the same history row.  The same
+        # state claiming min_rise = -1 is refused
         u = np.array([head] + (sorted(rest) if rising else rest))
-        grid = build_grid_by_count(2 * (u.size - 1))
-        params = SimParams(p=p, q=q, tau=0.1, h=grid.h)
+        grid = build_grid_by_count(2 * (u.size - 1 + pad))
+        params = SimParams(p=p, q=q, tau=tau, h=grid.h)
         state = _state(u)
+        claim = SolutionState(u, 0.0, 0, 0.0, sup_norm=state.sup_norm, min_rise=-1.0)
+        with pytest.raises(StepError, match="not admitted"):
+            step(claim, grid, params)
         got = _outcome(step, state, grid, params)
         exact = _assert_is_the_exact_path(got, state, grid, params)
         if exact is None:
@@ -762,38 +660,6 @@ class TestSignPrefilter:
         for name, column in recorded[0].rows.items():
             assert column.tobytes() == recorded[1].rows[name].tobytes()
 
-
-class TestCertifiedWindow:
-    """A step reads its frozen signs' certificate from the carried min_rise."""
-
-    def test_certified_step_matches_the_exact_test(self, rng):
-        # random monotone profiles and all-zero windows, on their own grid
-        # (the whole left half) and as a window on a grid up to 40 nodes
-        # wider (zero padding, part of it left of the solve's held node),
-        # against the exact path on the zero-padded whole half: where its
-        # solve rises, the step is its step bit for bit, and everywhere else
-        # the step raises.  The same state claiming min_rise = -1 is refused
-        kinds = set()
-        for i in range(60):
-            state, grid, params = random_symmetric_monotone_state(rng)
-            if i % 3 == 0:
-                params = replace(params, q=1.0)
-            if i % 4 == 0:
-                state = _state(np.zeros(state.u.size))
-            pad = int(rng.integers(1, 41))
-            for on in (grid, build_grid_by_count(2 * (grid.mid + pad))):
-                got = _outcome(step, state, on, params)
-                stepped = _assert_is_the_exact_path(got, state, on, params) is not None
-                kinds.add((params.q == 1.0, on is grid, stepped))
-                claim = SolutionState(
-                    state.u, state.t, state.n, state.tau_last, state.t_comp,
-                    sup_norm=state.sup_norm, min_rise=-1.0,
-                )
-                with pytest.raises(StepError, match="not admitted"):
-                    step(claim, on, params)
-        # every q steps on both grids
-        assert kinds >= {(q1, whole, True) for q1 in (False, True) for whole in (False, True)}
-
     @pytest.mark.parametrize(
         "u, mid, q",
         [
@@ -804,6 +670,9 @@ class TestCertifiedWindow:
             # reference steps it
             ([0.0, 1.0, 2.0, 3.0], 6, 1.0),
             ([0.0, 0.0, 1.0, 2.0], 3, 1.0),
+            # rising (min_rise 1) from u[0] < 0: the window meets its zero
+            # padding with a falling difference, sign -1 with gamma > 0
+            ([-0.25, 1.0, 2.0, 3.0], 6, 1.5),
         ],
     )
     def test_non_rising_entry_refused_before_any_solve(self, monkeypatch, u, mid, q):
@@ -812,7 +681,7 @@ class TestCertifiedWindow:
         grid = build_grid_by_count(2 * mid)
         params = SimParams(p=2.0, q=q, tau=0.1, h=grid.h, blow_threshold=1e15)
         state = _state(u)
-        if np.all(np.diff(u) >= 0.0):
+        if u[0] >= 0.0 and np.all(np.diff(u) >= 0.0):
             got = _outcome(step, state, grid, params)
             assert _assert_is_the_exact_path(got, state, grid, params) is not None
             return
@@ -825,21 +694,33 @@ class TestCertifiedWindow:
         with pytest.raises(StepError, match="not admitted"):
             step(state, grid, params)
 
-    def test_window_below_zero_is_not_certified(self, monkeypatch):
-        # a window rising from u[0] < 0 meets its zero padding with a falling
-        # difference, sign -1 with gamma > 0: the step refuses it unsolved
+    @pytest.mark.parametrize("nd", [-5e-324, 0.0, 5e-324, 1.0])
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("q", [1.0, 1.5])
+    def test_prescribed_solve_accepted_iff_both_rise(self, monkeypatch, q, s, nd):
+        # the whole half [0, s/2, s] has the current difference s on its one
+        # row (a flat row where s = 0, whose gamma is 0 for q > 1); its solve
+        # [0, 0, nd] has the new difference nd.  A window that does not rise
+        # is refused unsolved; one that rises is solved once, and that solve
+        # is the step exactly when it rises too: a new difference of 0 keeps
+        # the frozen +1
         from cwblowup import stepper
 
-        solves = []
-        monkeypatch.setattr(stepper, "solve_tridiag", solves.append)
-        u = [-0.25, 1.0, 2.0, 3.0]
-        grid = build_grid_by_count(12)  # mid = 6: nodes 0..2 are padding
-        params = SimParams(p=2.0, q=1.5, tau=0.1, h=grid.h)
-        state = _state(u)
-        assert state.min_rise > 0.0
-        with pytest.raises(StepError, match="not admitted"):
-            step(state, grid, params)
-        assert not solves
+        calls = []
+
+        def prescribed(sys):
+            calls.append(sys)
+            return np.array([0.0, 0.0, nd])[1:]  # u'_lo = 0 leads the buffer
+
+        monkeypatch.setattr(stepper, "solve_tridiag", prescribed)
+        grid = build_grid_by_count(4)
+        params = SimParams(p=2.0, q=q, tau=0.01, h=grid.h)
+        got = _outcome(step, _state([0.0, 0.5 * s, s]), grid, params)
+        assert len(calls) == int(s >= 0.0)
+        if s >= 0.0 and nd >= 0.0:
+            assert padded_half(got.next, grid).tolist() == [0.0, 0.0, nd]
+        else:
+            assert got is StepError
 
 
 class TestOnePassTraffic:

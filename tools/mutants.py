@@ -11,7 +11,7 @@ a mutant's string is not found exactly once, when a suite run does not
 finish, and when a mutant survives that is not in ``EXPECTED_SURVIVORS``, or
 one that is gets killed.
 
-    python tools/mutants.py   # one suite run per mutant: 12-15 min on 2 vCPUs
+    python tools/mutants.py   # one suite run per mutant: about 20 min on 2 vCPUs
 
 The runs repeat: pytest runs without its cache and with a fixed Hypothesis
 seed.  Each runs under an address-space limit, so a mutant that lets a
@@ -170,6 +170,28 @@ MUTANTS = (
            "k_ref = 4 * counts[-1]", "k_ref = 2 * counts[-1]"),
     Mutant("converge-immediate-blowup-admitted", "analysis.py", "convergence_study",
            "        if not t_check > 0.0:\n", "        if False:\n"),
+    # cli.main and the verbs' exit codes
+    Mutant("main-step-error-exits-2", "cli.py", "main",
+           'SolverError\n        print(f"error: {exc}", file=sys.stderr)\n        return 3',
+           'SolverError\n        print(f"error: {exc}", file=sys.stderr)\n        return 2'),
+    Mutant("run-solver-error-exits-0", "cli.py", "cmd_run",
+           "return 3 if outcome.status", "return 0 if outcome.status"),
+    Mutant("diagnostics-failure-exits-0", "cli.py", "cmd_diagnostics",
+           "return 4 if failures else 0", "return 0 if failures else 0"),
+    Mutant("diagnostics-growth-bound-doubled", "cli.py", "cmd_diagnostics",
+           "diag.growth_deviation > 0.01:", "diag.growth_deviation > 0.02:"),
+    Mutant("diagnostics-ratio-bound-doubled", "cli.py", "cmd_diagnostics",
+           "diag.ratio_change_deviation > 0.02:", "diag.ratio_change_deviation > 0.04:"),
+    # cli's input refusals
+    Mutant("amplitudes-empty-list-admitted", "cli.py", "_amplitude_table",
+           "    if not lambdas:\n", "    if False:\n"),
+    Mutant("output-dir-file-admitted", "cli.py", "_output_dir",
+           "if not existing.is_dir():", "if False:"),
+    # params' config parsing
+    Mutant("config-unknown-key-admitted", "params.py", "_pair",
+           'if key not in _FIELDS and key != "initial":', "if False:"),
+    Mutant("config-fraction-truncated", "params.py", "build_params",
+           "if not number.is_integer():", "if False:"),
 )
 
 # Mutants the suite does not kill, each with the reason it may stay.
@@ -185,7 +207,8 @@ EXPECTED_SURVIVORS = {
 FUNCTIONS = (
     "step", "assemble", "solve_tridiag", "RunHistory.record", "run", "tail_estimate",
     "compute_h", "compute_tau", "validate", "_check_left_half", "classify_blowup_set",
-    "convergence_study",
+    "convergence_study", "main", "cmd_run", "cmd_diagnostics", "_amplitude_table",
+    "_output_dir", "_pair", "build_params",
 )
 
 # address space of one suite run, and wall time of one test and of one run
