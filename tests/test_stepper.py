@@ -694,16 +694,36 @@ class TestOneSolveRoute:
         with pytest.raises(StepError, match="not admitted"):
             step(state, grid, params)
 
-    @pytest.mark.parametrize("nd", [-5e-324, 0.0, 5e-324, 1.0])
-    @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0])
-    @pytest.mark.parametrize("q", [1.0, 1.5])
-    def test_prescribed_solve_accepted_iff_both_rise(self, monkeypatch, q, s, nd):
+
+class TestSignPrefilter:
+    """The one route's prescribed-solve table: a step accepts a solve, in
+    one solve, exactly where the window and the solve both rise.
+
+    The exact sign test marks row j contradicted where gamma_j*s'*(s' - s)
+    != 0, s the frozen and s' the new sign.  A step freezes s = +1 and
+    accepts a rising solve, so every s' is 0 or +1 and no row is marked,
+    whatever gamma_j >= 0; it refuses every other window and solve.
+    """
+
+    @pytest.mark.parametrize(
+        "q, s, nd, g",
+        [
+            (q, s, nd, g)
+            for q in (1.0, 1.5)
+            for s in (-1.0, 0.0, 1.0)
+            for nd in (-5e-324, 0.0, 5e-324, 1.0)
+            for g in (0.0, 0.25)
+            if q == 1.0 or s != 0.0 or g == 0.0
+        ],
+    )
+    def test_no_mark_means_no_contradiction(self, monkeypatch, q, s, nd, g):
         # the whole half [0, s/2, s] has the current difference s on its one
-        # row (a flat row where s = 0, whose gamma is 0 for q > 1); its solve
-        # [0, 0, nd] has the new difference nd.  A window that does not rise
-        # is refused unsolved; one that rises is solved once, and that solve
-        # is the step exactly when it rises too: a new difference of 0 keeps
-        # the frozen +1
+        # row, whose gamma g is 0 where s = 0 and q > 1; its solve [0, 0, nd]
+        # has the new difference nd.  A window that does not rise is refused
+        # unsolved; one that rises is solved once, and that solve is the
+        # step exactly when it rises too, and then no gamma marks it: a new
+        # difference of 0 keeps the frozen +1, and a flat row steps like any
+        # rising one
         from cwblowup import stepper
 
         calls = []
@@ -719,6 +739,7 @@ class TestOneSolveRoute:
         assert len(calls) == int(s >= 0.0)
         if s >= 0.0 and nd >= 0.0:
             assert padded_half(got.next, grid).tolist() == [0.0, 0.0, nd]
+            assert g * np.sign(nd) * (np.sign(nd) - 1.0) == 0.0
         else:
             assert got is StepError
 
