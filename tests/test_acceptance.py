@@ -124,6 +124,10 @@ def test_criterion_2_ratio_limits(ratio_run):
     assert diag.growth_deviation < 0.01
     assert diag.ratio_change_deviation < 0.02
     assert diag.strictly_decreasing_tail
+    # the neighbour-to-peak ratio stays inside (0, 1) on monotone states
+    ratio = history.column("u_m_minus_1") / history.column("u_m")
+    assert np.all(ratio > 0.0)
+    assert np.all(ratio < 1.0)
 
 
 def test_criterion_3_blowup_set_dichotomy(multi_point_run, single_point_run):

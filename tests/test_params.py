@@ -1,6 +1,6 @@
 """Parameter validation, config parsing, and initial data."""
 
-import itertools
+import contextlib
 import math
 import re
 from dataclasses import fields
@@ -21,52 +21,58 @@ from cwblowup.cli import _resolve_setup, build_parser
 from cwblowup.params import apply_overrides, build_params, load_config, params_header
 from cwblowup.state import mirrored
 
+_X5 = [-1.0, -0.5, 0.0, 0.5, 1.0]
+_BUMP = [0.0, 7.0, 20.0, 7.0, 0.0]
+_X11 = np.linspace(-1.0, 1.0, 11)
+_COS11 = 12.0 * np.cos(0.5 * np.pi * _X11)
+_X10 = np.linspace(-1.0, 1.0, 10)
+_FLAT_TOP = np.r_[0.0, 20.0 * np.cos(0.5 * np.pi * _X10[1:-1]), 0.0]
+
 
 class TestValidate:
-    def test_admissible_pair_passes(self):
-        report = validate(SimParams(p=3.0, q=1.4))
-        assert report.ok  # 2p/(p+1) = 1.5 >= 1.4
-
     def test_adjacent_blowup_flag(self):
-        params = SimParams(p=2.0, q=1.0, tau=0.1, h=0.5)
-        assert validate(params).ok  # h = 0.5 < 1/1.1: the neighbours diverge
-        assert params.regime() == "multi-point"
+        # h = 0.5 < 1/1.1: the neighbours diverge
+        assert SimParams(p=2.0, q=1.0, tau=0.1, h=0.5).regime() == "multi-point"
 
-    def test_q_beyond_admissible_fails(self):
-        report = validate(SimParams(p=2.0, q=1.5))
-        assert not report.ok  # 2p/(p+1) = 4/3 < 1.5
-        assert any("q" in f for f in report.failures())
-
+    # Each row pairs SimParams keyword arguments with the exact set of checks
+    # that refuse them; admitted parameters fail none.
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"p": 1.0},
-            {"p": 0.5},
-            {"q": 0.9},
-            {"tau": 0.0},
-            {"tau": -0.1},
-            {"h": 0.0},
-            {"h": 2.5},
-            {"lam": -1.0},
-            {"blow_threshold": 0.5},
-            {"max_steps": -1},
-            {"tau": math.inf},
-            {"lam": math.inf},
-            {"tau": 1e-17},  # 1 + tau rounds to 1, so (1+tau)^(1-p) does
-            {"p": math.nextafter(1.0, 2.0), "q": 1.0},  # (1+tau)^(1-p) rounds to 1
+            ({"p": 1.0}, {"p_range", "q_range"}),
+            ({"p": 0.5}, {"p_range", "q_range"}),
+            ({"q": 0.9}, {"q_range"}),
+            ({"tau": 0.0}, {"tau_positive"}),
+            ({"tau": -0.1}, {"tau_positive"}),
+            ({"h": 0.0}, {"h_range"}),
+            ({"h": 2.5}, {"h_range"}),
+            ({"lam": -1.0}, {"lambda_positive"}),
+            ({"blow_threshold": 0.5}, {"blow_threshold_range"}),
+            ({"max_steps": -1}, {"max_steps_nonnegative"}),
+            ({"tau": math.inf}, {"tau_finite", "lambda_n_below_2**52"}),
+            ({"lam": math.inf}, {"lambda_finite"}),
+            ({"tau": 1e-17}, {"tail_ratio_below_1"}),  # 1 + tau rounds to 1, so (1+tau)^(1-p) does
+            ({"p": math.nextafter(1.0, 2.0), "q": 1.0}, {"tail_ratio_below_1"}),
+            ({"p": 3.0, "q": 1.4}, set()),  # 2p/(p+1) = 1.5 >= 1.4
+            ({"p": 2.0, "q": 1.0, "tau": 0.1, "h": 0.5}, set()),
+            ({"p": 2.0, "q": 1.5}, {"q_range"}),  # 2p/(p+1) = 4/3 < 1.5
+            ({"p": 5.0, "blow_threshold": 1e70}, {"blow_threshold_representable"}),
+            ({"p": 5.0, "blow_threshold": 1e12}, set()),
+            # total on any float: the tail ratio is not taken where it would
+            # be complex, overflow or compare a NaN
+            ({"p": 0.5, "tau": -2.0}, {"p_range", "q_range", "tau_positive"}),
+            ({"p": -1e3, "tau": 1e300}, {"p_range", "q_range", "lambda_n_below_2**52"}),
+            (
+                {"p": math.nan, "tau": math.nan},
+                {"p_range", "q_range", "tau_positive", "tau_finite",
+                 "blow_threshold_representable"},
+            ),
         ],
     )
     def test_rejections(self, kwargs):
-        assert not validate(SimParams(**kwargs)).ok
-
-    def test_total_on_any_float(self):
-        # the tail ratio is not taken where it would be complex or overflow
-        for p, tau in itertools.product((-1e3, 0.5, math.nan), (-2.0, math.nan, 1e300)):
-            assert not validate(SimParams(p=p, tau=tau)).ok
-
-    def test_blow_threshold_overflow_guard(self):
-        assert not validate(SimParams(p=5.0, blow_threshold=1e70)).ok
-        assert validate(SimParams(p=5.0, blow_threshold=1e12)).ok
+        settings, failing = kwargs
+        report = validate(SimParams(**settings))
+        assert {name for name, ok, _ in report.checks if not ok} == failing
 
     def test_regimes(self):
         assert SimParams(p=3.0, q=1.2).regime() == "single-point"
@@ -105,37 +111,6 @@ class TestInitialData:
         # the grid's nodes are x_0..x_mid, where the sampled half lives
         assert np.allclose(state.u, 25.0 * np.cos(0.5 * np.pi * grid.nodes), atol=1e-13)
 
-    def test_zero_profile_rejected(self):
-        x = np.linspace(-1, 1, 11)
-        with pytest.raises(InitialDataError, match="nonconstant"):
-            InitialData.from_table(x, np.zeros(11))
-
-    def test_constant_interior_rejected(self):
-        x = np.linspace(-1, 1, 11)
-        u = np.full(11, 5.0)
-        u[0] = u[-1] = 0.0
-        with pytest.raises(InitialDataError, match="increas"):
-            InitialData.from_table(x, u)
-
-    def test_asymmetric_rejected(self):
-        x = np.linspace(-1, 1, 11)
-        u = 12.0 * np.cos(0.5 * np.pi * x) + np.linspace(0, 0.5, 11)
-        u[0] = u[-1] = 0.0
-        with pytest.raises(InitialDataError, match="symmetric"):
-            InitialData.from_table(x, u)
-
-    def test_negative_rejected(self):
-        x = np.linspace(-1, 1, 11)
-        u = -12.0 * np.cos(0.5 * np.pi * x)
-        with pytest.raises(InitialDataError, match="negative values"):
-            InitialData.from_table(x, u)
-
-    def test_nonzero_boundary_rejected(self):
-        x = np.linspace(-1, 1, 11)
-        u = 12.0 * np.cos(0.5 * np.pi * x) + 1.0
-        with pytest.raises(InitialDataError, match="vanish"):
-            InitialData.from_table(x, u)
-
     def test_small_amplitude_is_sampled(self):
         # a sup norm <= 1 is accepted (its run ends Decayed), with the
         # large-amplitude warning
@@ -169,34 +144,45 @@ class TestInitialData:
         # sampled on the left half only
         assert state.u.size == grid.mid + 1
 
-    def test_flat_top_table_refused_on_a_grid_that_samples_the_top(self):
-        # no row at x = 0, so the table is flat on (-1/9, 1/9): the grid
-        # h = 0.25 has no node inside, h = 0.05 has -0.1, -0.05 and 0
-        x = np.linspace(-1, 1, 10)
-        u = 20.0 * np.cos(0.5 * np.pi * x)
-        u[0] = u[-1] = 0.0
-        data = InitialData.from_table(x, u)
-        make_initial(SimParams(lam=20.0), build_grid(0.25), data)
-        with pytest.raises(InitialDataError, match="increase strictly"):
-            make_initial(SimParams(lam=20.0), build_grid(0.05), data)
-
-
-    _BUMP = [0.0, 7.0, 20.0, 7.0, 0.0]
-
     @pytest.mark.parametrize(
-        "x, u0, message",
+        "x, u0, h, message",
         [
-            ([-1.0, -0.5, 0.0, 0.5, 1.0], _BUMP[:4], "matching 1-d x and u0"),
-            ([-1.0, 1.0], [0.0, 0.0], "matching 1-d x and u0 with >= 3 rows"),
-            ([-1.0, -0.3, 0.0, 0.5, 1.0], _BUMP, "sample points are not symmetric"),
-            ([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, np.nan, 20.0, np.nan, 0.0],
-             "table: non-finite values"),
+            (_X5, _BUMP[:4], None, "matching 1-d x and u0"),
+            ([-1.0, 1.0], [0.0, 0.0], None, "matching 1-d x and u0 with >= 3 rows"),
+            ([-1.0, -0.3, 0.0, 0.5, 1.0], _BUMP, None, "sample points are not symmetric"),
+            (_X5, [0.0, np.nan, 20.0, np.nan, 0.0], None, "table: non-finite values"),
+            (_X11, np.zeros(11), None, "table: profile must be nonconstant"),
+            (_X11, np.r_[0.0, np.full(9, 5.0), 0.0], None,
+             "table: profile must increase strictly"),
+            (_X11, np.r_[0.0, (_COS11 + np.linspace(0, 0.5, 11))[1:-1], 0.0], None,
+             "table: values are not symmetric about x = 0"),
+            (_X11, -_COS11, None, "table: negative values"),
+            (_X11, _COS11 + 1.0, None, "table: profile must vanish at x = -1 and x = 1"),
+            # no row at x = 0, so the table is flat on (-1/9, 1/9): the grid
+            # h = 0.05 has the nodes -0.1, -0.05 and 0 there, h = 0.25 none
+            (_X10, _FLAT_TOP, 0.05, "table: profile must increase strictly"),
+            (_X10, _FLAT_TOP, 0.25, None),
         ],
-        ids=["shapes-differ", "two-rows", "x-not-symmetric", "nan-in-left-half"],
+        ids=[
+            "shapes-differ", "two-rows", "x-not-symmetric", "nan-in-left-half", "zero-profile",
+            "constant-interior", "values-not-symmetric", "negative", "nonzero-boundary",
+            "flat-top-sampled", "flat-top-between-nodes",
+        ],
     )
-    def test_malformed_table_refused(self, x, u0, message):
-        with pytest.raises(InitialDataError, match=re.escape(message)):
-            InitialData.from_table(np.array(x), np.array(u0))
+    def test_malformed_table_refused(self, x, u0, h, message):
+        # a table is refused when it is read (h None) or when it is sampled
+        # on the grid of spacing h; a row without a message is admitted
+        refused = (
+            pytest.raises(InitialDataError, match=re.escape(message))
+            if message else contextlib.nullcontext()
+        )
+        if h is None:
+            with refused:
+                InitialData.from_table(np.array(x), np.array(u0))
+        else:
+            data = InitialData.from_table(np.array(x), np.array(u0))
+            with refused:
+                make_initial(SimParams(lam=20.0), build_grid(h), data)
 
     @pytest.mark.parametrize(
         "x",
@@ -206,7 +192,7 @@ class TestInitialData:
     def test_table_short_of_an_end_refused(self, x):
         # the symmetry test lets both through (relative tolerance 1e-5), and
         # sampling reads x_K as -x_0 = 1, so both ends are checked
-        data = InitialData.from_table(np.array(x), np.array(self._BUMP))
+        data = InitialData.from_table(np.array(x), np.array(_BUMP))
         with pytest.raises(InitialDataError, match=re.escape("must cover [-1, 1]")):
             make_initial(SimParams(lam=20.0), build_grid(0.25), data)
 
@@ -224,32 +210,10 @@ class TestConfig:
         assert params.blow_threshold == 1e9 and params.max_steps == 5000
         assert initial.kind == "sine"
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "absent.cfg")
-
-    def test_unknown_key(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("p=3\nwibble=1\n")
-        with pytest.raises(ConfigError, match="unknown key"):
-            load_config(cfg)
-
-    def test_bad_value(self):
-        with pytest.raises(ConfigError, match="bad value"):
-            build_params({"p": "three"})
-
     def test_overrides(self):
         mapping = apply_overrides({"p": "3"}, ["lambda=20", "q=1.1"])
         params, _ = build_params(mapping)
         assert params.lam == 20.0 and params.q == 1.1
-
-    def test_override_unknown_key(self):
-        with pytest.raises(ConfigError, match="override: unknown key"):
-            apply_overrides({}, ["nope=1"])
-
-    def test_inadmissible_combination_raises(self):
-        with pytest.raises(ConfigError, match="q"):
-            build_params({"p": "2", "q": "1.8"})
 
     def test_initial_from_file(self, tmp_path):
         table = tmp_path / "bump.csv"
@@ -292,60 +256,65 @@ class TestConfig:
         ],
     )
     def test_integer_key_refuses_non_whole_value(self, key, value):
-        with pytest.raises(ConfigError, match="whole number"):
+        with pytest.raises(ConfigError) as caught:
             build_params({key: value})
+        assert type(caught.value) is ConfigError
+        assert str(caught.value) == f"{key!r} must be a whole number, got {value!r}"
 
     def test_integer_key_accepts_exponent_form(self):
         for text in ("1e3", "1000.0"):
             params, _ = build_params({"max_steps": text})
             assert params.max_steps == 1000 and type(params.max_steps) is int
 
-    def test_line_without_equals_refused(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("p=3\nlambda 10\n")
-        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:2: expected key=value")):
-            load_config(cfg)
-        args = build_parser().parse_args(["run", "--set", "lambda"])
-        with pytest.raises(ConfigError, match="override: expected key=value, got: 'lambda'"):
-            _resolve_setup(args)
-
-    def test_unknown_initial_refused(self):
-        with pytest.raises(ConfigError, match="initial must be 'sine' or 'file:PATH', got 'foo'"):
-            build_params({"initial": "foo"})
-
-    def test_table_of_two_rows_refused(self, tmp_path):
-        table = tmp_path / "bump.csv"
-        table.write_text("x,u0\n-1,0\n1,0\n")
-        with pytest.raises(InitialDataError, match="needs at least 3 rows"):
-            InitialData.from_csv(table)
-
-    def test_directory_refused(self, tmp_path):
-        with pytest.raises(ConfigError, match="not a file"):
-            load_config(tmp_path)
-        with pytest.raises(InitialDataError, match="not a file"):
-            InitialData.from_csv(tmp_path)
-        with pytest.raises(InitialDataError, match="not a file"):
-            build_params({"initial": "file:."}, base_dir=tmp_path)
-
-    def test_undecodable_file_refused(self, tmp_path):
-        binary = tmp_path / "binary.dat"
-        binary.write_bytes(b"p=3\n\xff\xfe\n")
-        with pytest.raises(ConfigError, match=re.escape(f"config file {binary} is not UTF-8")):
-            load_config(binary)
-        where = re.escape(f"initial data file {binary} is not UTF-8")
-        with pytest.raises(InitialDataError, match=where):
-            InitialData.from_csv(binary)
-
-    def test_table_non_numeric_cell_names_path_and_line(self, tmp_path):
-        table = tmp_path / "bump.csv"
-        table.write_text("x,u0\n-1,0\n0,abc\n1,0\n")
-        where = re.escape(f"{table}:3: non-numeric")
-        with pytest.raises(InitialDataError, match=where):
-            InitialData.from_csv(table)
-
-    def test_table_wrong_column_count_names_path_and_line(self, tmp_path):
-        table = tmp_path / "bump.csv"
-        table.write_text("# x u0\n-1,0\n0,20,1\n1,0\n")
-        where = re.escape(f"{table}:3: expected two columns")
-        with pytest.raises(InitialDataError, match=where):
-            InitialData.from_csv(table)
+    # Each row reads one source and names the error class it must raise and
+    # the start of its message, "{path}" standing for the file read.  A
+    # source is a config file's text or a CSV table's text (bytes are
+    # written raw, None writes no file), a --set item, or a config mapping
+    # (read with the test's directory as its base).
+    @pytest.mark.parametrize(
+        "read, source, error, message",
+        [
+            ("config", None, ConfigError, "config file not found or not a file: {path}"),
+            ("mapping", {"initial": "file:."}, InitialDataError,
+             "initial data file not found or not a file: {tmp}"),
+            ("config", b"p=3\n\xff\xfe\n", ConfigError, "config file {path} is not UTF-8 text"),
+            ("csv", b"p=3\n\xff\xfe\n", InitialDataError,
+             "initial data file {path} is not UTF-8 text"),
+            ("config", "p=3\nlambda 10\n", ConfigError,
+             "{path}:2: expected key=value, got: 'lambda 10'"),
+            ("set", "lambda", ConfigError, "override: expected key=value, got: 'lambda'"),
+            ("config", "p=3\nwibble=1\n", ConfigError, "{path}:2: unknown key 'wibble'"),
+            ("set", "nope=1", ConfigError, "override: unknown key 'nope'"),
+            ("mapping", {"p": "three"}, ConfigError, "bad value for 'p': 'three'"),
+            ("mapping", {"p": "2", "q": "1.8"}, ConfigError,
+             "q_range: q must lie in [1, 2p/(p+1)] = [1, 1.3333333333333333], got 1.8"),
+            ("mapping", {"initial": "foo"}, ConfigError,
+             "initial must be 'sine' or 'file:PATH', got 'foo'"),
+            ("csv", "x,u0\n-1,0\n1,0\n", InitialDataError,
+             "initial data table needs at least 3 rows"),
+            ("csv", "x,u0\n-1,0\n0,abc\n1,0\n", InitialDataError,
+             "{path}:3: non-numeric value in '0,abc'"),
+            ("csv", "# x u0\n-1,0\n0,20,1\n1,0\n", InitialDataError,
+             "{path}:3: expected two columns (x, u0), got: '0,20,1'"),
+        ],
+        ids=[
+            "config-absent", "initial-directory", "config-undecodable", "csv-undecodable",
+            "config-line-without-equals", "set-without-equals", "config-unknown-key",
+            "set-unknown-key", "bad-value", "inadmissible", "unknown-initial",
+            "csv-two-rows", "csv-non-numeric", "csv-three-columns",
+        ],
+    )
+    def test_refused_source(self, read, source, error, message, tmp_path):
+        path = tmp_path / "source"
+        if read in ("config", "csv") and source is not None:
+            path.write_bytes(source if isinstance(source, bytes) else source.encode())
+        readers = {
+            "config": lambda: load_config(path),
+            "csv": lambda: InitialData.from_csv(path),
+            "set": lambda: _resolve_setup(build_parser().parse_args(["run", "--set", source])),
+            "mapping": lambda: build_params(source, base_dir=tmp_path),
+        }
+        with pytest.raises(ConfigError) as caught:
+            readers[read]()
+        assert type(caught.value) is error
+        assert str(caught.value).startswith(message.format(path=path, tmp=tmp_path))

@@ -70,7 +70,7 @@ def test_validation_is_total(p, q, tau, h, lam, thr):
 @given(p=st.floats(1.1, 5.0), lam=st.floats(1.0, 1e4))
 def test_lower_bound_scaling(p, lam):
     ratio = amplitude_lower_bound(p, 10.0 * lam) / amplitude_lower_bound(p, lam)
-    assert ratio == pytest.approx(10.0 ** (1.0 - p), rel=1e-10)
+    assert ratio == pytest.approx(10.0 ** (1.0 - p), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

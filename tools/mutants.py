@@ -11,7 +11,7 @@ a mutant's string is not found exactly once, when a suite run does not
 finish, and when a mutant survives that is not in ``EXPECTED_SURVIVORS``, or
 one that is gets killed.
 
-    python tools/mutants.py   # one suite run per mutant: about 20 min on 2 vCPUs
+    python tools/mutants.py   # one suite run per mutant: about 30 min on 2 vCPUs
 
 The runs repeat: pytest runs without its cache and with a fixed Hypothesis
 seed.  Each runs under an address-space limit, so a mutant that lets a
@@ -112,6 +112,8 @@ MUTANTS = (
            "    if k > _SNAPSHOT_MAX_INTERVALS:", "    if False:"),
     Mutant("run-q-below-1.5-never-regrids", "simulator.py", "run",
            "q_one = params.q == 1.0", "q_one = params.q < 1.5"),
+    Mutant("run-negative-snapshot-admitted", "simulator.py", "run",
+           "if snapshot_every < 0:", "if False:"),
     # simulator.tail_estimate
     Mutant("tail-is-one-term", "simulator.py", "tail_estimate",
            "tau_last * r / (1.0 - r)", "tau_last * r"),
@@ -136,6 +138,42 @@ MUTANTS = (
            "< _MAX_LOG10\n", "< _MAX_LOG10 + 100.0\n"),
     Mutant("validate-rounding-limit-doubled", "params.py", "validate",
            "not lam_max >= 2.0**52,", "not lam_max >= 2.0**53,"),
+    Mutant("validate-p-range-off", "params.py", "validate",
+           'add("p_range", p > 1.0,', 'add("p_range", True,'),
+    Mutant("validate-q-unbounded-below", "params.py", "validate",
+           "p > 1.0 and 1.0 <= q <= q_hi", "p > 1.0 and q <= q_hi"),
+    Mutant("validate-tau-finite-off", "params.py", "validate",
+           'math.isfinite(params.tau), f"tau', 'True, f"tau'),
+    Mutant("validate-tail-ratio-unguarded", "params.py", "validate",
+           "not (p > 1.0 and params.tau > 0.0) or tail_ratio", "tail_ratio"),
+    Mutant("validate-h-range-off", "params.py", "validate",
+           "0.0 < params.h <= 2.0,\n", "True,\n"),
+    Mutant("validate-lambda-sign-off", "params.py", "validate",
+           'params.lam > 0.0, f"lambda', 'True, f"lambda'),
+    Mutant("validate-lambda-finite-off", "params.py", "validate",
+           'math.isfinite(params.lam), f"lambda', 'True, f"lambda'),
+    Mutant("validate-threshold-range-off", "params.py", "validate",
+           "params.blow_threshold > 1.0,\n", "True,\n"),
+    Mutant("validate-max-steps-sign-off", "params.py", "validate",
+           'params.max_steps >= 0, "max_steps', 'True, "max_steps'),
+    # params.InitialData
+    Mutant("table-two-rows-admitted", "params.py", "InitialData.from_table",
+           "or x.size < 3:", "or x.size < 2:"),
+    Mutant("table-x-symmetry-off", "params.py", "InitialData.from_table",
+           "if not np.allclose(x, -x[::-1], atol=1e-9):", "if False:"),
+    Mutant("table-value-symmetry-off", "params.py", "InitialData.from_table",
+           "if not (np.abs(u0 - u0[::-1]) <= 1e-12 * peak).all():", "if False:"),
+    Mutant("table-cover-left-end-off", "params.py", "InitialData.sample",
+           "x[0] > nodes[0] or ", ""),
+    Mutant("table-cover-right-end-off", "params.py", "InitialData.sample",
+           " or x[-1] < -nodes[0]", ""),
+    Mutant("csv-extra-columns-admitted", "params.py", "InitialData.from_csv",
+           "if len(parts) != 2:", "if len(parts) < 2:"),
+    Mutant("csv-non-numeric-uncaught", "params.py", "InitialData.from_csv",
+           "except ValueError as exc:\n                raise InitialDataError(",
+           "except TypeError as exc:\n                raise InitialDataError("),
+    Mutant("csv-two-rows-admitted", "params.py", "InitialData.from_csv",
+           "if len(rows) < 3:", "if len(rows) < 2:"),
     # params._check_left_half
     Mutant("profile-absolute-tolerance", "params.py", "_check_left_half",
            "tol = 1e-12 * max(-lo, hi)", "tol = 1e-12 * max(-lo, hi, 1.0)"),
@@ -170,6 +208,10 @@ MUTANTS = (
            "k_ref = 4 * counts[-1]", "k_ref = 2 * counts[-1]"),
     Mutant("converge-immediate-blowup-admitted", "analysis.py", "convergence_study",
            "        if not t_check > 0.0:\n", "        if False:\n"),
+    Mutant("converge-t-check-unchecked", "analysis.py", "convergence_study",
+           "if t_check is not None and not t_check > 0.0:", "if False:"),
+    Mutant("converge-two-levels-admitted", "analysis.py", "convergence_study",
+           "if len(grid_levels) < 3:", "if len(grid_levels) < 2:"),
     # cli.main and the verbs' exit codes
     Mutant("main-step-error-exits-2", "cli.py", "main",
            'SolverError\n        print(f"error: {exc}", file=sys.stderr)\n        return 3',
@@ -185,13 +227,30 @@ MUTANTS = (
     # cli's input refusals
     Mutant("amplitudes-empty-list-admitted", "cli.py", "_amplitude_table",
            "    if not lambdas:\n", "    if False:\n"),
+    Mutant("amplitudes-table-initial-admitted", "cli.py", "_amplitude_table",
+           'if initial.kind != "sine":', "if False:"),
     Mutant("output-dir-file-admitted", "cli.py", "_output_dir",
            "if not existing.is_dir():", "if False:"),
-    # params' config parsing
+    Mutant("classify-refusal-exits-0", "cli.py", "cmd_classify",
+           "file=sys.stderr)\n        return 3\n    _write_json",
+           "file=sys.stderr)\n        return 0\n    _write_json"),
+    # params' file reading and config parsing
+    Mutant("text-directory-admitted", "params.py", "_text_lines",
+           "if not path.is_file():", "if not path.exists():"),
+    Mutant("text-undecodable-uncaught", "params.py", "_text_lines",
+           "except UnicodeDecodeError as exc:", "except UnicodeEncodeError as exc:"),
+    Mutant("config-line-without-equals-admitted", "params.py", "_pair",
+           "if not eq:", "if False:"),
     Mutant("config-unknown-key-admitted", "params.py", "_pair",
            'if key not in _FIELDS and key != "initial":', "if False:"),
+    Mutant("config-bad-value-uncaught", "params.py", "build_params",
+           'except ValueError as exc:\n            raise ConfigError(f"bad value',
+           'except TypeError as exc:\n            raise ConfigError(f"bad value'),
     Mutant("config-fraction-truncated", "params.py", "build_params",
            "if not number.is_integer():", "if False:"),
+    Mutant("config-unknown-initial-is-sine", "params.py", "build_params",
+           """raise ConfigError(f"initial must be 'sine' or 'file:PATH', got {choice!r}")""",
+           "initial = InitialData.sine()"),
 )
 
 # Mutants the suite does not kill, each with the reason it may stay.
@@ -206,14 +265,15 @@ EXPECTED_SURVIVORS = {
 # Functions the list must reach (each with at least one mutant).
 FUNCTIONS = (
     "step", "assemble", "solve_tridiag", "RunHistory.record", "run", "tail_estimate",
-    "compute_h", "compute_tau", "validate", "_check_left_half", "classify_blowup_set",
-    "convergence_study", "main", "cmd_run", "cmd_diagnostics", "_amplitude_table",
-    "_output_dir", "_pair", "build_params",
+    "compute_h", "compute_tau", "validate", "InitialData.from_table", "InitialData.sample",
+    "InitialData.from_csv", "_check_left_half", "_text_lines", "classify_blowup_set",
+    "convergence_study", "main", "cmd_run", "cmd_classify", "cmd_diagnostics",
+    "_amplitude_table", "_output_dir", "_pair", "build_params",
 )
 
 # address space of one suite run, and wall time of one test and of one run
 _ADDRESS_SPACE = 2 << 30
-_TEST_SECONDS = 30
+_TEST_SECONDS = 10  # the slowest unmutated test takes 3.4 s alone, about 4 s beside another suite
 _RUN_SECONDS = 900
 _LOG = "CWBLOWUP_MUTANT_LOG"
 
